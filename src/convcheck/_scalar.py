@@ -5,14 +5,11 @@ lowest terms with positive denominator, and equality of results means
 literal equality of canonical forms.  Two interchangeable scalar types
 satisfy that contract:
 
-* ``gmpy2.mpq`` -- a compiled rational, roughly 5x faster on the
-  coefficient-level hot loops (polynomial multiplication, binomial
-  convolutions), used when gmpy2 is importable;
+* ``gmpy2.mpq`` -- a compiled rational, used when gmpy2 is importable;
 * ``fractions.Fraction`` -- the stdlib fallback, always available.
 
 The selection happens once at import.  Set ``CONVCHECK_PURE=1`` in the
-environment to force the pure-Python fallback (used by the benchmark and
-by CI runs that want to exercise both backends).  Both types hash and
+environment to force the pure-Python fallback.  Both types hash and
 compare interchangeably, so values produced under one backend equal the
 corresponding values produced under the other.
 """

@@ -16,7 +16,7 @@ Conventions baked in here and relied on everywhere above:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 from ._scalar import BACKEND, Fraction, Rational, as_rational, is_scalar
 
@@ -29,10 +29,6 @@ __all__ = [
     "ZERO_EXP",
     "binomial",
     "format_poly",
-    "poly_arith",
-    "poly_pow",
-    "poly_substitute",
-    "rat_arith",
     "variable",
 ]
 
@@ -334,40 +330,3 @@ def format_poly(p: MultiPoly) -> str:
 def variable(name: str) -> MultiPoly:
     return MultiPoly.var(name)
 
-
-def rat_arith(op: str, a, b):
-    """Scalar rational arithmetic by opcode: add | sub | mul | div.
-
-    Division by zero raises ZeroDivisionError explicitly.
-    """
-    qa, qb = as_rational(a), as_rational(b)
-    if op == "add":
-        return qa + qb
-    if op == "sub":
-        return qa - qb
-    if op == "mul":
-        return qa * qb
-    if op == "div":
-        if not qb:
-            raise ZeroDivisionError("rational division by zero")
-        return qa / qb
-    raise ValueError(f"unknown rational op {op!r}")
-
-
-def poly_arith(op: str, p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """Polynomial ring arithmetic by opcode: add | sub | mul."""
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown polynomial op {op!r}")
-
-
-def poly_pow(p: MultiPoly, exponent: int) -> MultiPoly:
-    return p ** exponent
-
-
-def poly_substitute(p: MultiPoly, bindings: Mapping[str, MultiPoly | Scalar]) -> MultiPoly:
-    return p.substitute(bindings)

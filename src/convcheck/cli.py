@@ -9,7 +9,8 @@ series   print EGF coefficients of one of the special series
 
 Exit status: 0 when everything expected to hold does hold, 1 when a
 corrected-variant check (or an as-printed check with no corrected
-sibling) fails, 2 for usage errors such as an unknown identity id.
+sibling) fails, 2 for usage errors such as an unknown identity id, a
+malformed ``--at`` point or an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -58,16 +59,26 @@ def _parse_point(text: str) -> dict:
         name, sep, value = chunk.partition("=")
         if not sep or not name.strip():
             raise ValueError(f"expected name=value, got {chunk!r}")
-        bindings[name.strip()] = as_rational(value.strip())
+        try:
+            bindings[name.strip()] = as_rational(value.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {chunk!r}") from None
     return bindings
 
 
-def _emit(doc: str, out: Optional[str]) -> None:
-    if out:
+def _emit(doc: str, out: Optional[str]) -> bool:
+    """Write doc to the file out (stdout when None); False, after a
+    one-line message, when the file cannot be written."""
+    if not out:
+        sys.stdout.write(doc)
+        return True
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(doc)
-    else:
-        sys.stdout.write(doc)
+    except OSError as exc:
+        print(f"cannot write {out}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -98,7 +109,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         doc = render_markdown(build_payload(rows, config))
     else:
         doc = render_text(rows, per_n=bool(ids), runtime=elapsed)
-    _emit(doc, args.out)
+    if not _emit(doc, args.out):
+        return 2
     return exit_code_for(rows)
 
 
@@ -121,8 +133,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         doc = render_text(rows)
     else:
         doc = render_markdown(payload)
-    _emit(doc, args.out)
-    return 0
+    if not _emit(doc, args.out):
+        return 2
+    return exit_code_for(rows)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:

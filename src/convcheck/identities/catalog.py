@@ -19,7 +19,6 @@ everything checkable is reported from verdicts instead.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict, List, Optional, Tuple
 
 from .core import IdentityRecord, IdentityVerdict, run_record
@@ -77,7 +76,6 @@ STATIC_ERRATA: List[Dict[str, str]] = [
     },
 ]
 
-_LOCK = threading.Lock()
 _CATALOG: Optional[List[IdentityRecord]] = None
 _BY_KEY: Dict[str, IdentityRecord] = {}
 _BY_IDENT: Dict[str, List[IdentityRecord]] = {}
@@ -86,21 +84,20 @@ _BY_IDENT: Dict[str, List[IdentityRecord]] = {}
 def register_catalog() -> List[IdentityRecord]:
     """The full, deterministic record list (built once per process)."""
     global _CATALOG
-    with _LOCK:
-        if _CATALOG is None:
-            records: List[IdentityRecord] = []
-            records.extend(lemma_records())
-            records.extend(binet_records())
-            records.extend(theorem_records())
-            records.extend(corrected_theorem_records())
-            records.extend(corollary_records())
-            records.extend(derived_corollary_records())
-            for rec in records:
-                if rec.key in _BY_KEY:
-                    raise RuntimeError(f"duplicate catalog key {rec.key}")
-                _BY_KEY[rec.key] = rec
-                _BY_IDENT.setdefault(rec.ident, []).append(rec)
-            _CATALOG = records
+    if _CATALOG is None:
+        records: List[IdentityRecord] = []
+        records.extend(lemma_records())
+        records.extend(binet_records())
+        records.extend(theorem_records())
+        records.extend(corrected_theorem_records())
+        records.extend(corollary_records())
+        records.extend(derived_corollary_records())
+        for rec in records:
+            if rec.key in _BY_KEY:
+                raise RuntimeError(f"duplicate catalog key {rec.key}")
+            _BY_KEY[rec.key] = rec
+            _BY_IDENT.setdefault(rec.ident, []).append(rec)
+        _CATALOG = records
     return list(_CATALOG)
 
 

@@ -16,13 +16,12 @@ literally zero.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._scalar import Rational, as_rational
 from ..arith import MultiPoly, binomial
-from ..quadext import QuadExtElem, RootPair, make_root_pair, qe_substitute
+from ..quadext import QuadExtElem, RootPair, make_root_pair
 from ..sequences import (
     bernoulli_number,
     bivariate_sequence,
@@ -73,8 +72,7 @@ class Context:
     """Ring adapter: letters, cached building blocks, and number tables.
 
     The letters are ``u`` and ``v``; ``D = u - v`` and ``Sig = u + v``.
-    All power/value caches grow under one lock and are keyed by small
-    integers, so a context can be shared freely.
+    All power/value caches are keyed by small integers and grow on demand.
     """
 
     def __init__(self, ring: str):
@@ -98,7 +96,6 @@ class Context:
         self.Sig = self.u + self.v
         self.Prod = self.u * self.v
         self.x = self.embed(MultiPoly.var("x"))
-        self._lock = threading.RLock()
         self._S: List[Any] = [self.one]
         self._upow: List[Any] = [self.one]
         self._vpow: List[Any] = [self.one]
@@ -126,30 +123,24 @@ class Context:
     def upow(self, j: int):
         if j < 0:
             raise ValueError("negative letter power")
-        if j >= len(self._upow):
-            with self._lock:
-                while len(self._upow) <= j:
-                    self._upow.append(self._upow[-1] * self.u)
+        while len(self._upow) <= j:
+            self._upow.append(self._upow[-1] * self.u)
         return self._upow[j]
 
     def vpow(self, j: int):
         if j < 0:
             raise ValueError("negative letter power")
-        if j >= len(self._vpow):
-            with self._lock:
-                while len(self._vpow) <= j:
-                    self._vpow.append(self._vpow[-1] * self.v)
+        while len(self._vpow) <= j:
+            self._vpow.append(self._vpow[-1] * self.v)
         return self._vpow[j]
 
     def S(self, j: int):
         """Complete homogeneous sum of degree j in the letters; 0 for j < 0."""
         if j < 0:
             return self.zero
-        if j >= len(self._S):
-            with self._lock:
-                while len(self._S) <= j:
-                    k = len(self._S)
-                    self._S.append(self.u * self._S[-1] + self.vpow(k))
+        while len(self._S) <= j:
+            k = len(self._S)
+            self._S.append(self.u * self._S[-1] + self.vpow(k))
         return self._S[j]
 
     def phi(self, j: int):
@@ -165,15 +156,12 @@ class Context:
         key = (name, e)
         got = self._npow.get(key)
         if got is None:
-            with self._lock:
-                got = self._npow.get(key)
-                if got is None:
-                    if e == 0:
-                        got = self.one
-                    else:
-                        prev = self._npow.get((name, e - 1))
-                        got = prev * base if prev is not None else base ** e
-                    self._npow[key] = got
+            if e == 0:
+                got = self.one
+            else:
+                prev = self._npow.get((name, e - 1))
+                got = prev * base if prev is not None else base ** e
+            self._npow[key] = got
         return got
 
     def Dpow(self, e: int):
@@ -194,13 +182,10 @@ class Context:
         key = (sign, k)
         got = self._bracket.get(key)
         if got is None:
-            with self._lock:
-                got = self._bracket.get(key)
-                if got is None:
-                    term = 2 * self.Sigpow(k)
-                    base = (2 ** k) * self.phi(k)
-                    got = base + term if sign == "+" else base - term
-                    self._bracket[key] = got
+            term = 2 * self.Sigpow(k)
+            base = (2 ** k) * self.phi(k)
+            got = base + term if sign == "+" else base - term
+            self._bracket[key] = got
         return got
 
     # -- number and polynomial sequences ----------------------------------
@@ -219,11 +204,7 @@ class Context:
         key = (kind, j)
         got = self._npoly.get(key)
         if got is None:
-            with self._lock:
-                got = self._npoly.get(key)
-                if got is None:
-                    got = self.embed(number_polynomial(kind, j))
-                    self._npoly[key] = got
+            got = self._npoly[key] = self.embed(number_polynomial(kind, j))
         return got
 
     # -- root-family extras ------------------------------------------------
@@ -250,11 +231,7 @@ class Context:
         key = ("seq:" + kind, j)
         got = self._npoly.get(key)
         if got is None:
-            with self._lock:
-                got = self._npoly.get(key)
-                if got is None:
-                    got = self.embed(bivariate_sequence(kind, j))
-                    self._npoly[key] = got
+            got = self._npoly[key] = self.embed(bivariate_sequence(kind, j))
         return got
 
     def pair_product(self, tag, left_fn, right_fn, k: int, j: int):
@@ -262,25 +239,18 @@ class Context:
         key = (tag, k, j)
         got = self._pair_cache.get(key)
         if got is None:
-            with self._lock:
-                got = self._pair_cache.get(key)
-                if got is None:
-                    got = left_fn(k) * right_fn(j)
-                    self._pair_cache[key] = got
+            got = self._pair_cache[key] = left_fn(k) * right_fn(j)
         return got
 
 
 _CONTEXTS: Dict[str, Context] = {}
-_CTX_LOCK = threading.Lock()
 
 
 def get_context(ring: str) -> Context:
     """Shared per-ring context (caches persist across checks)."""
-    with _CTX_LOCK:
-        ctx = _CONTEXTS.get(ring)
-        if ctx is None:
-            ctx = Context(ring)
-            _CONTEXTS[ring] = ctx
+    ctx = _CONTEXTS.get(ring)
+    if ctx is None:
+        ctx = _CONTEXTS[ring] = Context(ring)
     return ctx
 
 
@@ -387,19 +357,30 @@ def _compare_sides(record: IdentityRecord, n: int, lhs_v, rhs_v) -> IdentityVerd
     return IdentityVerdict(record.ident, record.variant, n, True)
 
 
-def run_record(
+def _check_range(
     record: IdentityRecord,
-    n_range: Optional[Tuple[int, int]] = None,
-    ctx: Optional[Context] = None,
+    lhs: SideFn,
+    rhs: SideFn,
+    n_range: Optional[Tuple[int, int]],
+    ctx: Optional[Context],
+    bindings: Optional[Dict[str, Any]] = None,
 ) -> List[IdentityVerdict]:
-    """Evaluate a record for every n in the range; one verdict per n."""
+    """One verdict per n comparing ``lhs(ctx, n)`` with ``rhs(ctx, n)``,
+    each substituted with ``bindings`` first when given.  It calls no
+    public check, so a wrapper around one check never nests another.
+    """
     if ctx is None:
         ctx = get_context(record.ring)
     lo, hi = n_range if n_range is not None else record.default_range()
+
+    def image(value):
+        return value if bindings is None else substitute_value(value, bindings)
+
     out: List[IdentityVerdict] = []
     for n in range(lo, hi + 1):
         try:
-            verdict = _compare_sides(record, n, record.lhs(ctx, n), record.rhs(ctx, n))
+            # the sides are temporaries, freed before the next n is built
+            verdict = _compare_sides(record, n, image(lhs(ctx, n)), image(rhs(ctx, n)))
         except PrintedFormUndefined as exc:
             verdict = IdentityVerdict(
                 record.ident, record.variant, n, False, f"undefined: {exc}"
@@ -408,11 +389,18 @@ def run_record(
     return out
 
 
+def run_record(
+    record: IdentityRecord,
+    n_range: Optional[Tuple[int, int]] = None,
+    ctx: Optional[Context] = None,
+) -> List[IdentityVerdict]:
+    """Evaluate a record for every n in the range; one verdict per n."""
+    return _check_range(record, record.lhs, record.rhs, n_range, ctx)
+
+
 def substitute_value(value, bindings):
     """Substitute variables in a ring element (scalars pass through)."""
-    if isinstance(value, QuadExtElem):
-        return qe_substitute(value, bindings)
-    if isinstance(value, MultiPoly):
+    if isinstance(value, (QuadExtElem, MultiPoly)):
         return value.substitute(bindings)
     return value
 
@@ -428,21 +416,7 @@ def run_record_substituted(
     The sides are specialized independently (never the difference), so a
     pass here is evidence about the substituted statement itself.
     """
-    if ctx is None:
-        ctx = get_context(record.ring)
-    lo, hi = n_range if n_range is not None else record.default_range()
-    out: List[IdentityVerdict] = []
-    for n in range(lo, hi + 1):
-        try:
-            lhs_v = substitute_value(record.lhs(ctx, n), bindings)
-            rhs_v = substitute_value(record.rhs(ctx, n), bindings)
-            verdict = _compare_sides(record, n, lhs_v, rhs_v)
-        except PrintedFormUndefined as exc:
-            verdict = IdentityVerdict(
-                record.ident, record.variant, n, False, f"undefined: {exc}"
-            )
-        out.append(verdict)
-    return out
+    return _check_range(record, record.lhs, record.rhs, n_range, ctx, bindings)
 
 
 def parity_restriction_equivalence(
@@ -464,13 +438,6 @@ def parity_restriction_equivalence(
         return [
             IdentityVerdict(record.ident, record.variant, -1, True, None, "skipped")
         ]
-    if ctx is None:
-        ctx = get_context(record.ring)
-    lo, hi = n_range if n_range is not None else record.default_range()
-    out: List[IdentityVerdict] = []
-    for n in range(lo, hi + 1):
-        lhs_v = record.unrestricted_lhs(ctx, n)
-        rhs_v = record.unrestricted_rhs(ctx, n)
-        verdict = _compare_sides(record, n, lhs_v, rhs_v)
-        out.append(verdict)
-    return out
+    return _check_range(
+        record, record.unrestricted_lhs, record.unrestricted_rhs, n_range, ctx
+    )

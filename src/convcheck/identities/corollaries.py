@@ -90,10 +90,6 @@ def _g_at(i: int) -> Rational:
     return genocchi_number(i) if i >= 0 else Rational(0)
 
 
-def _base_pow(ctx: Context, name: str, base, e: int):
-    return ctx.pow_named(name, base, e)
-
-
 # --------------------------------------------------------------------------
 # the printed brackets (family forms of 2^k phi_k +- 2 Sig^k and halves)
 # --------------------------------------------------------------------------
@@ -462,8 +458,8 @@ def _c37_lhs(ctx, n):
 
 def _c37_rhs(ctx, n):
     yy = ctx.embed(2 * _Y)
-    a = _base_pow(ctx, "2y+d", yy + ctx.delta, n)
-    b = _base_pow(ctx, "2y-d", yy - ctx.delta, n)
+    a = ctx.pow_named("2y+d", yy + ctx.delta, n)
+    b = ctx.pow_named("2y-d", yy - ctx.delta, n)
     return Rational(2) ** (1 - n) * (a + b)
 
 
@@ -729,8 +725,8 @@ def _c314_lhs(ctx, n):
 
 def _c314_rhs(ctx, n):
     yy = ctx.embed(_SIX_Y)
-    a = _base_pow(ctx, "6y+d", yy + ctx.delta, n)
-    b = _base_pow(ctx, "6y-d", yy - ctx.delta, n)
+    a = ctx.pow_named("6y+d", yy + ctx.delta, n)
+    b = ctx.pow_named("6y-d", yy - ctx.delta, n)
     return a + b
 
 
@@ -855,8 +851,8 @@ def _c41_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(_Y) + ctx.x * ctx.delta
     base2 = ctx.embed(_Y) + (ctx.x - ctx.one) * ctx.delta
-    a = _base_pow(ctx, "y+xd", base1, n - 1)
-    b = _base_pow(ctx, "y+(x-1)d", base2, n - 1)
+    a = ctx.pow_named("y+xd", base1, n - 1)
+    b = ctx.pow_named("y+(x-1)d", base2, n - 1)
     return (2 * n) * (a + b)
 
 
@@ -873,8 +869,8 @@ def _c42_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(_Y) + ctx.delta * ctx.x
     base2 = ctx.embed(_Y) + (ctx.x - ctx.one) * ctx.delta
-    a = _base_pow(ctx, "y+xd", base1, n - 1)
-    b = _base_pow(ctx, "y+(x-1)d", base2, n - 1)
+    a = ctx.pow_named("y+xd", base1, n - 1)
+    b = ctx.pow_named("y+(x-1)d", base2, n - 1)
     return n * (ctx.delta * (a - b))
 
 
@@ -888,8 +884,8 @@ def _c43_lhs(ctx, n):
 def _c43_rhs(ctx, n):
     base1 = ctx.embed(_Y) + ctx.delta * ctx.x
     base2 = ctx.embed(_Y) + (ctx.x - ctx.one) * ctx.delta
-    a = _base_pow(ctx, "y+xd", base1, n)
-    b = _base_pow(ctx, "y+(x-1)d", base2, n)
+    a = ctx.pow_named("y+xd", base1, n)
+    b = ctx.pow_named("y+(x-1)d", base2, n)
     return 2 * a + 2 * b
 
 
@@ -905,8 +901,8 @@ def _c44_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(3 * _Y) + ctx.x * ctx.delta
     base2 = ctx.embed(3 * _Y) + (ctx.x - ctx.one) * ctx.delta
-    a = _base_pow(ctx, "3y+xd", base1, n - 1)
-    b = _base_pow(ctx, "3y+(x-1)d", base2, n - 1)
+    a = ctx.pow_named("3y+xd", base1, n - 1)
+    b = ctx.pow_named("3y+(x-1)d", base2, n - 1)
     return (n * 2 ** (n + 1)) * (ctx.delta * (a + b))
 
 
@@ -923,8 +919,8 @@ def _c45_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(_SIX_Y) + 2 * (ctx.x * ctx.delta)
     base2 = ctx.embed(_SIX_Y) + (2 * ctx.x - 2 * ctx.one) * ctx.delta
-    a = _base_pow(ctx, "6y+2xd", base1, n - 1)
-    b = _base_pow(ctx, "6y+(2x-2)d", base2, n - 1)
+    a = ctx.pow_named("6y+2xd", base1, n - 1)
+    b = ctx.pow_named("6y+(2x-2)d", base2, n - 1)
     return n * ((2 * ctx.delta) * (a - b))
 
 
@@ -938,8 +934,8 @@ def _c46_lhs(ctx, n):
 def _c46_rhs(ctx, n):
     base1 = ctx.embed(_SIX_Y) + 2 * (ctx.delta * ctx.x)
     base2 = ctx.embed(_SIX_Y) + (ctx.x - 2 * ctx.one) * ctx.delta
-    a = _base_pow(ctx, "6y+2xd", base1, n)
-    b = _base_pow(ctx, "6y+(x-2)d", base2, n)
+    a = ctx.pow_named("6y+2xd", base1, n)
+    b = ctx.pow_named("6y+(x-2)d", base2, n)
     return 2 * a + 2 * b
 
 

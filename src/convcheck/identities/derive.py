@@ -31,7 +31,14 @@ from .._scalar import Rational
 from ..arith import binomial
 from ..quadext import FAMILIES
 from .core import Context, IdentityRecord, eval_convolution_sum
-from .theorems import WeightedShape, theorem_records, weighted_conv_lhs
+from .theorems import (
+    WeightedShape,
+    _bracket_fn,
+    _halving_factor,
+    _number_fn,
+    theorem_records,
+    weighted_conv_lhs,
+)
 
 __all__ = [
     "COROLLARY_TO_THEOREM",
@@ -42,20 +49,6 @@ __all__ = [
     "derived_corollary_records",
     "reindex_shift_two",
 ]
-
-
-def _halving_factor(halving: int, j: int):
-    if not halving:
-        return 1
-    return halving * (1 - Rational(2) ** j)
-
-
-def _bracket_fn(ctx: Context, sign: str):
-    return ctx.bracket_plus if sign == "+" else ctx.bracket_minus
-
-
-def _number_fn(ctx: Context, num: str):
-    return ctx.G if num == "G" else ctx.B
 
 
 def convert_genocchi_to_bernoulli(
@@ -244,16 +237,11 @@ def _generic_theorems() -> Dict[str, IdentityRecord]:
     return out
 
 
-def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
-    """Family form of a generic entry, by evaluation over the root letters.
-
-    The returned entry keeps the source's side callables: the only change
-    is the ring, where ``u``/``v`` are the conjugate roots, ``D`` their
-    difference, and the symmetric functions become the family sequences.
-    """
+def _corollary_from(
+    sources: Dict[str, IdentityRecord], theorem_ident: str, family: str
+) -> IdentityRecord:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    sources = _generic_theorems()
     src = sources.get(theorem_ident)
     if src is None:
         raise ValueError(f"no generic catalog entry named {theorem_ident!r}")
@@ -270,10 +258,21 @@ def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
     )
 
 
+def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
+    """Family form of a generic entry, by evaluation over the root letters.
+
+    The returned entry keeps the source's side callables: the only change
+    is the ring, where ``u``/``v`` are the conjugate roots, ``D`` their
+    difference, and the symmetric functions become the family sequences.
+    """
+    return _corollary_from(_generic_theorems(), theorem_ident, family)
+
+
 def derived_corollary_records() -> List[IdentityRecord]:
     """Every theorem evaluated over both root families, in catalog order."""
+    sources = _generic_theorems()
     return [
-        derive_corollary(tid, family)
+        _corollary_from(sources, tid, family)
         for (tid, family) in sorted(
             THEOREM_TO_COROLLARY, key=lambda p: THEOREM_TO_COROLLARY[p]
         )

@@ -58,6 +58,10 @@ def _bracket_fn(ctx: Context, sign: str):
     return ctx.bracket_plus if sign == "+" else ctx.bracket_minus
 
 
+def _number_fn(ctx: Context, num: str):
+    return ctx.G if num == "G" else ctx.B
+
+
 def _halving_factor(halving: int, j: int):
     if not halving:
         return 1
@@ -68,7 +72,7 @@ def weighted_conv_lhs(shape: WeightedShape):
     """LHS evaluator for a :class:`WeightedShape` (full sum over k)."""
 
     def lhs(ctx: Context, n: int):
-        numf = ctx.G if shape.num == "G" else ctx.B
+        numf = _number_fn(ctx, shape.num)
 
         def weight(n_: int, k: int):
             j = n_ - k

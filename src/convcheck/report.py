@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
-from .identities.catalog import STATIC_ERRATA, register_catalog
+from .identities.catalog import STATIC_ERRATA, _lookup, register_catalog
 from .identities.core import IdentityRecord, IdentityVerdict, run_record
 
 __all__ = [
@@ -64,18 +64,15 @@ class ResultRow:
 def select_records(
     ids: Optional[Sequence[str]] = None, variant: str = "both"
 ) -> List[IdentityRecord]:
-    """Catalog slice for an id list (None = all) and a variant filter."""
+    """Catalog slice for an id list (None = all) and a variant filter.
+
+    Each selected record appears once, in catalog order; an unknown id
+    raises ``KeyError``.
+    """
     catalog = register_catalog()
     if ids:
-        wanted: List[IdentityRecord] = []
-        known = {r.key for r in catalog} | {r.ident for r in catalog}
-        for ident in ids:
-            if ident not in known:
-                raise KeyError(f"unknown identity: {ident}")
-        for rec in catalog:
-            if rec.key in ids or rec.ident in ids:
-                wanted.append(rec)
-        catalog = wanted
+        wanted = {rec.key for ident in ids for rec in _lookup(ident)}
+        catalog = [r for r in catalog if r.key in wanted]
     if variant != "both":
         catalog = [r for r in catalog if r.variant == variant]
     return catalog

@@ -14,14 +14,10 @@ Primary definitions are the recurrences; the EGF realizations in
                                   seeds (0, 1) and (2, y);
     balancing / lucas_balancing:  u_n = 6y u_{n-1} - t u_{n-2},
                                   seeds (0, 1) and (1, 3y).
-
-All caches grow under a lock so concurrent readers see a consistent
-prefix; values, once published, are immutable.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, List
 
 from ._scalar import Rational
@@ -41,21 +37,18 @@ __all__ = [
 
 
 class NumberFamily:
-    """A lazily extended, lock-guarded list of exact rational values."""
+    """A lazily extended list of exact rational values."""
 
     def __init__(self, name: str, extend: Callable[[List[Rational]], Rational]):
         self.name = name
         self._extend = extend
         self._values: List[Rational] = []
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> Rational:
         if n < 0:
             raise ValueError(f"{self.name}: index must be non-negative, got {n}")
-        if n >= len(self._values):
-            with self._lock:
-                while len(self._values) <= n:
-                    self._values.append(self._extend(self._values))
+        while len(self._values) <= n:
+            self._values.append(self._extend(self._values))
         return self._values[n]
 
 
@@ -105,16 +98,13 @@ class PolyFamily:
     def __init__(self, which: str):
         self.which = which
         self._values: List[MultiPoly] = []
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError(f"{self.which}: index must be non-negative, got {n}")
         if n >= len(self._values):
-            with self._lock:
-                if n >= len(self._values):
-                    order = max(n, 2 * len(self._values), 8)
-                    self._values = list(egf_special(self.which, order).coeffs)
+            order = max(n, 2 * len(self._values), 8)
+            self._values = list(egf_special(self.which, order).coeffs)
         return self._values[n]
 
 
@@ -137,23 +127,20 @@ def number_polynomial(kind: str, n: int) -> MultiPoly:
 
 
 class _BivariateFamily:
-    """u_n = p * u_{n-1} + q * u_{n-2} over Q[y, t], lock-guarded."""
+    """u_n = p * u_{n-1} + q * u_{n-2} over Q[y, t], extended on demand."""
 
     def __init__(self, name: str, seed0: MultiPoly, seed1: MultiPoly, p: MultiPoly, q: MultiPoly):
         self.name = name
         self._p = p
         self._q = q
         self._values = [seed0, seed1]
-        self._lock = threading.Lock()
 
     def value(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError(f"{self.name}: index must be non-negative, got {n}")
-        if n >= len(self._values):
-            with self._lock:
-                while len(self._values) <= n:
-                    u1, u2 = self._values[-1], self._values[-2]
-                    self._values.append(self._p * u1 + self._q * u2)
+        while len(self._values) <= n:
+            u1, u2 = self._values[-1], self._values[-2]
+            self._values.append(self._p * u1 + self._q * u2)
         return self._values[n]
 
 

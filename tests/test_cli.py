@@ -106,9 +106,20 @@ def test_compute_negative_index_exits_2():
     assert "non-negative" in result.stderr
 
 
-def test_compute_bad_point_exits_2():
-    result = run_cli("compute", "biv_lucas", "2", "--at", "y=abc")
-    assert result.returncode == 2
+def test_compute_bad_point_exits_2(tmp_path):
+    # bad user input: exit 2 with a one-line message, never a traceback
+    unwritable = str(tmp_path / "missing" / "out.txt")
+    cases = [
+        ("compute", "biv_lucas", "2", "--at", "y=abc"),
+        ("compute", "bernoulli", "4", "--at", "y=1/0"),
+        ("verify", "--id", "T2.1a", "--max-n", "1", "--out", unwritable),
+        ("report", "--max-n", "0", "--out", unwritable),
+        ("series", "genocchi", "--order", "-1"),
+    ]
+    for args in cases:
+        result = run_cli(*args)
+        assert result.returncode == 2, args
+        assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
 
 
 def test_compute_unknown_kind_exits_2():
@@ -138,7 +149,8 @@ def test_exit_code_1_when_a_corrected_check_fails(monkeypatch):
         return [bad]
 
     monkeypatch.setattr(cli, "select_records", broken)
-    assert cli.main(["verify", "--all", "--max-n", "4"]) == 1
+    for argv in (["verify", "--all", "--max-n", "4"], ["report", "--max-n", "4"]):
+        assert cli.main(argv) == 1, argv
 
 
 def test_main_returns_zero_in_process(capsys):
