@@ -2,9 +2,32 @@
 
 A polynomial lives in the fixed ambient ring Q[x1, x2, x, y, t].  The
 variable order never changes; a monomial is a 5-tuple of non-negative
-integer exponents aligned with :data:`VARIABLES`.  A :class:`MultiPoly`
-stores only its non-zero terms, so the representation is canonical: two
-polynomials are equal iff their term dicts are equal.
+integer exponents aligned with :data:`VARIABLES`.
+
+Representation.  A :class:`MultiPoly` stores integer numerators over one
+positive common denominator, as FLINT's ``fmpq_poly`` does: ``_terms``
+maps a packed monomial key to a non-zero ``int`` numerator and ``_den``
+is the shared denominator, so the coefficient of a term is
+``_terms[key] / _den``.  A key packs the total degree and the five
+exponents into one int (Monagan & Pearce, CASC 2007)::
+
+    key = deg << 80 | e_x1 << 64 | e_x2 << 48 | e_x << 32 | e_y << 16 | e_t
+
+Each field is :data:`FIELD_BITS` = 16 bits wide, so multiplying two
+monomials is one int addition, and comparing keys compares (total
+degree, exponent tuple), the print order.  A field can hold at most
+:data:`MAX_EXP` = 65535; since no exponent exceeds the total degree, a
+polynomial of total degree above ``MAX_EXP`` is refused with
+``OverflowError`` before a field could carry into its neighbour.  Each
+polynomial carries an upper bound on its total degree (a product adds
+its operands' bounds, a sum takes their maximum), so the guard costs
+O(1) per operation; the exact degree is consulted only when the bound
+exceeds ``MAX_EXP``.
+
+Canonical form: no numerator is zero, ``_den > 0``, gcd(``_den``, every
+numerator) = 1, and the zero polynomial is ``{}`` over 1.  Two
+polynomials are therefore equal iff their denominators and term dicts
+are equal.
 
 Conventions baked in here and relied on everywhere above:
 
@@ -18,10 +41,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Mapping, Tuple, Union
 
-from ._scalar import BACKEND, Fraction, Rational, as_rational, is_scalar
+from ._scalar import BACKEND, Rational, as_rational, is_scalar
 
 __all__ = [
     "BACKEND",
+    "FIELD_BITS",
+    "MAX_EXP",
     "Rational",
     "Monomial",
     "MultiPoly",
@@ -38,7 +63,18 @@ _VAR_INDEX = {name: i for i, name in enumerate(VARIABLES)}
 ZERO_EXP: Tuple[int, ...] = (0,) * _NVARS
 
 Monomial = Tuple[int, int, int, int, int]
-Scalar = Union[int, Fraction, Rational]
+Scalar = Union[int, Rational]
+
+#: width of one exponent field of a packed monomial key
+FIELD_BITS = 16
+#: largest total degree (hence exponent) a polynomial may have
+MAX_EXP = (1 << FIELD_BITS) - 1
+_SHIFTS = tuple(FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
+_DEG_SHIFT = FIELD_BITS * _NVARS
+# key of the monomial consisting of one variable, degree field included
+_VAR_KEYS = tuple((1 << _DEG_SHIFT) | (1 << s) for s in _SHIFTS)
+
+_gcd = math.gcd
 
 
 def binomial(n: int, k: int):
@@ -54,12 +90,27 @@ def binomial(n: int, k: int):
     return math.comb(n, k)
 
 
-def _mono_mul(a: Monomial, b: Monomial) -> Monomial:
-    return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3], a[4] + b[4])
+def _overflow(degree: int) -> OverflowError:
+    return OverflowError(f"total degree {degree} exceeds the packed exponent bound {MAX_EXP}")
 
 
-def _mono_degree(a: Monomial) -> int:
-    return a[0] + a[1] + a[2] + a[3] + a[4]
+def _pack(exp: Monomial) -> int:
+    key = sum(exp) << _DEG_SHIFT
+    for e, s in zip(exp, _SHIFTS):
+        key |= e << s
+    return key
+
+
+def _unpack(key: int) -> Monomial:
+    return tuple((key >> s) & MAX_EXP for s in _SHIFTS)
+
+
+def _num_den(value: Scalar) -> Tuple[int, int]:
+    """Numerator and positive denominator of a scalar in lowest terms."""
+    if isinstance(value, int):
+        return int(value), 1
+    q = as_rational(value)
+    return q.numerator, q.denominator
 
 
 class MultiPoly:
@@ -70,68 +121,95 @@ class MultiPoly:
     returns new canonical instances; zero coefficients never survive.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms", "_den", "_deg", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
-        clean: Dict[Monomial, Rational] = {}
+        clean: Dict[int, Rational] = {}
+        deg = 0
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != _NVARS or any(not isinstance(e, int) or e < 0 for e in exp):
                     raise ValueError(f"bad exponent tuple {exp!r}")
                 q = as_rational(coeff)
                 if q:
-                    clean[tuple(exp)] = q
-        self._terms = clean
+                    d = sum(exp)
+                    if d > MAX_EXP:
+                        raise _overflow(d)
+                    clean[_pack(exp)] = q
+                    deg = max(deg, d)
+        den = math.lcm(*(q.denominator for q in clean.values()))
+        self._terms = {k: q.numerator * (den // q.denominator) for k, q in clean.items()}
+        self._den = den
+        self._deg = deg
         self._hash = None
 
     @classmethod
-    def _raw(cls, terms: Dict[Monomial, Rational]) -> "MultiPoly":
-        # internal fast path: terms must already be canonical
+    def _raw(cls, terms: Dict[int, int], den: int, deg: int) -> "MultiPoly":
+        # internal fast path: terms over den must already be canonical
         self = object.__new__(cls)
         self._terms = terms
+        self._den = den
+        self._deg = deg
         self._hash = None
         return self
 
     @classmethod
+    def _reduced(cls, terms: Dict[int, int], den: int, deg: int) -> "MultiPoly":
+        # terms must be free of zeros and den positive; divides out the
+        # common factor of den and the numerators
+        if not terms:
+            return cls._raw(terms, 1, 0)
+        if den != 1:
+            g = _gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
+        return cls._raw(terms, den, deg)
+
+    @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
-        q = as_rational(value)
-        return cls._raw({ZERO_EXP: q} if q else {})
+        num, den = _num_den(value)
+        if not num:
+            return cls._raw({}, 1, 0)
+        return cls._raw({0: num}, den, 0)
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
         if name not in _VAR_INDEX:
             raise ValueError(f"unknown variable {name!r}; choose from {VARIABLES}")
-        exp = [0] * _NVARS
-        exp[_VAR_INDEX[name]] = 1
-        return cls._raw({tuple(exp): as_rational(1)})
+        return cls._raw({_VAR_KEYS[_VAR_INDEX[name]]: 1}, 1, 1)
 
     # -- inspection ------------------------------------------------------
 
     @property
     def terms(self) -> Dict[Monomial, Rational]:
-        return dict(self._terms)
+        den = self._den
+        return {_unpack(k): Rational(c, den) for k, c in self._terms.items()}
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def is_constant(self) -> bool:
-        return not self._terms or (len(self._terms) == 1 and ZERO_EXP in self._terms)
+        return not self._terms or (len(self._terms) == 1 and 0 in self._terms)
 
     def constant_value(self):
         """The value of a constant polynomial, as a Rational."""
         if not self._terms:
             return as_rational(0)
         if self.is_constant():
-            return self._terms[ZERO_EXP]
+            return Rational(self._terms[0], self._den)
         raise ValueError(f"not a constant polynomial: {self}")
 
     def total_degree(self) -> int:
         if not self._terms:
             return 0
-        return max(_mono_degree(e) for e in self._terms)
+        return max(self._terms) >> _DEG_SHIFT
 
     def coeff(self, exp: Monomial):
-        return self._terms.get(tuple(exp), as_rational(0))
+        exp = tuple(exp)
+        if len(exp) != _NVARS or min(exp) < 0 or sum(exp) > MAX_EXP:
+            return as_rational(0)
+        return Rational(self._terms.get(_pack(exp), 0), self._den)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -139,94 +217,103 @@ class MultiPoly:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, MultiPoly):
-            return self._terms == other._terms
-        if is_scalar(other):
-            return self._terms == MultiPoly.constant(other)._terms
-        return NotImplemented
+        if not isinstance(other, MultiPoly):
+            if not is_scalar(other):
+                return NotImplemented
+            other = MultiPoly.constant(other)
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash(frozenset(self._terms.items()))
+            h = hash((self._den, frozenset(self._terms.items())))
             self._hash = h
         return h
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly._raw({e: -c for e, c in self._terms.items()})
+        return MultiPoly._raw({k: -c for k, c in self._terms.items()}, self._den, self._deg)
+
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign * other, for sign in (1, -1)."""
+        da, db = self._den, other._den
+        if da == db:
+            out = dict(self._terms)
+            den = da
+            fb = sign
+        else:
+            g = _gcd(da, db)
+            fa = db // g
+            fb = sign * (da // g)
+            den = da * fa
+            out = {k: c * fa for k, c in self._terms.items()}
+        get = out.get
+        for k, c in other._terms.items():
+            s = get(k, 0) + c * fb
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+        deg = self._deg if self._deg > other._deg else other._deg
+        return MultiPoly._reduced(out, den, deg)
 
     def __add__(self, other) -> "MultiPoly":
-        if is_scalar(other):
-            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = coeff
-            else:
-                acc = acc + coeff
-                if acc:
-                    out[exp] = acc
-                else:
-                    del out[exp]
-        return MultiPoly._raw(out)
+            if not is_scalar(other):
+                return NotImplemented
+            other = MultiPoly.constant(other)
+        if len(self._terms) < len(other._terms):
+            return other._combine(self, 1)
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "MultiPoly":
-        if is_scalar(other):
-            other = MultiPoly.constant(other)
         if not isinstance(other, MultiPoly):
-            return NotImplemented
-        out = dict(self._terms)
-        for exp, coeff in other._terms.items():
-            acc = out.get(exp)
-            if acc is None:
-                out[exp] = -coeff
-            else:
-                acc = acc - coeff
-                if acc:
-                    out[exp] = acc
-                else:
-                    del out[exp]
-        return MultiPoly._raw(out)
+            if not is_scalar(other):
+                return NotImplemented
+            other = MultiPoly.constant(other)
+        return self._combine(other, -1)
 
     def __rsub__(self, other) -> "MultiPoly":
         return (-self) + other
 
     def __mul__(self, other) -> "MultiPoly":
-        if is_scalar(other):
-            q = as_rational(other)
-            if not q:
-                return MultiPoly._raw({})
-            return MultiPoly._raw({e: c * q for e, c in self._terms.items()})
         if not isinstance(other, MultiPoly):
-            return NotImplemented
+            if not is_scalar(other):
+                return NotImplemented
+            num, den = _num_den(other)
+            if not num:
+                return MultiPoly._raw({}, 1, 0)
+            out = {k: c * num for k, c in self._terms.items()}
+            return MultiPoly._reduced(out, self._den * den, self._deg)
         a, b = self._terms, other._terms
+        if not a or not b:
+            return MultiPoly._raw({}, 1, 0)
+        deg = self._deg + other._deg
+        if deg > MAX_EXP:
+            deg = self.total_degree() + other.total_degree()
+            if deg > MAX_EXP:
+                raise _overflow(deg)
         if len(a) > len(b):
             a, b = b, a
-        out: Dict[Monomial, Rational] = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                exp = _mono_mul(ea, eb)
-                prod = ca * cb
-                acc = out.get(exp)
-                if acc is None:
-                    out[exp] = prod
-                else:
-                    acc = acc + prod
-                    if acc:
-                        out[exp] = acc
-                    else:
-                        del out[exp]
-        return MultiPoly._raw(out)
+        items = iter(a.items())
+        ka, ca = next(items)
+        # the first row's keys are distinct, so it needs no merging
+        out = {ka + kb: ca * cb for kb, cb in b.items()}
+        get = out.get
+        b = b.items()
+        for ka, ca in items:
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return MultiPoly._reduced(out, self._den * other._den, deg)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "MultiPoly":
-        if not is_scalar(other):
+        if isinstance(other, MultiPoly) or not is_scalar(other):
             return NotImplemented
         q = as_rational(other)
         if not q:
@@ -236,6 +323,8 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a non-negative int, got {exponent!r}")
+        if exponent * self._deg > MAX_EXP and exponent * self.total_degree() > MAX_EXP:
+            raise _overflow(exponent * self.total_degree())
         result = MultiPoly.constant(1)
         base = self
         e = exponent
@@ -263,34 +352,79 @@ class MultiPoly:
             subs[_VAR_INDEX[name]] = value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
         if not subs:
             return self
+        # a variable bound to a constant contributes integer powers of its
+        # numerator and denominator; one bound to a polynomial, a power
+        # of that polynomial
+        scalars, polys = [], []
+        for i in sorted(subs):
+            value = subs[i]
+            if value.is_constant():
+                scalars.append((_SHIFTS[i], _VAR_KEYS[i], value._terms.get(0, 0), value._den))
+            else:
+                polys.append((_SHIFTS[i], _VAR_KEYS[i], i))
         pow_cache: Dict[Tuple[int, int], MultiPoly] = {}
 
-        def cached_pow(i: int, e: int) -> MultiPoly:
-            key = (i, e)
-            got = pow_cache.get(key)
-            if got is None:
-                got = subs[i] ** e
-                pow_cache[key] = got
-            return got
-
-        total = MultiPoly._raw({})
-        for exp, coeff in self._terms.items():
-            residual = [0] * _NVARS
+        # each term becomes (numerator, denominator, residual key, factor):
+        # the term is numerator/(denominator * _den) * monomial(residual) * factor
+        pieces = []
+        den = 1
+        for key, c in self._terms.items():
+            d = 1
+            for shift, unit, num_i, den_i in scalars:
+                e = (key >> shift) & MAX_EXP
+                if e:
+                    key -= e * unit
+                    c *= num_i ** e
+                    d *= den_i ** e
+            if not c:
+                continue
             factor = None
-            for i, e in enumerate(exp):
-                if e and i in subs:
-                    piece = cached_pow(i, e)
+            for shift, unit, i in polys:
+                e = (key >> shift) & MAX_EXP
+                if e:
+                    key -= e * unit
+                    piece = pow_cache.get((i, e))
+                    if piece is None:
+                        piece = pow_cache[(i, e)] = subs[i] ** e
                     factor = piece if factor is None else factor * piece
-                else:
-                    residual[i] = e
-            term = MultiPoly._raw({tuple(residual): coeff})
-            total = total + (term if factor is None else term * factor)
-        return total
+            if factor is not None:
+                if not factor._terms:
+                    continue
+                d *= factor._den
+            if den % d:
+                den = math.lcm(den, d)
+            pieces.append((c, d, key, factor))
+
+        # one integer accumulator over the common denominator den * _den
+        out: Dict[int, int] = {}
+        get = out.get
+        deg = 0
+        for c, d, key, factor in pieces:
+            scale = c * (den // d)
+            rdeg = key >> _DEG_SHIFT
+            if factor is None:
+                out[key] = get(key, 0) + scale
+                fdeg = 0
+            else:
+                fdeg = factor._deg
+                if rdeg + fdeg > MAX_EXP:
+                    fdeg = factor.total_degree()
+                    if rdeg + fdeg > MAX_EXP:
+                        raise _overflow(rdeg + fdeg)
+                for k, fc in factor._terms.items():
+                    k += key
+                    out[k] = get(k, 0) + scale * fc
+            if rdeg + fdeg > deg:
+                deg = rdeg + fdeg
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return MultiPoly._reduced(out, den * self._den, deg)
 
     def sorted_terms(self):
         """Terms in canonical print order: total degree then exponent
         tuple, both descending."""
-        return sorted(self._terms.items(), key=lambda item: (_mono_degree(item[0]), item[0]), reverse=True)
+        den = self._den
+        return [(_unpack(k), Rational(c, den)) for k, c in sorted(self._terms.items(), reverse=True)]
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -304,22 +438,26 @@ def format_poly(p: MultiPoly) -> str:
     coefficients as p/q, '*' between factors, no '+ -' sequences."""
     if p.is_zero():
         return "0"
+    den = p._den
     pieces = []
-    for exp, coeff in p.sorted_terms():
+    for key, c in sorted(p._terms.items(), reverse=True):
         factors = []
-        for name, e in zip(VARIABLES, exp):
+        for name, s in zip(VARIABLES, _SHIFTS):
+            e = (key >> s) & MAX_EXP
             if e == 1:
                 factors.append(name)
             elif e > 1:
                 factors.append(f"{name}^{e}")
-        mag = coeff if coeff > 0 else -coeff
+        num = c if c > 0 else -c
+        g = _gcd(num, den)
+        mag = str(num // g) if g == den else f"{num // g}/{den // g}"
         if not factors:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = "*".join(factors)
         else:
-            body = "*".join([str(mag)] + factors)
-        pieces.append(("-" if coeff < 0 else "+", body))
+            body = "*".join([mag] + factors)
+        pieces.append(("-" if c < 0 else "+", body))
     sign, body = pieces[0]
     out = [body if sign == "+" else f"-{body}"]
     for sign, body in pieces[1:]:
@@ -329,4 +467,3 @@ def format_poly(p: MultiPoly) -> str:
 
 def variable(name: str) -> MultiPoly:
     return MultiPoly.var(name)
-

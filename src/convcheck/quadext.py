@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from ._scalar import Fraction, Rational, is_scalar
+from ._scalar import Rational, is_scalar
 from .arith import MultiPoly, Scalar
 
 __all__ = [
@@ -94,10 +94,10 @@ class QuadExtElem:
         return not self.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (MultiPoly, int, Fraction)) or is_scalar(other):
-            other = QuadExtElem(_as_poly(other), MultiPoly.constant(0), self.disc)
         if not isinstance(other, QuadExtElem):
-            return NotImplemented
+            if not (isinstance(other, MultiPoly) or is_scalar(other)):
+                return NotImplemented
+            other = QuadExtElem(_as_poly(other), MultiPoly.constant(0), self.disc)
         return self.disc == other.disc and self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:

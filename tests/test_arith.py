@@ -6,7 +6,7 @@ import random
 import pytest
 
 from convcheck._scalar import Rational, as_rational
-from convcheck.arith import MultiPoly, VARIABLES, binomial, format_poly, variable
+from convcheck.arith import MAX_EXP, MultiPoly, VARIABLES, ZERO_EXP, binomial, format_poly, variable
 
 x1 = MultiPoly.var("x1")
 x2 = MultiPoly.var("x2")
@@ -150,3 +150,156 @@ def test_as_rational_accepts_strings():
     assert as_rational(-2) == Rational(-2)
     with pytest.raises(TypeError):
         as_rational(object())
+
+
+# -- kernel against a dict-of-Fraction reference ----------------------------
+
+def _canonical(p):
+    """Assert the stored form is canonical and return p."""
+    assert p._den > 0
+    assert 0 not in p._terms.values()
+    if p._terms:
+        assert math.gcd(p._den, *p._terms.values()) == 1
+    else:
+        assert p._den == 1
+    return p
+
+
+def _ref_add(a, b, sign=1):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + sign * c
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _ref_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(i + j for i, j in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_pow(a, n):
+    out = {ZERO_EXP: Rational(1)}
+    for _ in range(n):
+        out = _ref_mul(out, a)
+    return out
+
+
+def _ref_substitute(a, bindings):
+    index = {name: i for i, name in enumerate(VARIABLES)}
+    subs = {index[name]: value for name, value in bindings.items()}
+    total = {}
+    for exp, c in a.items():
+        term = {tuple(0 if i in subs else e for i, e in enumerate(exp)): c}
+        for i, e in enumerate(exp):
+            if e and i in subs:
+                term = _ref_mul(term, _ref_pow(subs[i], e))
+        total = _ref_add(total, term)
+    return total
+
+
+def _random_terms(rng, max_terms=5, max_deg=3):
+    """Non-zero terms whose coefficients have denominators sharing factors
+    with each other and with their numerators."""
+    terms = {}
+    for _ in range(rng.randrange(0, max_terms + 1)):
+        exp = [0] * len(VARIABLES)
+        for _ in range(rng.randrange(0, max_deg + 1)):
+            exp[rng.randrange(len(VARIABLES))] += 1
+        terms[tuple(exp)] = Rational(rng.randrange(-12, 13), rng.choice((1, 2, 3, 4, 6, 9, 12)))
+    return {e: c for e, c in terms.items() if c}
+
+
+def test_kernel_matches_fraction_reference():
+    zero = MultiPoly.constant(0)
+    p = x1 / 2 + Rational(1, 3)
+    for z in [zero * Rational(1, 2), MultiPoly() * Rational(1, 2), zero * p, p * 0,
+              p * Rational(0), p - p, MultiPoly({ZERO_EXP: 0}),
+              (x1 - x2).substitute({"x1": x2}), x1.substitute({"x1": 0})]:
+        assert _canonical(z).is_zero()
+        assert z == zero and z == 0 and str(z) == "0"
+    rng = random.Random(20261017)
+    for _ in range(150):
+        rp, rq = _random_terms(rng), _random_terms(rng)
+        p, q = MultiPoly(rp), MultiPoly(rq)
+        s = Rational(rng.randrange(-6, 7), rng.randrange(1, 9))
+        for got, want in [
+            (p + q, _ref_add(rp, rq)),
+            (p - q, _ref_add(rp, rq, -1)),
+            (p - p, {}),
+            ((p + q) - q - p, {}),
+            (p * q, _ref_mul(rp, rq)),
+            (p * s, {e: c * s for e, c in rp.items() if c * s}),
+            (s * p, {e: c * s for e, c in rp.items() if c * s}),
+            (p + s, _ref_add(rp, {ZERO_EXP: s} if s else {})),
+            (p ** 3, _ref_pow(rp, 3)),
+            (0 * p, {}),
+            (p * 0, {}),
+            (p * zero, {}),
+        ]:
+            assert _canonical(got).terms == want
+        if s:
+            assert _canonical(p / s).terms == {e: c / s for e, c in rp.items()}
+        assert (p * q == q * p) and (p + q == q + p)
+        bindings = rng.choice([
+            {"y": Rational(1, 2), "t": 3},
+            {"x1": Rational(-2, 3)},
+            {"x1": x2 - x, "t": y * y / 2},
+            {"x1": x2 + Rational(1, 3)},
+            {"x1": x2, "x2": x1},
+            {"y": 0},
+            {"x": q},
+        ])
+        ref_bindings = {name: (rq if v is q else v.terms if isinstance(v, MultiPoly) else
+                               {ZERO_EXP: Rational(v)} if v else {})
+                        for name, v in bindings.items()}
+        assert _canonical(p.substitute(bindings)).terms == _ref_substitute(rp, ref_bindings)
+
+
+# -- packed exponent bound ----------------------------------------------------
+
+def test_monomial_at_the_bound():
+    top = MultiPoly({(0, 0, 0, 0, MAX_EXP): Rational(1, 2)})
+    assert str(top) == f"1/2*t^{MAX_EXP}"
+    assert top.total_degree() == MAX_EXP
+    assert top.coeff((0, 0, 0, 0, MAX_EXP)) == Rational(1, 2)
+    assert top.coeff((0, 0, 0, 1, 0)) == 0
+    assert str(x1 ** MAX_EXP) == f"x1^{MAX_EXP}"
+    assert (t ** MAX_EXP * 2).terms == {(0, 0, 0, 0, MAX_EXP): 2}
+    assert (x1 * t ** (MAX_EXP - 1)).substitute({"x1": y}).terms == {(0, 0, 0, 1, MAX_EXP - 1): 1}
+
+
+def test_crossing_the_bound_raises():
+    over = MAX_EXP + 1
+    attempts = [
+        lambda: MultiPoly({(0, 0, 0, 0, over): 1}),
+        lambda: MultiPoly({(0, 0, 0, 1, MAX_EXP): 1}),
+        lambda: t ** MAX_EXP * t,
+        lambda: t * t ** MAX_EXP,
+        lambda: (x1 ** MAX_EXP) * x2,
+        lambda: t ** over,
+        lambda: (x1 * t) ** (MAX_EXP // 2 + 1),
+        lambda: (t ** MAX_EXP).substitute({"t": t * t}),
+        lambda: (x1 * t ** (MAX_EXP - 1)).substitute({"x1": t * t}),
+    ]
+    for attempt in attempts:
+        with pytest.raises(OverflowError) as err:
+            attempt()
+        assert "\n" not in str(err.value) and str(MAX_EXP) in str(err.value)
+
+
+def test_total_degree_exact_after_cancellation():
+    assert (x1 ** 3 - x1 ** 3 + y).total_degree() == 1
+    assert (x1 ** 3 + y - x1 ** 3).total_degree() == 1
+    # the guard's bound is MAX_EXP here, but the exact degree is 1
+    p = t ** MAX_EXP + y - t ** MAX_EXP
+    assert p.total_degree() == 1
+    assert p * y == y ** 2 and p ** 3 == y ** 3
+    assert (p * x1).substitute({"y": t ** (MAX_EXP - 1)}) == x1 * t ** (MAX_EXP - 1)
