@@ -39,7 +39,8 @@ Conventions baked in here and relied on everywhere above:
 from __future__ import annotations
 
 import math
-from typing import Dict, Mapping, Tuple, Union
+from collections.abc import Mapping
+from typing import Dict, Tuple, Union
 
 from ._scalar import BACKEND, Rational, as_rational, is_scalar
 
@@ -124,6 +125,9 @@ class MultiPoly:
     __slots__ = ("_terms", "_den", "_deg", "_hash")
 
     def __init__(self, terms: Mapping[Monomial, Scalar] | None = None):
+        if terms is not None and not isinstance(terms, Mapping):
+            raise TypeError(f"MultiPoly needs a mapping of exponent tuples to coefficients, "
+                            f"got {type(terms).__name__}")
         clean: Dict[int, Rational] = {}
         deg = 0
         if terms:

@@ -10,7 +10,8 @@ series   print EGF coefficients of one of the special series
 Exit status: 0 when everything expected to hold does hold, 1 when a
 corrected-variant check (or an as-printed check with no corrected
 sibling) fails, 2 for usage errors such as an unknown identity id, a
-malformed ``--at`` point or an ``--out`` file that cannot be written.
+malformed ``--at`` point, an ``--at`` point given for a number kind or
+an ``--out`` file that cannot be written.
 """
 
 from __future__ import annotations
@@ -142,6 +143,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.n < 0:
         print(f"index must be non-negative, got {args.n}", file=sys.stderr)
         return 2
+    if args.at is not None and args.what in _NUMBER_FNS:
+        print(f"--at applies to polynomial kinds; {args.what} is a number", file=sys.stderr)
+        return 2
     try:
         if args.what in _NUMBER_FNS:
             value = _NUMBER_FNS[args.what](args.n)
@@ -149,10 +153,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
             value = number_polynomial(args.what, args.n)
         else:
             value = bivariate_sequence(args.what[len("biv_"):], args.n)
-        if args.at:
-            bindings = _parse_point(args.at)
-            if hasattr(value, "substitute"):
-                value = value.substitute(bindings)
+        if args.at is not None:
+            value = value.substitute(_parse_point(args.at))
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -15,6 +15,7 @@ to sqrt(d):  lam1 - lam2 = c * sqrt(d).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Union
 
 from ._scalar import Rational, is_scalar
@@ -54,6 +55,13 @@ def _as_poly(value) -> MultiPoly:
     if is_scalar(value):
         return MultiPoly.constant(value)
     raise TypeError(f"cannot embed {value!r} into the extension ring")
+
+
+@lru_cache(maxsize=64)
+def _substituted_disc(disc: Discriminant, bindings: tuple) -> Discriminant:
+    # every element of a ring shares its discriminant, so substituting
+    # many elements at one point substitutes the discriminant once
+    return Discriminant(disc.name, disc.poly.substitute(dict(bindings)))
 
 
 class QuadExtElem:
@@ -154,7 +162,7 @@ class QuadExtElem:
 
     def substitute(self, bindings: Mapping[str, MultiPoly | Scalar]) -> "QuadExtElem":
         """Substitute into both parts and into the discriminant itself."""
-        new_disc = Discriminant(self.disc.name, self.disc.poly.substitute(bindings))
+        new_disc = _substituted_disc(self.disc, tuple(sorted(bindings.items())))
         return QuadExtElem(self.a.substitute(bindings), self.b.substitute(bindings), new_disc)
 
     def __str__(self) -> str:

@@ -1,14 +1,22 @@
 """Number and polynomial sequences used by the identity catalog.
 
-Primary definitions are the recurrences; the EGF realizations in
-:mod:`convcheck.egf` serve as independent oracles in the tests.
+The primary definitions are integer recurrences and Appell sums; the
+EGF realizations in :mod:`convcheck.egf` remain the independent oracle
+the tests compare against.
 
-* Bernoulli numbers:  B_0 = 1,  B_n = -(1/(n+1)) sum_{k<n} C(n+1,k) B_k.
+* Tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...) and secant numbers
+  S_0, S_1, ... (1, 1, 5, 61, ...) come from the in-place integer
+  recurrences of Brent & Harvey, "Fast computation of Bernoulli,
+  Tangent and Secant numbers" (2013, arXiv:1108.0286): O(m^2)
+  additions and small-integer multiplications, no rationals.
+* Bernoulli numbers:  B_0 = 1,  B_1 = -1/2,  B_n = 0 for odd n >= 3,
+  B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).
 * Euler numbers (the integer sequence 1, 0, -1, 0, 5, ...):
-  all odd-index values are 0 and E_0 = 1,
-  E_{2m} = - sum_{j<m} C(2m, 2j) E_{2j}.
+  E_2m = (-1)^m S_m, and every odd-index value is 0.
 * Genocchi numbers:  G_n = 2 (1 - 2^n) B_n.
-* Bernoulli/Euler/Genocchi polynomials in x, extracted from their EGFs.
+* Bernoulli/Euler/Genocchi polynomials in x as Appell sums
+  P_n(x) = sum_k C(n,k) a_k x^(n-k), with a_k = B_k, G_(k+1)/(k+1)
+  (the EGF coefficients of 2/(e^z+1)) and G_k respectively.
 * Bivariate second-order families over Q[y, t]:
     fibonacci / lucas:            u_n = y u_{n-1} + t u_{n-2},
                                   seeds (0, 1) and (2, y);
@@ -22,7 +30,6 @@ from typing import Callable, Dict, List
 
 from ._scalar import Rational
 from .arith import MultiPoly, binomial
-from .egf import egf_special
 
 __all__ = [
     "BIVARIATE_KINDS",
@@ -36,46 +43,77 @@ __all__ = [
 ]
 
 
-class NumberFamily:
-    """A lazily extended list of exact rational values."""
+def _zigzag_numbers(count: int, shift: int) -> List[int]:
+    """The first ``count`` tangent (shift 2) or secant (shift 1) numbers.
 
-    def __init__(self, name: str, extend: Callable[[List[Rational]], Rational]):
+    Brent & Harvey's algorithms TangentNumbers and SecantNumbers, with
+    both lists zero-based (entry i is T_(i+1), resp. S_i).  The list is
+    updated in place; for the secant numbers the j = k step is the
+    identity, so the two algorithms share one loop.
+    """
+    a = [1] * count
+    for i in range(1, count):
+        a[i] = i * a[i - 1]
+    for k in range(1, count):
+        for j in range(k, count):
+            a[j] = (j - k) * a[j - 1] + (j - k + shift) * a[j]
+    return a
+
+
+class _ZigzagList:
+    """Tangent or secant numbers, recomputed to at least twice the
+    current length whenever a larger index is asked for."""
+
+    def __init__(self, shift: int):
+        self._shift = shift
+        self.values: List[int] = []
+
+    def get(self, i: int) -> int:
+        if i >= len(self.values):
+            self.values = _zigzag_numbers(max(i + 1, 2 * len(self.values)), self._shift)
+        return self.values[i]
+
+
+_TANGENT = _ZigzagList(2)  # entry i is T_(i+1)
+_SECANT = _ZigzagList(1)  # entry i is S_i
+
+
+class NumberFamily:
+    """Exact rational values by index, each derived once and cached."""
+
+    def __init__(self, name: str, derive: Callable[[int], Rational]):
         self.name = name
-        self._extend = extend
-        self._values: List[Rational] = []
+        self._derive = derive
+        self._values: Dict[int, Rational] = {}
 
     def value(self, n: int) -> Rational:
         if n < 0:
             raise ValueError(f"{self.name}: index must be non-negative, got {n}")
-        while len(self._values) <= n:
-            self._values.append(self._extend(self._values))
-        return self._values[n]
+        value = self._values.get(n)
+        if value is None:
+            value = self._values[n] = self._derive(n)
+        return value
 
 
-def _bernoulli_step(known: List[Rational]) -> Rational:
-    n = len(known)
-    if n == 0:
-        return Rational(1)
-    acc = Rational(0)
-    for k, bk in enumerate(known):
-        acc += binomial(n + 1, k) * bk
-    return -acc / (n + 1)
-
-
-def _euler_step(known: List[Rational]) -> Rational:
-    n = len(known)
-    if n == 0:
-        return Rational(1)
+def _bernoulli(n: int) -> Rational:
+    if n < 2:
+        return Rational(1) if n == 0 else Rational(-1, 2)
     if n % 2:
         return Rational(0)
-    acc = Rational(0)
-    for j in range(0, n, 2):
-        acc += binomial(n, j) * known[j]
-    return -acc
+    m = n // 2
+    four_m = 4 ** m
+    return Rational((-1) ** (m - 1) * n * _TANGENT.get(m - 1), four_m * (four_m - 1))
 
 
-_BERNOULLI = NumberFamily("bernoulli", _bernoulli_step)
-_EULER = NumberFamily("euler", _euler_step)
+def _euler(n: int) -> Rational:
+    if n % 2:
+        return Rational(0)
+    m = n // 2
+    return Rational((-1) ** m * _SECANT.get(m))
+
+
+_BERNOULLI = NumberFamily("bernoulli", _bernoulli)
+_EULER = NumberFamily("euler", _euler)
 
 
 def bernoulli_number(n: int) -> Rational:
@@ -93,23 +131,29 @@ def genocchi_number(n: int) -> Rational:
 
 
 class PolyFamily:
-    """Polynomial sequence extracted from a special EGF, cached by prefix."""
+    """Appell polynomials P_n(x) = sum_k C(n,k) a_k x^(n-k), cached by n."""
 
-    def __init__(self, which: str):
+    def __init__(self, which: str, weight: Callable[[int], Rational]):
         self.which = which
-        self._values: List[MultiPoly] = []
+        self._weight = weight
+        self._values: Dict[int, MultiPoly] = {}
 
     def value(self, n: int) -> MultiPoly:
         if n < 0:
             raise ValueError(f"{self.which}: index must be non-negative, got {n}")
-        if n >= len(self._values):
-            order = max(n, 2 * len(self._values), 8)
-            self._values = list(egf_special(self.which, order).coeffs)
-        return self._values[n]
+        poly = self._values.get(n)
+        if poly is None:
+            # x is the third variable of the ambient ring
+            poly = self._values[n] = MultiPoly(
+                {(0, 0, n - k, 0, 0): binomial(n, k) * self._weight(k) for k in range(n + 1)}
+            )
+        return poly
 
 
 _POLY_FAMILIES = {
-    which: PolyFamily(which) for which in ("bernoulli_poly", "euler_poly", "genocchi_poly")
+    "bernoulli_poly": PolyFamily("bernoulli_poly", bernoulli_number),
+    "euler_poly": PolyFamily("euler_poly", lambda k: genocchi_number(k + 1) / (k + 1)),
+    "genocchi_poly": PolyFamily("genocchi_poly", genocchi_number),
 }
 
 

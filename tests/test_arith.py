@@ -303,3 +303,11 @@ def test_total_degree_exact_after_cancellation():
     assert p.total_degree() == 1
     assert p * y == y ** 2 and p ** 3 == y ** 3
     assert (p * x1).substitute({"y": t ** (MAX_EXP - 1)}) == x1 * t ** (MAX_EXP - 1)
+
+
+def test_constructor_rejects_a_non_mapping():
+    for bad in (5, 0, [(ZERO_EXP, 1)]):
+        with pytest.raises(TypeError) as info:
+            MultiPoly(bad)
+        assert len(str(info.value).splitlines()) == 1
+    assert MultiPoly().is_zero()

@@ -115,6 +115,7 @@ def test_compute_bad_point_exits_2(tmp_path):
         ("verify", "--id", "T2.1a", "--max-n", "1", "--out", unwritable),
         ("report", "--max-n", "0", "--out", unwritable),
         ("series", "genocchi", "--order", "-1"),
+        ("compute", "euler", "4", "--at", "x=3"),
     ]
     for args in cases:
         result = run_cli(*args)

@@ -6,6 +6,7 @@ from convcheck._scalar import Rational
 from convcheck.arith import MultiPoly
 from convcheck.quadext import (
     FAMILIES,
+    Discriminant,
     QuadExtElem,
     make_root_pair,
     qe_arith,
@@ -95,6 +96,21 @@ def test_substitute_maps_discriminant_too():
     sq = v * v
     assert sq.a == MultiPoly.constant(6)  # 1 + 1*5
     assert sq.b == MultiPoly.constant(2)
+
+
+def test_substitute_shares_one_discriminant_per_point():
+    pair = make_root_pair("balancing")
+    u = QuadExtElem(y + t, y, pair.disc)
+    w = QuadExtElem(t, Rational(1, 3) * y * y, pair.disc)
+    point = {"y": Rational(2, 3), "t": 5}
+    us, ws = u.substitute(point), w.substitute(dict(reversed(point.items())))
+    assert us.disc == ws.disc == Discriminant("balancing", pair.disc.poly.substitute(point))
+    assert us.disc is ws.disc
+    for elem, sub in ((u, us), (w, ws)):
+        assert sub.a == elem.a.substitute(point)
+        assert sub.b == elem.b.substitute(point)
+    # a different point gets its own discriminant
+    assert u.substitute({"y": 1, "t": 1}).disc.poly == MultiPoly.constant(8)
 
 
 def test_str_of_rational_element_is_plain():

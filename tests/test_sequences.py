@@ -1,7 +1,10 @@
 """Number and polynomial sequences against their EGF oracles."""
 
+import math
+
 import pytest
 
+from convcheck import sequences
 from convcheck._scalar import Rational
 from convcheck.arith import MultiPoly
 from convcheck.egf import egf_special
@@ -111,3 +114,64 @@ def test_kind_and_index_validation():
         bernoulli_number(-1)
     with pytest.raises(ValueError):
         number_polynomial("tangent", 2)
+
+
+# -- the integer recurrences against independent references ----------------
+
+
+def _reference_bernoulli(count):
+    """B_0 .. B_(count-1) by B_n = -(1/(n+1)) sum_{k<n} C(n+1,k) B_k."""
+    values = []
+    for n in range(count):
+        acc = sum((math.comb(n + 1, k) * b for k, b in enumerate(values)), Rational(0))
+        values.append(Rational(1) if n == 0 else -acc / (n + 1))
+    return values
+
+
+def _reference_euler(count):
+    """E_0 .. E_(count-1) by E_2m = -sum_{j<m} C(2m, 2j) E_2j, odd ones 0."""
+    values = []
+    for n in range(count):
+        if n == 0:
+            values.append(Rational(1))
+        elif n % 2:
+            values.append(Rational(0))
+        else:
+            values.append(-sum((math.comb(n, j) * values[j] for j in range(0, n, 2)), Rational(0)))
+    return values
+
+
+def test_numbers_match_the_rational_recurrences_to_200():
+    for n, (b, e) in enumerate(zip(_reference_bernoulli(201), _reference_euler(201))):
+        assert bernoulli_number(n) == b, n
+        assert euler_number(n) == e, n
+
+
+def test_von_staudt_clausen_denominators_to_600():
+    primes = [p for p in range(2, 602) if all(p % d for d in range(2, math.isqrt(p) + 1))]
+    for n in range(2, 601, 2):
+        want = math.prod(p for p in primes if n % (p - 1) == 0)
+        assert bernoulli_number(n).denominator == want, n
+
+
+def test_appell_polynomials_match_egf_oracle_to_60():
+    for kind in ("bernoulli_poly", "euler_poly", "genocchi_poly"):
+        oracle = egf_special(kind, 60)
+        for n in range(61):
+            poly = number_polynomial(kind, n)
+            assert poly.terms == oracle[n].terms, (kind, n)
+
+
+def test_tangent_secant_lists_agree_after_doubling():
+    for shift in (1, 2):
+        numbers = sequences._ZigzagList(shift)
+        numbers.get(39)
+        short = numbers.values
+        assert len(short) == 40
+        numbers.get(40)  # one past the end: the list is recomputed to 80
+        assert len(numbers.values) == 80
+        assert numbers.values[:40] == short
+        assert numbers.values == sequences._zigzag_numbers(80, shift)
+    # T_1..T_4 and S_0..S_3
+    assert sequences._zigzag_numbers(4, 2) == [1, 2, 16, 272]
+    assert sequences._zigzag_numbers(4, 1) == [1, 1, 5, 61]
