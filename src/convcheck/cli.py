@@ -11,7 +11,9 @@ Exit status: 0 when everything expected to hold does hold, 1 when a
 corrected-variant check (or an as-printed check with no corrected
 sibling) fails, 2 for usage errors such as an unknown identity id, a
 malformed ``--at`` point, an ``--at`` point given for a number kind or
-an ``--out`` file that cannot be written.
+binding a variable outside the kind's own (``x`` for the ``*_poly``
+kinds, ``y`` and ``t`` for ``biv_*``), or an ``--out`` file that cannot
+be written.
 """
 
 from __future__ import annotations
@@ -82,14 +84,12 @@ def _emit(doc: str, out: Optional[str]) -> bool:
     return True
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.id and args.all:
-        print("choose either --all or --id, not both", file=sys.stderr)
-        return 2
+def _check_and_emit(args: argparse.Namespace, ids: Optional[List[str]]) -> int:
+    """Run the selected records and write them in ``args.format``; shared
+    by ``verify`` and ``report``, which differ only in their defaults."""
     if args.max_n is not None and args.max_n < 0:
         print(f"--max-n must be non-negative, got {args.max_n}", file=sys.stderr)
         return 2
-    ids = args.id or None
     try:
         records = select_records(ids, args.variant)
     except KeyError as exc:
@@ -98,45 +98,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     rows = run_records(records, args.max_n)
     elapsed = time.perf_counter() - started
-    config = {
-        "command": "verify",
-        "ids": sorted(ids) if ids else "all",
-        "variant": args.variant,
-        "max_n": args.max_n,
-    }
-    if args.format == "json":
-        doc = render_json(build_payload(rows, config))
-    elif args.format == "markdown":
-        doc = render_markdown(build_payload(rows, config))
+    if args.format == "text":
+        runtime = elapsed if args.command == "verify" else None
+        doc = render_text(rows, per_n=bool(ids), runtime=runtime)
     else:
-        doc = render_text(rows, per_n=bool(ids), runtime=elapsed)
+        config = {
+            "command": args.command,
+            "ids": sorted(ids) if ids else "all",
+            "variant": args.variant,
+            "max_n": args.max_n,
+        }
+        render = render_json if args.format == "json" else render_markdown
+        doc = render(build_payload(rows, config))
     if not _emit(doc, args.out):
         return 2
     return exit_code_for(rows)
+
+
+def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.id and args.all:
+        print("choose either --all or --id, not both", file=sys.stderr)
+        return 2
+    return _check_and_emit(args, args.id or None)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    if args.max_n is not None and args.max_n < 0:
-        print(f"--max-n must be non-negative, got {args.max_n}", file=sys.stderr)
-        return 2
-    records = select_records(None, args.variant)
-    rows = run_records(records, args.max_n)
-    config = {
-        "command": "report",
-        "ids": "all",
-        "variant": args.variant,
-        "max_n": args.max_n,
-    }
-    payload = build_payload(rows, config)
-    if args.format == "json":
-        doc = render_json(payload)
-    elif args.format == "text":
-        doc = render_text(rows)
-    else:
-        doc = render_markdown(payload)
-    if not _emit(doc, args.out):
-        return 2
-    return exit_code_for(rows)
+    return _check_and_emit(args, None)
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -154,7 +141,15 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         else:
             value = bivariate_sequence(args.what[len("biv_"):], args.n)
         if args.at is not None:
-            value = value.substitute(_parse_point(args.at))
+            point = _parse_point(args.at)
+            own = ("x",) if args.what in _POLY_KINDS else ("y", "t")
+            stray = sorted(set(point) - set(own))
+            if stray:
+                raise ValueError(
+                    f"--at binds {', '.join(stray)}, but {args.what} "
+                    f"is a polynomial in {', '.join(own)}"
+                )
+            value = value.substitute(point)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

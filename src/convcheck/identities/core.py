@@ -16,7 +16,8 @@ literally zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .._scalar import Rational, as_rational
@@ -72,7 +73,10 @@ class Context:
     """Ring adapter: letters, cached building blocks, and number tables.
 
     The letters are ``u`` and ``v``; ``D = u - v`` and ``Sig = u + v``.
-    All power/value caches are keyed by small integers and grow on demand.
+    Each cache is keyed by what determines its entries -- a base element
+    by value, a sequence name and index, a record side callable and its
+    index n -- never by a name a caller makes up, so an entry cannot be
+    returned for a different element.
     """
 
     def __init__(self, ring: str):
@@ -99,10 +103,10 @@ class Context:
         self._S: List[Any] = [self.one]
         self._upow: List[Any] = [self.one]
         self._vpow: List[Any] = [self.one]
-        self._npow: Dict[Tuple[str, int], Any] = {}
+        self._powers: Dict[Any, List[Any]] = {}
         self._bracket: Dict[Tuple[str, int], Any] = {}
         self._npoly: Dict[Tuple[str, int], Any] = {}
-        self._pair_cache: Dict[Tuple, Any] = {}
+        self._sides: Dict[Tuple[SideFn, int], Any] = {}
 
     # -- embedding -------------------------------------------------------
 
@@ -149,26 +153,21 @@ class Context:
             raise ValueError("negative power-sum index")
         return self.upow(j) + self.vpow(j)
 
-    def pow_named(self, name: str, base, e: int):
-        """e-th power of a fixed named element, cached incrementally."""
+    def power(self, base, e: int):
+        """base^e, cached per base by value and built up incrementally,
+        so two equal bases built separately share one list of powers."""
         if e < 0:
-            raise ValueError(f"negative power of {name}")
-        key = (name, e)
-        got = self._npow.get(key)
-        if got is None:
-            if e == 0:
-                got = self.one
-            else:
-                prev = self._npow.get((name, e - 1))
-                got = prev * base if prev is not None else base ** e
-            self._npow[key] = got
-        return got
+            raise ValueError("negative power")
+        powers = self._powers.setdefault(base, [self.one])
+        while len(powers) <= e:
+            powers.append(powers[-1] * base)
+        return powers[e]
 
     def Dpow(self, e: int):
-        return self.pow_named("D", self.D, e)
+        return self.power(self.D, e)
 
     def Sigpow(self, e: int):
-        return self.pow_named("Sig", self.Sig, e)
+        return self.power(self.Sig, e)
 
     def bracket_plus(self, k: int):
         """2^k phi_k + 2 Sig^k."""
@@ -221,7 +220,7 @@ class Context:
         return QuadExtElem(MultiPoly.constant(0), MultiPoly.constant(1), self.pair.disc)
 
     def deltapow(self, e: int):
-        return self.pow_named("delta", self.delta, e)
+        return self.power(self.delta, e)
 
     def seq(self, kind: str, j: int):
         """Embedded bivariate sequence value, with negative index -> 0."""
@@ -234,12 +233,17 @@ class Context:
             got = self._npoly[key] = self.embed(bivariate_sequence(kind, j))
         return got
 
-    def pair_product(self, tag, left_fn, right_fn, k: int, j: int):
-        """Memoized product left_fn(k) * right_fn(j) for a stable tag."""
-        key = (tag, k, j)
-        got = self._pair_cache.get(key)
+    # perfbench/tracer.py wraps this method by name, so it stays a method
+    def pair_product(self, left_fn, right_fn, k: int, j: int):
+        """The summand product left_fn(k) * right_fn(j)."""
+        return left_fn(k) * right_fn(j)
+
+    def side(self, fn: SideFn, n: int):
+        """fn(self, n), computed once per (side, n) in this ring."""
+        key = (fn, n)
+        got = self._sides.get(key)
         if got is None:
-            got = self._pair_cache[key] = left_fn(k) * right_fn(j)
+            got = self._sides[key] = fn(self, n)
         return got
 
 
@@ -263,15 +267,13 @@ def eval_convolution_sum(
     use_binomial: bool = True,
     weight: Optional[Callable[[int, int], Any]] = None,
     parity: bool = False,
-    pair_tag=None,
 ):
     """sum over k of C(n,k) * weight(n,k) * term_low(k) * term_high(n-k).
 
     ``term_low``/``term_high`` produce ring elements indexed by k and
     n-k; ``weight`` is an optional exact scalar factor and may signal a
     skipped term by returning 0.  With ``parity=True`` the sum runs only
-    over k with n - k even.  ``pair_tag`` enables memoization of the
-    term products across different n (they depend on (k, n-k) only).
+    over k with n - k even.
     """
     total = ctx.zero
     for k in range(n + 1):
@@ -286,11 +288,7 @@ def eval_convolution_sum(
             scalar = scalar * w
         if not scalar:
             continue
-        if pair_tag is not None:
-            prod = ctx.pair_product(pair_tag, term_low, term_high, k, j)
-        else:
-            prod = term_low(k) * term_high(j)
-        total = total + scalar * prod
+        total = total + scalar * ctx.pair_product(term_low, term_high, k, j)
     return total
 
 
@@ -331,29 +329,47 @@ class IdentityRecord:
 
 @dataclass
 class IdentityVerdict:
-    """Outcome of one identity at one index."""
+    """Outcome of one identity at one index.
+
+    A failed comparison keeps its two side elements in ``sides``; the
+    canonical ``diff``, ``lhs_value`` and ``rhs_value`` strings are
+    rendered from them on first read, so a run that prints no failing
+    index formats nothing.  ``reason`` says why the printed form could
+    not be evaluated at n, and is then the ``diff``.
+    """
 
     ident: str
     variant: str
     n: int
     passed: bool
-    diff: Optional[str] = None  # canonical difference when non-zero
+    reason: Optional[str] = None
     status: str = ""  # "pass" | "fail" | "skipped"
-    lhs_value: Optional[str] = None  # canonical sides, rendered on failure
-    rhs_value: Optional[str] = None
+    sides: Optional[Tuple[Any, Any]] = field(default=None, repr=False)
 
     def __post_init__(self):
         if not self.status:
             self.status = "pass" if self.passed else "fail"
 
+    @cached_property
+    def diff(self) -> Optional[str]:
+        """Canonical difference of the sides when non-zero."""
+        if self.sides is None:
+            return self.reason
+        lhs_v, rhs_v = self.sides
+        return str(lhs_v - rhs_v)
+
+    @cached_property
+    def lhs_value(self) -> Optional[str]:
+        return None if self.sides is None else str(self.sides[0])
+
+    @cached_property
+    def rhs_value(self) -> Optional[str]:
+        return None if self.sides is None else str(self.sides[1])
+
 
 def _compare_sides(record: IdentityRecord, n: int, lhs_v, rhs_v) -> IdentityVerdict:
-    diff = lhs_v - rhs_v
-    if diff:
-        return IdentityVerdict(
-            record.ident, record.variant, n, False,
-            str(diff), lhs_value=str(lhs_v), rhs_value=str(rhs_v),
-        )
+    if lhs_v - rhs_v:
+        return IdentityVerdict(record.ident, record.variant, n, False, sides=(lhs_v, rhs_v))
     return IdentityVerdict(record.ident, record.variant, n, True)
 
 
@@ -366,8 +382,10 @@ def _check_range(
     bindings: Optional[Dict[str, Any]] = None,
 ) -> List[IdentityVerdict]:
     """One verdict per n comparing ``lhs(ctx, n)`` with ``rhs(ctx, n)``,
-    each substituted with ``bindings`` first when given.  It calls no
-    public check, so a wrapper around one check never nests another.
+    each substituted with ``bindings`` first when given.  Each side is
+    taken from the context's side memo, so a re-check, a companion
+    check or another point reuses it.  It calls no public check, so a
+    wrapper around one check never nests another.
     """
     if ctx is None:
         ctx = get_context(record.ring)
@@ -379,8 +397,9 @@ def _check_range(
     out: List[IdentityVerdict] = []
     for n in range(lo, hi + 1):
         try:
-            # the sides are temporaries, freed before the next n is built
-            verdict = _compare_sides(record, n, image(lhs(ctx, n)), image(rhs(ctx, n)))
+            verdict = _compare_sides(
+                record, n, image(ctx.side(lhs, n)), image(ctx.side(rhs, n))
+            )
         except PrintedFormUndefined as exc:
             verdict = IdentityVerdict(
                 record.ident, record.variant, n, False, f"undefined: {exc}"

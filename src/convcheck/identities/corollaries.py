@@ -30,8 +30,8 @@ from typing import List
 
 from .._scalar import Rational
 from ..arith import MultiPoly
-from ..sequences import bernoulli_number, genocchi_number
 from .core import Context, IdentityRecord, eval_convolution_sum, printed_ratio
+from .theorems import _b_at, _g_at
 
 __all__ = ["corollary_records"]
 
@@ -59,15 +59,15 @@ def _C(ctx: Context, j: int):
 
 
 def _yk(ctx: Context, k: int):
-    return ctx.pow_named("var:y", ctx.embed(_Y), k)
+    return ctx.power(ctx.embed(_Y), k)
 
 
 def _six_yk(ctx: Context, k: int):
-    return ctx.pow_named("var:6y", ctx.embed(_SIX_Y), k)
+    return ctx.power(ctx.embed(_SIX_Y), k)
 
 
 def _xk(ctx: Context, k: int):
-    return ctx.pow_named("var:x", ctx.x, k)
+    return ctx.power(ctx.x, k)
 
 
 def _fib_disc(ctx: Context):
@@ -79,15 +79,7 @@ def _bal_disc(ctx: Context):
 
 
 def _two_delta_pow(ctx: Context, e: int):
-    return ctx.pow_named("2delta", 2 * ctx.delta, e)
-
-
-def _b_at(i: int) -> Rational:
-    return bernoulli_number(i) if i >= 0 else Rational(0)
-
-
-def _g_at(i: int) -> Rational:
-    return genocchi_number(i) if i >= 0 else Rational(0)
+    return ctx.power(2 * ctx.delta, e)
 
 
 # --------------------------------------------------------------------------
@@ -458,8 +450,8 @@ def _c37_lhs(ctx, n):
 
 def _c37_rhs(ctx, n):
     yy = ctx.embed(2 * _Y)
-    a = ctx.pow_named("2y+d", yy + ctx.delta, n)
-    b = ctx.pow_named("2y-d", yy - ctx.delta, n)
+    a = ctx.power(yy + ctx.delta, n)
+    b = ctx.power(yy - ctx.delta, n)
     return Rational(2) ** (1 - n) * (a + b)
 
 
@@ -725,8 +717,8 @@ def _c314_lhs(ctx, n):
 
 def _c314_rhs(ctx, n):
     yy = ctx.embed(_SIX_Y)
-    a = ctx.pow_named("6y+d", yy + ctx.delta, n)
-    b = ctx.pow_named("6y-d", yy - ctx.delta, n)
+    a = ctx.power(yy + ctx.delta, n)
+    b = ctx.power(yy - ctx.delta, n)
     return a + b
 
 
@@ -851,8 +843,8 @@ def _c41_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(_Y) + ctx.x * ctx.delta
     base2 = ctx.embed(_Y) + (ctx.x - ctx.one) * ctx.delta
-    a = ctx.pow_named("y+xd", base1, n - 1)
-    b = ctx.pow_named("y+(x-1)d", base2, n - 1)
+    a = ctx.power(base1, n - 1)
+    b = ctx.power(base2, n - 1)
     return (2 * n) * (a + b)
 
 
@@ -869,8 +861,8 @@ def _c42_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(_Y) + ctx.delta * ctx.x
     base2 = ctx.embed(_Y) + (ctx.x - ctx.one) * ctx.delta
-    a = ctx.pow_named("y+xd", base1, n - 1)
-    b = ctx.pow_named("y+(x-1)d", base2, n - 1)
+    a = ctx.power(base1, n - 1)
+    b = ctx.power(base2, n - 1)
     return n * (ctx.delta * (a - b))
 
 
@@ -884,8 +876,8 @@ def _c43_lhs(ctx, n):
 def _c43_rhs(ctx, n):
     base1 = ctx.embed(_Y) + ctx.delta * ctx.x
     base2 = ctx.embed(_Y) + (ctx.x - ctx.one) * ctx.delta
-    a = ctx.pow_named("y+xd", base1, n)
-    b = ctx.pow_named("y+(x-1)d", base2, n)
+    a = ctx.power(base1, n)
+    b = ctx.power(base2, n)
     return 2 * a + 2 * b
 
 
@@ -901,8 +893,8 @@ def _c44_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(3 * _Y) + ctx.x * ctx.delta
     base2 = ctx.embed(3 * _Y) + (ctx.x - ctx.one) * ctx.delta
-    a = ctx.pow_named("3y+xd", base1, n - 1)
-    b = ctx.pow_named("3y+(x-1)d", base2, n - 1)
+    a = ctx.power(base1, n - 1)
+    b = ctx.power(base2, n - 1)
     return (n * 2 ** (n + 1)) * (ctx.delta * (a + b))
 
 
@@ -919,8 +911,8 @@ def _c45_rhs(ctx, n):
         return ctx.zero
     base1 = ctx.embed(_SIX_Y) + 2 * (ctx.x * ctx.delta)
     base2 = ctx.embed(_SIX_Y) + (2 * ctx.x - 2 * ctx.one) * ctx.delta
-    a = ctx.pow_named("6y+2xd", base1, n - 1)
-    b = ctx.pow_named("6y+(2x-2)d", base2, n - 1)
+    a = ctx.power(base1, n - 1)
+    b = ctx.power(base2, n - 1)
     return n * ((2 * ctx.delta) * (a - b))
 
 
@@ -934,8 +926,8 @@ def _c46_lhs(ctx, n):
 def _c46_rhs(ctx, n):
     base1 = ctx.embed(_SIX_Y) + 2 * (ctx.delta * ctx.x)
     base2 = ctx.embed(_SIX_Y) + (ctx.x - 2 * ctx.one) * ctx.delta
-    a = ctx.pow_named("6y+2xd", base1, n)
-    b = ctx.pow_named("6y+(x-2)d", base2, n)
+    a = ctx.power(base1, n)
+    b = ctx.power(base2, n)
     return 2 * a + 2 * b
 
 

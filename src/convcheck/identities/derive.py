@@ -127,7 +127,7 @@ def reindex_shift_two(
         return eval_convolution_sum(
             ctx, m, _bracket_fn(ctx, bracket_sign),
             lambda j: ctx.Dpow(j + 2),
-            weight=weight, pair_tag=("Db2", bracket_sign),
+            weight=weight,
         )
 
     def rhs(ctx: Context, m: int):

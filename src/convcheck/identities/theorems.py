@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .._scalar import Rational
-from ..sequences import genocchi_number
+from ..sequences import bernoulli_number, genocchi_number
 from ..symfun import LetterPair, sym_ehp
 from .core import Context, IdentityRecord, eval_convolution_sum, printed_ratio
 
@@ -79,12 +79,7 @@ def weighted_conv_lhs(shape: WeightedShape):
             return (j - 1) * numf(j) * _halving_factor(shape.halving, j)
 
         return eval_convolution_sum(
-            ctx,
-            n,
-            _bracket_fn(ctx, shape.bracket),
-            ctx.Dpow,
-            weight=weight,
-            pair_tag=("Db", shape.bracket),
+            ctx, n, _bracket_fn(ctx, shape.bracket), ctx.Dpow, weight=weight
         )
 
     return lhs
@@ -96,9 +91,7 @@ def weighted_conv_lhs(shape: WeightedShape):
 
 
 def _t21a_lhs(ctx, n):
-    conv = eval_convolution_sum(
-        ctx, n, lambda k: ctx.S(k - 1), lambda j: ctx.S(j - 1), pair_tag="SS"
-    )
+    conv = eval_convolution_sum(ctx, n, lambda k: ctx.S(k - 1), lambda j: ctx.S(j - 1))
     return ctx.Dpow(2) * conv
 
 
@@ -107,7 +100,7 @@ def _t21a_rhs(ctx, n):
 
 
 def _t21b_lhs(ctx, n):
-    return eval_convolution_sum(ctx, n, ctx.phi, ctx.phi, pair_tag="pp")
+    return eval_convolution_sum(ctx, n, ctx.phi, ctx.phi)
 
 
 def _t21b_rhs(ctx, n):
@@ -115,9 +108,7 @@ def _t21b_rhs(ctx, n):
 
 
 def _t21c_lhs(ctx, n):
-    return eval_convolution_sum(
-        ctx, n, ctx.phi, lambda j: ctx.S(j - 1), pair_tag="pS"
-    )
+    return eval_convolution_sum(ctx, n, ctx.phi, lambda j: ctx.S(j - 1))
 
 
 def _t21c_rhs(ctx, n):
@@ -125,7 +116,7 @@ def _t21c_rhs(ctx, n):
 
 
 def _t22a_lhs(ctx, n):
-    return eval_convolution_sum(ctx, n, ctx.phi, ctx.phi, use_binomial=False, pair_tag="pp")
+    return eval_convolution_sum(ctx, n, ctx.phi, ctx.phi, use_binomial=False)
 
 
 def _t22a_rhs(ctx, n):
@@ -134,7 +125,7 @@ def _t22a_rhs(ctx, n):
 
 def _t22b_lhs(ctx, n):
     conv = eval_convolution_sum(
-        ctx, n, lambda k: ctx.S(k - 1), lambda j: ctx.S(j - 1), use_binomial=False, pair_tag="SS"
+        ctx, n, lambda k: ctx.S(k - 1), lambda j: ctx.S(j - 1), use_binomial=False
     )
     return ctx.Dpow(2) * conv
 
@@ -144,9 +135,7 @@ def _t22b_rhs(ctx, n):
 
 
 def _t22c_lhs(ctx, n):
-    return eval_convolution_sum(
-        ctx, n, ctx.phi, lambda j: ctx.S(j - 1), use_binomial=False, pair_tag="pS"
-    )
+    return eval_convolution_sum(ctx, n, ctx.phi, lambda j: ctx.S(j - 1), use_binomial=False)
 
 
 def _t22c_rhs(ctx, n):
@@ -162,7 +151,7 @@ def _t31_lhs(parity: bool):
     def lhs(ctx, n):
         return eval_convolution_sum(
             ctx, n, _bracket_fn(ctx, "+"), ctx.Dpow,
-            weight=lambda n_, k: ctx.G(n_ - k), parity=parity, pair_tag=("Db", "+"),
+            weight=lambda n_, k: ctx.G(n_ - k), parity=parity,
         )
 
     return lhs
@@ -177,7 +166,7 @@ def _t31_rhs(ctx, n):
 def _t31_unrestricted_rhs(ctx, n):
     if n == 0:
         return ctx.zero
-    return (2 * n) * (ctx.D * (ctx.Sigpow(n - 1) + ctx.pow_named("2v", 2 * ctx.v, n - 1)))
+    return (2 * n) * (ctx.D * (ctx.Sigpow(n - 1) + ctx.power(2 * ctx.v, n - 1)))
 
 
 _T32_SHAPE = WeightedShape(num="G", bracket="+")
@@ -190,7 +179,11 @@ def _t32_rhs(ctx, n):
     return c * (ctx.Dpow(2) * ctx.Sigpow(n - 2))
 
 
-def _g_at(i: int):
+def _b_at(i: int) -> Rational:
+    return bernoulli_number(i) if i >= 0 else Rational(0)
+
+
+def _g_at(i: int) -> Rational:
     return genocchi_number(i) if i >= 0 else Rational(0)
 
 
@@ -200,7 +193,7 @@ def _t33_printed_lhs(ctx, m):
 
     return eval_convolution_sum(
         ctx, m, _bracket_fn(ctx, "+"), ctx.Dpow,
-        weight=weight, parity=True, pair_tag=("Db", "+"),
+        weight=weight, parity=True,
     )
 
 
@@ -212,7 +205,7 @@ def _t34a_lhs(parity: bool):
     def lhs(ctx, n):
         return eval_convolution_sum(
             ctx, n, _bracket_fn(ctx, "-"), ctx.Dpow,
-            weight=lambda n_, k: ctx.B(n_ - k), parity=parity, pair_tag=("Db", "-"),
+            weight=lambda n_, k: ctx.B(n_ - k), parity=parity,
         )
 
     return lhs
@@ -227,7 +220,7 @@ def _t34a_rhs(ctx, n):
 def _t34a_unrestricted_rhs(ctx, n):
     if n == 0:
         return ctx.zero
-    return n * (ctx.D * (ctx.Sigpow(n - 1) - ctx.pow_named("2v", 2 * ctx.v, n - 1)))
+    return n * (ctx.D * (ctx.Sigpow(n - 1) - ctx.power(2 * ctx.v, n - 1)))
 
 
 def _t34b_lhs(parity: bool):
@@ -238,7 +231,7 @@ def _t34b_lhs(parity: bool):
 
         return eval_convolution_sum(
             ctx, n, _bracket_fn(ctx, "+"), ctx.Dpow,
-            weight=weight, parity=parity, pair_tag=("Db", "+"),
+            weight=weight, parity=parity,
         )
 
     return lhs
@@ -253,7 +246,7 @@ def _t34b_rhs(ctx, n):
 def _t34b_unrestricted_rhs(ctx, n):
     if n == 0:
         return ctx.zero
-    return n * (ctx.D * (ctx.Sigpow(n - 1) + ctx.pow_named("2v", 2 * ctx.v, n - 1)))
+    return n * (ctx.D * (ctx.Sigpow(n - 1) + ctx.power(2 * ctx.v, n - 1)))
 
 
 _T35A_SHAPE = WeightedShape(num="B", bracket="-")
@@ -274,12 +267,6 @@ def _t35b_printed_rhs(ctx, n):
     return c * (ctx.Dpow(2) * ctx.Sigpow(n - 2))
 
 
-def _b_at(i: int):
-    from ..sequences import bernoulli_number
-
-    return bernoulli_number(i) if i >= 0 else Rational(0)
-
-
 def _t36a_printed_lhs(ctx, m):
     # cleared by (m+1)(m+2) D^2: the printed right side divides by both
     def weight(m_: int, k: int):
@@ -287,7 +274,7 @@ def _t36a_printed_lhs(ctx, m):
 
     conv = eval_convolution_sum(
         ctx, m, _bracket_fn(ctx, "-"), ctx.Dpow,
-        weight=weight, parity=True, pair_tag=("Db", "-"),
+        weight=weight, parity=True,
     )
     return ((m + 1) * (m + 2)) * (ctx.Dpow(2) * conv)
 
@@ -304,13 +291,13 @@ def _t36b_printed_lhs(ctx, m):
 
     return eval_convolution_sum(
         ctx, m, _bracket_fn(ctx, "+"), ctx.Dpow,
-        weight=weight, parity=True, pair_tag=("Db", "+"),
+        weight=weight, parity=True,
     )
 
 
 def _t36b_printed_rhs(ctx, m):
     # (e1 + e2)^m with e1, e2 the elementary symmetric functions
-    return ctx.pow_named("Sig+Prod", ctx.Sig + ctx.Prod, m)
+    return ctx.power(ctx.Sig + ctx.Prod, m)
 
 
 def _t37_lhs(parity: bool):
@@ -321,15 +308,15 @@ def _t37_lhs(parity: bool):
 
         return eval_convolution_sum(
             ctx, n, _bracket_fn(ctx, "+"), ctx.Dpow,
-            weight=weight, parity=parity, pair_tag=("Db", "+"),
+            weight=weight, parity=parity,
         )
 
     return lhs
 
 
 def _t37_rhs(ctx, n):
-    a = ctx.pow_named("3u+v", 3 * ctx.u + ctx.v, n)
-    b = ctx.pow_named("u+3v", ctx.u + 3 * ctx.v, n)
+    a = ctx.power(3 * ctx.u + ctx.v, n)
+    b = ctx.power(ctx.u + 3 * ctx.v, n)
     return Rational(2) ** (1 - n) * (a + b)
 
 
@@ -338,29 +325,26 @@ def _t37_rhs(ctx, n):
 # --------------------------------------------------------------------------
 
 
-def _npoly_conv_lhs(kind: str, sign: str, tag: str):
+def _npoly_conv_lhs(kind: str, sign: str):
     def lhs(ctx, n):
         return eval_convolution_sum(
             ctx, n, _bracket_fn(ctx, sign),
             lambda j: ctx.Dpow(j) * ctx.npoly(kind, j),
-            pair_tag=tag,
         )
 
     return lhs
 
 
-def _shifted_base(ctx, which: str):
-    # the two exponential directions of the T4.x right sides
-    if which == "Sig+xD":
-        return ctx.Sig + ctx.x * ctx.D
-    return 2 * ctx.v + ctx.x * ctx.D
+def _t4_powers(ctx, e: int):
+    # the two exponential directions of the T4.x right sides, to the e-th
+    xd = ctx.x * ctx.D
+    return ctx.power(ctx.Sig + xd, e), ctx.power(2 * ctx.v + xd, e)
 
 
 def _t41_rhs(ctx, n):
     if n == 0:
         return ctx.zero
-    a = ctx.pow_named("Sig+xD", _shifted_base(ctx, "Sig+xD"), n - 1)
-    b = ctx.pow_named("2v+xD", _shifted_base(ctx, "2v+xD"), n - 1)
+    a, b = _t4_powers(ctx, n - 1)
     return (2 * n) * (ctx.D * (a + b))
 
 
@@ -368,14 +352,12 @@ def _t42_rhs(ctx, n):
     # cleared by D: the printed statement carries D^(n-k-1) on the left
     if n == 0:
         return ctx.zero
-    a = ctx.pow_named("Sig+xD", _shifted_base(ctx, "Sig+xD"), n - 1)
-    b = ctx.pow_named("2v+xD", _shifted_base(ctx, "2v+xD"), n - 1)
+    a, b = _t4_powers(ctx, n - 1)
     return n * (ctx.D * (a - b))
 
 
 def _t43_rhs(ctx, n):
-    a = ctx.pow_named("Sig+xD", _shifted_base(ctx, "Sig+xD"), n)
-    b = ctx.pow_named("2v+xD", _shifted_base(ctx, "2v+xD"), n)
+    a, b = _t4_powers(ctx, n)
     return 2 * (a + b)
 
 
@@ -521,7 +503,7 @@ def theorem_records() -> List[IdentityRecord]:
         ),
         IdentityRecord(
             "T4.1", "as_printed", "indeterminate", 0, 30,
-            _npoly_conv_lhs("genocchi", "+", "DGx"), _t41_rhs,
+            _npoly_conv_lhs("genocchi", "+"), _t41_rhs,
             anchor=(
                 "sum C(n,k) D^(n-k) (2^k phi_k + 2 Sig^k) G_(n-k)(x) "
                 "= 2n D ((Sig + xD)^(n-1) + (2v + xD)^(n-1))"
@@ -529,7 +511,7 @@ def theorem_records() -> List[IdentityRecord]:
         ),
         IdentityRecord(
             "T4.2", "as_printed", "indeterminate", 0, 30,
-            _npoly_conv_lhs("bernoulli", "-", "DBx"), _t42_rhs,
+            _npoly_conv_lhs("bernoulli", "-"), _t42_rhs,
             anchor=(
                 "sum C(n,k) D^(n-k-1) (2^k phi_k - 2 Sig^k) B_(n-k)(x) "
                 "= n ((Sig + xD)^(n-1) - (2v + xD)^(n-1))"
@@ -538,7 +520,7 @@ def theorem_records() -> List[IdentityRecord]:
         ),
         IdentityRecord(
             "T4.3", "as_printed", "indeterminate", 0, 30,
-            _npoly_conv_lhs("euler", "+", "DEx"), _t43_rhs,
+            _npoly_conv_lhs("euler", "+"), _t43_rhs,
             anchor=(
                 "sum C(n,k) D^(n-k) (2^k phi_k + 2 Sig^k) E_(n-k)(x) "
                 "= 2 ((Sig + xD)^n + (2v + xD)^n)"

@@ -98,6 +98,9 @@ def test_compute_at_point():
     assert result.stdout.strip() == "17"
     result = run_cli("compute", "euler_poly", "1", "--at", "x=1/2")
     assert result.stdout.strip() == "0"
+    # binding only some of the kind's own variables is allowed
+    result = run_cli("compute", "biv_lucas", "0", "--at", "y=1")
+    assert (result.returncode, result.stdout.strip()) == (0, "2")
 
 
 def test_compute_negative_index_exits_2():
@@ -116,6 +119,8 @@ def test_compute_bad_point_exits_2(tmp_path):
         ("report", "--max-n", "0", "--out", unwritable),
         ("series", "genocchi", "--order", "-1"),
         ("compute", "euler", "4", "--at", "x=3"),
+        ("compute", "biv_lucas", "2", "--at", "x=1"),
+        ("compute", "bernoulli_poly", "2", "--at", "y=1"),
     ]
     for args in cases:
         result = run_cli(*args)

@@ -5,12 +5,16 @@ the as-printed forms; it is asserted exactly so that any change in the
 checker's verdict on any printed equation is caught.
 """
 
+import dataclasses
+from collections import Counter
+
 import pytest
 
 from convcheck._scalar import Rational
 from convcheck.arith import MultiPoly
 from convcheck.egf import EgfSeries, egf_mul
 from convcheck.identities import (
+    Context,
     PrintedFormUndefined,
     check_identity,
     get_context,
@@ -310,3 +314,92 @@ def test_corrected_t33_small_values():
     ctx = get_context(rec.ring)
     assert rec.lhs(ctx, 0) == rec.rhs(ctx, 0) == -2 * ctx.Dpow(2)
     assert rec.lhs(ctx, 1) == rec.rhs(ctx, 1) == -2 * ctx.Dpow(2) * ctx.Sig
+
+
+# ---------------------------------------------------------------------------
+# memoization by value
+# ---------------------------------------------------------------------------
+
+
+_SIDES = ("lhs", "rhs", "unrestricted_lhs", "unrestricted_rhs")
+
+
+def _counted(record, calls):
+    """A copy of record whose side callables count their calls."""
+
+    def counted(name, fn):
+        def side(ctx, n):
+            calls[record.key, name, n] += 1
+            return fn(ctx, n)
+
+        return side
+
+    return dataclasses.replace(record, **{
+        name: counted(name, getattr(record, name))
+        for name in _SIDES if getattr(record, name) is not None
+    })
+
+
+def _four_checks(record, ctx_for):
+    """run_record, the record at two points and its parity companion,
+    each on the context ctx_for() hands it."""
+    return [
+        run_record(record, (0, 6), ctx_for()),
+        run_record_substituted(record, {"t": 1}, (0, 6), ctx_for()),
+        run_record_substituted(record, {"y": 1, "t": 1}, (0, 6), ctx_for()),
+        parity_restriction_equivalence(record, (0, 6), ctx_for()),
+    ]
+
+
+def test_record_sides_are_built_once_per_n_on_one_context():
+    # in the Fibonacci root ring: the corrected C3.1 carries a parity
+    # companion, and the as-printed one fails from n = 3
+    records = [get_record("C3.1:corrected"), get_record("C3.1:as_printed")]
+    ctx = Context("fibonacci-roots")
+    calls = Counter()
+    verdicts = [_four_checks(_counted(rec, calls), lambda: ctx) for rec in records]
+    assert sorted(calls) == sorted(
+        (rec.key, name, n)
+        for rec in records
+        for name in _SIDES if getattr(rec, name) is not None
+        for n in range(7)
+    )
+    assert set(calls.values()) == {1}
+    # the memo changes no verdict: each check on a fresh context agrees,
+    # failures included, down to the rendered strings
+    fresh = [_four_checks(rec, lambda: Context(rec.ring)) for rec in records]
+    assert verdicts == fresh
+    assert any(not v.passed for v in fresh[1][0])
+    for got, want in zip(sum(verdicts, []), sum(fresh, [])):
+        assert [(v.diff, v.lhs_value, v.rhs_value) for v in got] == [
+            (v.diff, v.lhs_value, v.rhs_value) for v in want
+        ]
+
+
+def test_failing_verdict_renders_its_sides_on_read():
+    ctx = Context("indeterminate")
+    rec = get_record("C2.1.2:as_printed")
+    v = run_record(rec, (0, 0))[0]
+    lhs_v, rhs_v = v.sides
+    assert v.lhs_value == str(lhs_v) and v.rhs_value == str(rhs_v)
+    assert v.diff == str(lhs_v - rhs_v) != "0"
+    passed = run_record(get_record("T2.1b:as_printed"), (0, 0), ctx)[0]
+    assert passed.sides is None
+    assert (passed.diff, passed.lhs_value, passed.rhs_value) == (None, None, None)
+
+
+def test_power_is_cached_by_the_value_of_its_base():
+    ctx = Context("indeterminate")
+    first = ctx.power(ctx.u + 3 * ctx.v, 5)
+    # an equal base built separately gets the very same cached power
+    assert ctx.power(3 * ctx.v + ctx.u, 5) is first
+    assert first == (ctx.u + 3 * ctx.v) ** 5
+    other = ctx.power(3 * ctx.u + ctx.v, 5)
+    assert other != first and other == (3 * ctx.u + ctx.v) ** 5
+    assert ctx.power(ctx.u + 3 * ctx.v, 0) == ctx.one
+    with pytest.raises(ValueError):
+        ctx.power(ctx.u, -1)
+    roots = Context("balancing-roots")
+    assert roots.power(2 * roots.delta, 3) is roots.power(roots.delta * 2, 3)
+    assert roots.power(2 * roots.delta, 3) == 8 * roots.deltapow(3)
+    assert roots.power(roots.delta + 1, 3) != roots.power(roots.delta - 1, 3)
