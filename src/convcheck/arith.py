@@ -228,9 +228,13 @@ class MultiPoly:
         return self._den == other._den and self._terms == other._terms
 
     def __hash__(self) -> int:
+        # a constant equals its scalar, so it hashes as that scalar
         h = self._hash
         if h is None:
-            h = hash((self._den, frozenset(self._terms.items())))
+            if self.is_constant():
+                h = hash(self.constant_value())
+            else:
+                h = hash((self._den, frozenset(self._terms.items())))
             self._hash = h
         return h
 

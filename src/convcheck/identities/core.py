@@ -74,9 +74,10 @@ class Context:
 
     The letters are ``u`` and ``v``; ``D = u - v`` and ``Sig = u + v``.
     Each cache is keyed by what determines its entries -- a base element
-    by value, a sequence name and index, a record side callable and its
-    index n -- never by a name a caller makes up, so an entry cannot be
-    returned for a different element.
+    by value, a sequence name and index, a summand factor callable and
+    its index k, a record side callable and its index n -- never by a
+    name a caller makes up, so an entry cannot be returned for a
+    different element.
     """
 
     def __init__(self, ring: str):
@@ -101,10 +102,8 @@ class Context:
         self.Prod = self.u * self.v
         self.x = self.embed(MultiPoly.var("x"))
         self._S: List[Any] = [self.one]
-        self._upow: List[Any] = [self.one]
-        self._vpow: List[Any] = [self.one]
         self._powers: Dict[Any, List[Any]] = {}
-        self._bracket: Dict[Tuple[str, int], Any] = {}
+        self._factors: Dict[Tuple[Callable, int], Any] = {}
         self._npoly: Dict[Tuple[str, int], Any] = {}
         self._sides: Dict[Tuple[SideFn, int], Any] = {}
 
@@ -124,34 +123,20 @@ class Context:
 
     # -- letters and their symmetric functions ---------------------------
 
-    def upow(self, j: int):
-        if j < 0:
-            raise ValueError("negative letter power")
-        while len(self._upow) <= j:
-            self._upow.append(self._upow[-1] * self.u)
-        return self._upow[j]
-
-    def vpow(self, j: int):
-        if j < 0:
-            raise ValueError("negative letter power")
-        while len(self._vpow) <= j:
-            self._vpow.append(self._vpow[-1] * self.v)
-        return self._vpow[j]
-
     def S(self, j: int):
         """Complete homogeneous sum of degree j in the letters; 0 for j < 0."""
         if j < 0:
             return self.zero
         while len(self._S) <= j:
             k = len(self._S)
-            self._S.append(self.u * self._S[-1] + self.vpow(k))
+            self._S.append(self.u * self._S[-1] + self.power(self.v, k))
         return self._S[j]
 
     def phi(self, j: int):
         """Power sum u^j + v^j (so phi(0) = 2)."""
         if j < 0:
             raise ValueError("negative power-sum index")
-        return self.upow(j) + self.vpow(j)
+        return self.power(self.u, j) + self.power(self.v, j)
 
     def power(self, base, e: int):
         """base^e, cached per base by value and built up incrementally,
@@ -166,25 +151,14 @@ class Context:
     def Dpow(self, e: int):
         return self.power(self.D, e)
 
-    def Sigpow(self, e: int):
-        return self.power(self.Sig, e)
-
-    def bracket_plus(self, k: int):
-        """2^k phi_k + 2 Sig^k."""
-        return self._bracket_get("+", k)
-
-    def bracket_minus(self, k: int):
-        """2^k phi_k - 2 Sig^k."""
-        return self._bracket_get("-", k)
-
-    def _bracket_get(self, sign: str, k: int):
-        key = (sign, k)
-        got = self._bracket.get(key)
+    def factor(self, fn: Callable[["Context", int], Any], k: int):
+        """fn(self, k), computed once per (fn, k) in this ring.  A sum's
+        factor of the summation index k alone (a bracket) is the same at
+        every n; factors of n-k are not kept."""
+        key = (fn, k)
+        got = self._factors.get(key)
         if got is None:
-            term = 2 * self.Sigpow(k)
-            base = (2 ** k) * self.phi(k)
-            got = base + term if sign == "+" else base - term
-            self._bracket[key] = got
+            got = self._factors[key] = fn(self, k)
         return got
 
     # -- number and polynomial sequences ----------------------------------

@@ -1,0 +1,643 @@
+"""The notation of the anchors, read into record sides.
+
+An as-printed record *is* its ``anchor``: the equation exactly as the
+source catalog states it.  :func:`read_anchor` parses an anchor once per
+process (forms are cached by anchor text) into its two side callables
+``side(ctx, n)`` and its parity flag, so the equation a report quotes is
+the equation the checker evaluates.  A side compiles its tree to nested
+closures on its first call.  This docstring is the one statement of the
+notation and of the conventions that turn a printed statement into a
+checkable record.
+
+Symbols
+  ``u v lam1 lam2``      the two letters (``lam1 lam2`` in the root rings)
+  ``D Sig``              their difference and sum; ``e1`` is ``Sig``, ``e2`` is ``u v``
+  ``d``                  the square root of the root ring's discriminant
+  ``x y t``              the polynomial variables
+  ``n m``                both name the record index; ``k`` is the summation index
+  ``S_j phi_j``          complete homogeneous sum and power sum of the letters
+  ``F_j L_j B*_j C_j``   Fibonacci, Lucas, balancing, Lucas-balancing values
+  ``B_j E_j G_j``        Bernoulli, Euler, Genocchi numbers (0 at a negative
+                         index); ``B_j(x)`` etc. their polynomials, written
+                         with no space before ``(x)``
+  ``C(a,b)``             the binomial coefficient
+  ``h_j(a, b) p_j(a, b)``  complete homogeneous / power-sum basis at two letters
+  A subscript is one symbol or a parenthesized index: ``S_(n-k-1)``.
+
+Reading
+  * Juxtaposition multiplies, also between glued symbols (``2xd``,
+    ``xD``, ``dx``, ``3u+v``, ``9y^2``) and before a parenthesis
+    (``n(1-n)``).  ``^`` binds tightest, then ``/``, then juxtaposition,
+    so ``B_(m-k-2)/(m-k-2)`` is one factor.
+  * A ratio of scalars is read by ``printed_ratio``: 0/0 contributes
+    nothing, and q/0 makes the printed form non-evaluable at that index
+    (reported as such, never as a failure of the equation).
+  * A product whose scalar part is 0 is 0 before its ring factors are
+    evaluated: ``2n(1-n) (y^2+4t) x^(n-2)`` is 0 at n = 0 and 1.
+
+Sums
+  ``sum`` runs over k = 0..n and ``sum[n=k(2)]`` only over k = n (mod 2).
+  A factor ``C(n,k)`` makes the sum binomial.  Each summand splits into
+  its scalar factors (the weight), its ring factors of k and its ring
+  factors of n-k, and is evaluated by ``eval_convolution_sum``.  A parity
+  restricted record may carry a *companion*: the closed form of the same
+  sum without ``[n=k(2)]``, written as one side in this notation.
+
+Clearing: how a printed statement becomes a cleared record
+  * A denominator holding a ring element (``D^2``, ``y^2+4t``,
+    ``2 (9y^2-t)``, ``lam1 - lam2``, ...) is cleared: both sides are
+    multiplied by it, its scalar factors included.  A scalar denominator
+    stays a rational factor (``(phi_n + D S_(n-1)) / 2``).
+  * A summand power ``X^(n-k-c)``, c > 0, is read as ``X^(n-k)`` and
+    ``X^c`` is cleared into the other side.
+  The note of a cleared record says "recorded cleared by".
+
+Annotations, each checked against the record it states
+  ``(n positive)``          the record's range starts at n = 1 or later
+  ``[d = sqrt(E)]``         E equals d^2 in the record's ring
+  ``[letters = F roots]``   the record's ring is F's root ring
+
+Transcription conventions of the catalog
+  * The balancing corollaries of the number-weighted sums are printed
+    in the variables ``(x, y)``; their anchors are transcribed in
+    ``(y, t)`` (``x -> y``, ``y -> t``) so both families share one
+    variable scheme, and their notes say so.  The polynomial-weighted
+    balancing corollaries are printed in ``(y, t)`` already.
+  * A few statements mix the index letters n and m; both name the
+    record index, and the note says so.
+"""
+
+from __future__ import annotations
+
+import functools
+import re
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
+
+from .._scalar import Rational
+from ..arith import MultiPoly, binomial
+from ..quadext import FAMILIES
+from ..symfun import LetterPair, sym_ehp
+from .core import (
+    Context,
+    IdentityRecord,
+    SideFn,
+    eval_convolution_sum,
+    get_context,
+    printed_ratio,
+)
+
+__all__ = ["PrintedForm", "k_factor", "printed", "read_anchor"]
+
+# leading space, then a token or (third group) a character that starts
+# none; the single letters listed first begin no longer name
+_TOKEN = re.compile(
+    r"(\s*)(?:([-+/^=(),\[\]]|\d+|[Duvxytdnmk]|C_?|[SBEGFLhp]_|B\*_|phi_|lam[12]|e[12]"
+    r"|Sig|sum|sqrt|letters|roots|positive|" + "|".join(FAMILIES) + r")|(\S))"
+)
+# tokens that end a product
+_STOP = {"+", "-", "=", ")", ",", "[", "]", "/", "^", ""}
+
+_Y = MultiPoly.var("y")
+_T = MultiPoly.var("t")
+# each symbol as a compiled node: ev(ctx, n, k)
+_SYMBOLS = {
+    "u": lambda ctx, n, k: ctx.u,
+    "lam1": lambda ctx, n, k: ctx.u,
+    "v": lambda ctx, n, k: ctx.v,
+    "lam2": lambda ctx, n, k: ctx.v,
+    "D": lambda ctx, n, k: ctx.D,
+    "Sig": lambda ctx, n, k: ctx.Sig,
+    "e1": lambda ctx, n, k: ctx.Sig,
+    "e2": lambda ctx, n, k: ctx.Prod,
+    "d": lambda ctx, n, k: ctx.delta,
+    "x": lambda ctx, n, k: ctx.x,
+    "y": lambda ctx, n, k: ctx.embed(_Y),
+    "t": lambda ctx, n, k: ctx.embed(_T),
+}
+_SEQUENCES = {
+    "S_": Context.S,
+    "phi_": Context.phi,
+    "F_": lambda ctx, j: ctx.seq("fibonacci", j),
+    "L_": lambda ctx, j: ctx.seq("lucas", j),
+    "B*_": lambda ctx, j: ctx.seq("balancing", j),
+    "C_": lambda ctx, j: ctx.seq("lucas_balancing", j),
+}
+_NUMBERS = {"B_": Context.B, "E_": Context.E, "G_": Context.G}
+_ATOMS = {"n": ("idx", "n"), "m": ("idx", "n"), "k": ("idx", "k")}
+_ATOMS.update((name, ("sym", name)) for name in _SYMBOLS)
+_POLYNOMIALS = {"B_": "bernoulli", "E_": "euler", "G_": "genocchi"}
+_BINOMIAL_NK = ("binom", ("idx", "n"), ("idx", "k"))
+_N_MINUS_K = ("add", (("+", ("idx", "n")), ("-", ("idx", "k"))))
+
+Eval = Callable[[Context, int, int], Any]
+
+
+def _error(anchor: str, pos: int, message: str) -> ValueError:
+    return ValueError(f"anchor {anchor!r} at position {pos}: {message}")
+
+
+class _Reader:
+    """Recursive-descent parser from an anchor to a tuple tree.
+
+    Nodes: ("num", int), ("idx", "n"|"k"), ("sym", name),
+    ("seq", kind, sub), ("npoly", kind, sub), ("ehp", "h"|"p", sub, a, b),
+    ("binom", a, b), ("pow", base, exp), ("div", num, den),
+    ("mul", factors), ("add", ((sign, term), ...)), ("sum", parity, summand).
+    """
+
+    def __init__(self, anchor: str):
+        self.anchor = anchor
+        # (leading space, token, a character that starts no token)
+        self.toks = _TOKEN.findall(anchor)
+        # closed by empty end tokens, so the parser may look two past the last
+        self.texts = [tok[1] for tok in self.toks] + ["", "", ""]
+        if "" in self.texts[:-3]:
+            self.i = self.texts.index("")
+            raise self.error(f"unknown symbol {self.toks[self.i][2]!r}")
+        self.i = 0
+
+    def position(self, i: int) -> int:
+        """Where token i starts in the anchor (its end, past the last)."""
+        before = sum(len("".join(tok)) for tok in self.toks[:i])
+        return before + len(self.toks[i][0]) if i < len(self.toks) else before
+
+    def peek(self) -> str:
+        return self.texts[self.i]
+
+    def error(self, message: str, at: Optional[int] = None) -> ValueError:
+        return _error(self.anchor, self.position(self.i if at is None else at), message)
+
+    def take(self, *expected: str) -> str:
+        text = self.peek()
+        if expected and text not in expected:
+            want = " or ".join(repr(e) for e in expected)
+            raise self.error(f"expected {want}, found {text or 'the end'!r}")
+        self.i += 1
+        return text
+
+    def expect(self, pattern: str) -> None:
+        """Take the space-separated tokens of pattern; a|b allows either."""
+        for item in pattern.split():
+            self.take(*item.split("|"))
+
+    # -- grammar ---------------------------------------------------------
+
+    def statement(self):
+        lhs = self.side()
+        self.take("=")
+        rhs = self.side()
+        notes = []
+        while self.peek() in ("(", "["):
+            notes.append(self.annotation())
+        self.take("")
+        return lhs, rhs, notes
+
+    def lone_side(self):
+        side = self.side()
+        self.take("")
+        return side
+
+    def side(self):
+        if self.peek() != "sum":
+            return self.expr()
+        self.take("sum")
+        parity = self.peek() == "["
+        if parity:
+            self.expect("[ n|m = k ( 2 ) ]")
+        return ("sum", parity, self.term())
+
+    def expr(self):
+        sign = self.take("-") if self.texts[self.i] == "-" else "+"
+        terms = [(sign, self.term())]
+        while self.texts[self.i] in ("+", "-"):
+            sign = self.texts[self.i]
+            self.i += 1
+            terms.append((sign, self.term()))
+        if terms == [("+", terms[0][1])]:
+            return terms[0][1]
+        return ("add", tuple(terms))
+
+    def term(self):
+        """Juxtaposed factors; a factor is power ('/' power)* and a power
+        is primary ['^' primary], so ^ binds tightest and / before
+        juxtaposition."""
+        texts = self.texts
+        factors = []
+        while True:
+            node = None
+            while True:
+                part = self.primary()
+                if texts[self.i] == "^":
+                    self.i += 1
+                    part = ("pow", part, self.primary())
+                node = part if node is None else ("div", node, part)
+                if texts[self.i] != "/":
+                    break
+                self.i += 1
+            factors.append(node)
+            if texts[self.i] in _STOP or texts[self.i:self.i + 3] == ["(", "n", "positive"]:
+                return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
+
+    def pair(self):
+        self.take("(")
+        a = self.expr()
+        self.take(",")
+        b = self.expr()
+        self.take(")")
+        return a, b
+
+    def primary(self):
+        at = self.i
+        text = self.texts[at]
+        self.i += 1
+        if text in _ATOMS:
+            return _ATOMS[text]
+        if text.isdigit():
+            return ("num", int(text))
+        if text == "(":
+            node = self.expr()
+            self.take(")")
+            return node
+        if text == "C":
+            return ("binom", *self.pair())
+        if text in _SEQUENCES or text in _NUMBERS:
+            sub = self.primary()
+            glued = self.texts[self.i] == "(" and not self.toks[self.i][0]
+            if text in _POLYNOMIALS and glued:
+                self.expect("( x )")
+                return ("npoly", text, sub)
+            return ("seq", text, sub)
+        if text in ("h_", "p_"):
+            return ("ehp", text[0], self.primary(), *self.pair())
+        raise self.error(f"unexpected {text or 'end'!r}", at)
+
+    def annotation(self):
+        at = self.position(self.i)
+        if self.peek() == "(":
+            self.expect("( n positive )")
+            return ("positive", at)
+        self.take("[")
+        if self.peek() == "d":
+            self.expect("d = sqrt (")
+            radicand = self.expr()
+            self.expect(") ]")
+            return ("sqrt", at, radicand)
+        self.expect("letters =")
+        family = self.take(*FAMILIES)
+        self.expect("roots ]")
+        return ("letters", at, family)
+
+
+# --------------------------------------------------------------------------
+# tree queries and the clearing rules
+# --------------------------------------------------------------------------
+
+
+def _is_ring(node) -> bool:
+    """Whether node is a ring element (else an exact scalar)."""
+    tag = node[0]
+    if tag in ("sym", "npoly", "ehp", "sum"):
+        return True
+    if tag == "seq":
+        return node[1] in _SEQUENCES
+    if tag == "pow":
+        return _is_ring(node[1])
+    if tag == "div":
+        return _is_ring(node[1]) or _is_ring(node[2])
+    if tag == "mul":
+        return any(_is_ring(f) for f in node[1])
+    if tag == "add":
+        return any(_is_ring(t) for _, t in node[1])
+    return False
+
+
+def _reads(node, index: str) -> bool:
+    """Whether the index "n" or "k" occurs in node."""
+    if node == ("idx", index):
+        return True
+    return any(isinstance(c, tuple) and _reads(c, index) for c in node)
+
+
+def _linear(node) -> Optional[Tuple[int, int, int]]:
+    """(a, b, c) when node is the index a n + b k + c, else None."""
+    if node[0] == "num":
+        return (0, 0, node[1])
+    if node[0] == "idx":
+        return (1, 0, 0) if node[1] == "n" else (0, 1, 0)
+    if node[0] != "add":
+        return None
+    total = (0, 0, 0)
+    for sign, term in node[1]:
+        lin = _linear(term)
+        if lin is None:
+            return None
+        s = 1 if sign == "+" else -1
+        total = tuple(t + s * x for t, x in zip(total, lin))
+    return total
+
+
+def _factors(node) -> List[Any]:
+    """The factors of a product, nested products flattened."""
+    if node[0] != "mul":
+        return [node]
+    return [f for part in node[1] for f in _factors(part)]
+
+
+def _clear(side):
+    """(side, by): side with a cleared factor taken out, and the factor
+    the other side is multiplied by (None if nothing is cleared)."""
+    if side[0] == "sum":
+        factors = _factors(side[2])
+        for i, f in enumerate(factors):
+            lin = _linear(f[2]) if f[0] == "pow" else None
+            if lin and lin[:2] == (1, -1) and lin[2] < 0 and not (
+                _reads(f[1], "n") or _reads(f[1], "k")
+            ):
+                factors[i] = ("pow", f[1], _N_MINUS_K)
+                return ("sum", side[1], ("mul", tuple(factors))), ("pow", f[1], ("num", -lin[2]))
+        return side, None
+    terms = list(side[1]) if side[0] == "add" else [("+", side)]
+    for i, (sign, term) in enumerate(terms):
+        factors = _factors(term)
+        for j, f in enumerate(factors):
+            if f[0] == "div" and _is_ring(f[2]):
+                den = f[2]
+                factors[j] = f[1]
+                terms = [
+                    (s, ("mul", tuple(factors)) if m == i else ("mul", (den, t)))
+                    for m, (s, t) in enumerate(terms)
+                ]
+                return ("add", tuple(terms)), den
+    return side, None
+
+
+# --------------------------------------------------------------------------
+# compilation: a tree becomes a closure ev(ctx, n, k)
+# --------------------------------------------------------------------------
+
+
+def _scalar_power(base, e: int):
+    return base ** e if e >= 0 else Rational(base) ** e
+
+
+def _product(factors) -> Eval:
+    """Scalar factors first; ring factors only if their product is not 0."""
+    if len(factors) == 1:
+        return _compile(factors[0])
+    scalars = [_compile(f) for f in factors if not _is_ring(f)]
+    rings = [_compile(f) for f in factors if _is_ring(f)]
+    first, rest = (rings[0], rings[1:]) if rings else (None, ())
+
+    def ev(ctx, n, k):
+        s = 1
+        for f in scalars:
+            s = s * f(ctx, n, k)
+        if first is None:
+            return s
+        if not s:
+            return ctx.zero
+        r = first(ctx, n, k)
+        for f in rest:
+            r = r * f(ctx, n, k)
+        return r if s == 1 else s * r
+
+    return ev
+
+
+@functools.lru_cache(maxsize=None)
+def _k_factor(factors: tuple) -> Callable[[Context, int], Any]:
+    """fn(ctx, k), the product of a summand's ring factors of k alone, for
+    ``Context.factor``.  Equal products share one callable, so equal
+    brackets of different records share their memo entries."""
+    ev = _product(factors) if factors else (lambda ctx, n, k: ctx.one)
+    return lambda ctx, k: ev(ctx, 0, k)
+
+
+def k_factor(text: str) -> Callable[[Context, int], Any]:
+    """The summand factor of k alone written ``text``, as for a sum."""
+    return _k_factor(tuple(_factors(_Reader(text).lone_side())))
+
+
+def _sum(parity: bool, summand) -> Eval:
+    use_binomial = False
+    scalars, low, high = [], [], []
+    for f in _factors(summand):
+        if f == _BINOMIAL_NK:
+            use_binomial = True
+        elif not _is_ring(f):
+            scalars.append(f)
+        else:
+            (high if _reads(f, "n") else low).append(f)
+    weight = _product(scalars) if scalars else None
+    low_fn = _k_factor(tuple(low))
+    high_ev = _product(high) if high else (lambda ctx, n, k: ctx.one)
+
+    def ev(ctx, n, k):
+        return eval_convolution_sum(
+            ctx, n,
+            lambda k_: ctx.factor(low_fn, k_),
+            lambda j: high_ev(ctx, n, n - j),
+            use_binomial=use_binomial,
+            weight=None if weight is None else (lambda n_, k_: weight(ctx, n_, k_)),
+            parity=parity,
+        )
+
+    return ev
+
+
+@functools.lru_cache(maxsize=None)
+def _compile(node) -> Eval:
+    """The closure ev(ctx, n, k) of node; equal nodes share one."""
+    tag = node[0]
+    if tag == "num":
+        value = node[1]
+        return lambda ctx, n, k: value
+    if tag == "idx":
+        return (lambda ctx, n, k: n) if node[1] == "n" else (lambda ctx, n, k: k)
+    if tag == "sym":
+        return _SYMBOLS[node[1]]
+    if tag in ("seq", "npoly"):
+        sub = _compile(node[2])
+        if tag == "npoly":
+            kind = _POLYNOMIALS[node[1]]
+            return lambda ctx, n, k: ctx.npoly(kind, sub(ctx, n, k))
+        if node[1] in _SEQUENCES:
+            sequence = _SEQUENCES[node[1]]
+            return lambda ctx, n, k: sequence(ctx, sub(ctx, n, k))
+        number = _NUMBERS[node[1]]
+
+        def ev_number(ctx, n, k):
+            j = sub(ctx, n, k)
+            return number(ctx, j) if j >= 0 else 0
+
+        return ev_number
+    if tag == "ehp":
+        kind = node[1]
+        sub, a, b = (_compile(c) for c in node[2:])
+        return lambda ctx, n, k: sym_ehp(
+            kind, sub(ctx, n, k), LetterPair(a(ctx, n, k), b(ctx, n, k))
+        )
+    if tag == "binom":
+        a, b = _compile(node[1]), _compile(node[2])
+        return lambda ctx, n, k: binomial(a(ctx, n, k), b(ctx, n, k))
+    if tag == "pow":
+        base, exp = _compile(node[1]), _compile(node[2])
+        if _is_ring(node[1]):
+            return lambda ctx, n, k: ctx.power(base(ctx, n, k), exp(ctx, n, k))
+        return lambda ctx, n, k: _scalar_power(base(ctx, n, k), exp(ctx, n, k))
+    if tag == "div":
+        if _is_ring(node[2]):
+            raise ValueError("a ring denominator must divide a whole term of a side")
+        num, den = _compile(node[1]), _compile(node[2])
+        if _is_ring(node[1]):
+            return lambda ctx, n, k: num(ctx, n, k) * printed_ratio(1, den(ctx, n, k))
+        return lambda ctx, n, k: printed_ratio(num(ctx, n, k), den(ctx, n, k))
+    if tag == "mul":
+        return _product(_factors(node))
+    if tag == "add":
+        lin = _linear(node)
+        if lin is not None:
+            a, b, c = lin
+            return lambda ctx, n, k: a * n + b * k + c
+        (sign0, first), rest = node[1][0], [(s == "-", _compile(t)) for s, t in node[1][1:]]
+        first, negate = _compile(first), sign0 == "-"
+
+        def ev_add(ctx, n, k):
+            total = first(ctx, n, k)
+            if negate:
+                total = -total
+            for minus, f in rest:
+                total = total - f(ctx, n, k) if minus else total + f(ctx, n, k)
+            return total
+
+        return ev_add
+    return _sum(node[1], node[2])
+
+
+def _side(node) -> SideFn:
+    """side(ctx, n), compiled on its first call: registration reads every
+    anchor, while a run may evaluate only a few."""
+    compiled: List[Eval] = []
+
+    def side(ctx, n):
+        if not compiled:
+            compiled.append(_compile(node))
+        return compiled[0](ctx, n, 0)
+
+    return side
+
+
+def _sides(lhs, rhs) -> Tuple[SideFn, SideFn, bool]:
+    """Both sides, cleared, and whether a factor was cleared."""
+    lhs, by_lhs = _clear(lhs)
+    rhs, by_rhs = _clear(rhs)
+    if by_lhs is not None:
+        rhs = ("mul", (by_lhs, rhs))
+    if by_rhs is not None:
+        lhs = ("mul", (by_rhs, lhs))
+    return _side(lhs), _side(rhs), by_lhs is not None or by_rhs is not None
+
+
+# --------------------------------------------------------------------------
+# the compiled form and the records built from it
+# --------------------------------------------------------------------------
+
+
+class PrintedForm(NamedTuple):
+    """An anchor read into the sides a record evaluates.
+
+    ``cleared`` says whether a factor was cleared; ``checks`` hold one
+    callable ``check(ring, lo)`` per annotation.  The unrestricted sides
+    exist when a companion closed form was given.
+    """
+
+    lhs: SideFn
+    rhs: SideFn
+    parity: bool
+    cleared: bool
+    unrestricted_lhs: Optional[SideFn]
+    unrestricted_rhs: Optional[SideFn]
+    checks: Tuple[Callable[[str, int], None], ...]
+
+
+def _annotation_check(anchor: str, note) -> Callable[[str, int], None]:
+    kind, at = note[0], note[1]
+    if kind == "positive":
+
+        def check(ring, lo):
+            if lo < 1:
+                raise _error(anchor, at, f"(n positive) needs a range from 1, not from {lo}")
+
+    elif kind == "letters":
+        want = f"{note[2]}-roots"
+
+        def check(ring, lo):
+            if ring != want:
+                raise _error(anchor, at, f"the letters are {note[2]} roots, not of ring {ring}")
+
+    else:
+        radicand = _compile(note[2])
+
+        def check(ring, lo):
+            ctx = get_context(ring)
+            if ctx.family is None or radicand(ctx, 0, 0) != ctx.delta * ctx.delta:
+                raise _error(anchor, at, f"the radicand is not d^2 in ring {ring}")
+
+    return check
+
+
+@functools.lru_cache(maxsize=None)
+def _read(anchor: str, companion: Optional[str]) -> PrintedForm:
+    reader = _Reader(anchor)
+    lhs, rhs, notes = reader.statement()
+    parity = lhs[0] == "sum" and lhs[1]
+    lhs_fn, rhs_fn, cleared = _sides(lhs, rhs)
+    unrestricted: Tuple[Optional[SideFn], Optional[SideFn]] = (None, None)
+    if companion is not None:
+        if not parity:
+            raise ValueError(f"anchor {anchor!r}: a companion needs a parity-restricted sum")
+        full = ("sum", False, lhs[2])
+        unrestricted = _sides(full, _Reader(companion).lone_side())[:2]
+    return PrintedForm(
+        lhs_fn, rhs_fn, parity, cleared, *unrestricted,
+        tuple(_annotation_check(anchor, note) for note in notes),
+    )
+
+
+def read_anchor(
+    anchor: str, ring: str, lo: int, companion: Optional[str] = None
+) -> PrintedForm:
+    """The compiled form of an anchor, its annotations checked against a
+    record in ``ring`` whose range starts at ``lo``.
+
+    Raises ValueError naming the anchor and the position of the first
+    thing that cannot be read or that an annotation rules out.  (A ring
+    denominator inside a term, which no clearing rule removes, is
+    refused when the side is first evaluated.)
+    """
+    form = _read(anchor, companion)
+    for check in form.checks:
+        check(ring, lo)
+    return form
+
+
+def printed(
+    ident: str,
+    variant: str,
+    ring: str,
+    lo: int,
+    hi: int,
+    anchor: str,
+    note: Optional[str] = None,
+    *,
+    source: Optional[str] = None,
+    shape: Optional[Any] = None,
+    companion: Optional[str] = None,
+) -> IdentityRecord:
+    """The record stating ``anchor``: sides and parity are read from it."""
+    form = read_anchor(anchor, ring, lo, companion)
+    return IdentityRecord(
+        ident, variant, ring, lo, hi, form.lhs, form.rhs,
+        anchor=anchor, parity=form.parity, note=note, source=source, shape=shape,
+        unrestricted_lhs=form.unrestricted_lhs, unrestricted_rhs=form.unrestricted_rhs,
+    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Union
+from typing import Mapping
 
 from ._scalar import Rational, is_scalar
 from .arith import MultiPoly, Scalar
@@ -27,14 +27,8 @@ __all__ = [
     "RootPair",
     "FAMILIES",
     "make_root_pair",
-    "qe_arith",
     "qe_binet_ratio",
-    "qe_pow",
-    "qe_rational_part",
-    "qe_substitute",
 ]
-
-Coercible = Union["QuadExtElem", MultiPoly, Scalar]
 
 
 @dataclass(frozen=True)
@@ -109,6 +103,9 @@ class QuadExtElem:
         return self.disc == other.disc and self.a == other.a and self.b == other.b
 
     def __hash__(self) -> int:
+        # an element with b = 0 equals its polynomial a, so it hashes as a
+        if self.b.is_zero():
+            return hash(self.a)
         return hash((self.disc.name, self.a, self.b))
 
     def __neg__(self) -> "QuadExtElem":
@@ -227,28 +224,6 @@ def make_root_pair(family: str) -> RootPair:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}") from None
 
 
-def qe_arith(op: str, u: Coercible, v: Coercible) -> QuadExtElem:
-    """Extension-ring arithmetic by opcode: add | sub | mul."""
-    if not isinstance(u, QuadExtElem) and not isinstance(v, QuadExtElem):
-        raise TypeError("qe_arith needs at least one QuadExtElem operand")
-    if op == "add":
-        return u + v
-    if op == "sub":
-        return u - v
-    if op == "mul":
-        return u * v
-    raise ValueError(f"unknown extension op {op!r}")
-
-
-def qe_pow(u: QuadExtElem, exponent: int) -> QuadExtElem:
-    return u ** exponent
-
-
-def qe_rational_part(u: QuadExtElem) -> MultiPoly:
-    """The part of u lying in the base polynomial ring (the 'a' of a + b*sqrt(d))."""
-    return u.a
-
-
 def qe_binet_ratio(pair: RootPair, n: int) -> MultiPoly:
     """(lam1^n - lam2^n) / (lam1 - lam2) as a plain polynomial.
 
@@ -263,7 +238,3 @@ def qe_binet_ratio(pair: RootPair, n: int) -> MultiPoly:
     if not diff.a.is_zero():
         raise ValueError("power difference has a rational part; roots are not conjugate")
     return diff.b * (1 / pair.diff_scale)
-
-
-def qe_substitute(u: QuadExtElem, bindings: Mapping[str, MultiPoly | Scalar]) -> QuadExtElem:
-    return u.substitute(bindings)

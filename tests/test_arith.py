@@ -311,3 +311,17 @@ def test_constructor_rejects_a_non_mapping():
             MultiPoly(bad)
         assert len(str(info.value).splitlines()) == 1
     assert MultiPoly().is_zero()
+
+
+def test_equal_values_hash_equal():
+    # a constant polynomial equals its scalar and a root-ring element with
+    # no sqrt part equals its polynomial; each must land in the same set
+    # slot, since Context.power keys its cache on these hashes
+    from convcheck.identities import Context
+
+    assert len({MultiPoly.constant(2), 2}) == 1
+    assert len({MultiPoly.constant(Rational(1, 2)), Rational(1, 2)}) == 1
+    ctx = Context("fibonacci-roots")
+    y = MultiPoly.var("y")
+    assert len({ctx.embed(y), y}) == 1
+    assert ctx.power(ctx.embed(y), 3) is ctx.power(y, 3)

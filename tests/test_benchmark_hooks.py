@@ -9,6 +9,8 @@ small check catches a rename here, far faster than a benchmark smoke run.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 from convcheck.identities import core, get_record
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -36,3 +38,25 @@ def test_tracer_installs_runs_one_record_and_restores():
     assert metrics["core.pair_product.calls"] == 1 + 2 + 3
     assert metrics["core.conv_sum.calls"] == 3
     assert (core.run_record, core.Context.pair_product) == original
+
+
+@pytest.mark.parametrize("key, conv_sums, pair_products", [
+    # n = 0..3: one sum per n and every binomial summand formed
+    ("C2.1.3:as_printed", 4, 1 + 2 + 3 + 4),
+    # the parity skip and the zero G_0 weight come before any product
+    ("C3.1:as_printed", 4, 2),
+])
+def test_tracer_counts_the_steps_of_a_root_ring_record(key, conv_sums, pair_products):
+    rec = get_record(key)
+    # evaluated once untraced first, so a side that held on to the
+    # untraced evaluator would be caught below
+    core.run_record(rec, (0, 3), core.Context(rec.ring))
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        core.run_record(rec, (0, 3), core.Context(rec.ring))
+    finally:
+        tracer.restore()
+    metrics = tracer.layer_metrics()
+    assert metrics["core.conv_sum.calls"] == conv_sums
+    assert metrics["core.pair_product.calls"] == pair_products

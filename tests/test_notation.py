@@ -1,0 +1,193 @@
+"""The anchor notation: every printed record's sides are read from its anchor.
+
+``tests/data/printed_sides.json`` is the migration oracle.  It holds, for
+each of the 71 records once written as hand-transcribed side functions
+(the 67 as-printed records and the hand-stated corrected L1.2S, R1.1,
+R1.2 and BINET.C) and for the 4 parity companions, the sha256 of
+``str(side)`` at every n in [lo, min(hi, lo+12)], or the ``undefined: ...``
+reason.  It was written from those hand-written functions before they
+were deleted; the sides read from the anchors must reproduce it exactly.
+"""
+
+import hashlib
+import json
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from convcheck.identities import (
+    Context,
+    PrintedFormUndefined,
+    get_context,
+    get_record,
+    register_catalog,
+)
+from convcheck.identities.notation import read_anchor
+from convcheck.identities.theorems import weighted_conv_lhs
+
+ORACLE = json.loads((Path(__file__).parent / "data" / "printed_sides.json").read_text())
+HAND_STATED = {"L1.2S", "R1.1", "R1.2", "BINET.C"}
+SIDES = ("lhs", "rhs", "unrestricted_lhs", "unrestricted_rhs")
+
+
+def from_anchor(rec):
+    return rec.variant == "as_printed" or rec.ident in HAND_STATED
+
+
+def side_digest(fn, ctx, n):
+    try:
+        value = fn(ctx, n)
+    except PrintedFormUndefined as exc:
+        return f"undefined: {exc}"
+    return hashlib.sha256(str(value).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# the migration oracle and the records' own consistency
+# ---------------------------------------------------------------------------
+
+
+def test_oracle_covers_every_record_read_from_an_anchor():
+    keys = {rec.key for rec in register_catalog() if from_anchor(rec)}
+    assert keys == set(ORACLE) and len(keys) == 71
+    assert sum("unrestricted_lhs" in entry for entry in ORACLE.values()) == 4
+
+
+@pytest.mark.parametrize("key", sorted(ORACLE))
+def test_parsed_sides_match_the_hand_written_ones(key):
+    rec = get_record(key)
+    ctx = Context(rec.ring)
+    entry = ORACLE[key]
+    assert entry["lo"] == rec.lo
+    assert [name for name in SIDES if getattr(rec, name) is not None] == [
+        name for name in SIDES if name in entry
+    ]
+    for name in SIDES:
+        if name in entry:
+            fn = getattr(rec, name)
+            got = [side_digest(fn, ctx, rec.lo + i) for i in range(len(entry[name]))]
+            assert got == entry[name], name
+
+
+@pytest.mark.parametrize("ident", ["T3.2", "T3.5a", "T3.5b"])
+def test_shape_agrees_with_its_anchor(ident):
+    rec = get_record(f"{ident}:as_printed")
+    shaped = weighted_conv_lhs(rec.shape)
+    ctx = get_context(rec.ring)
+    for n in range(13):
+        assert shaped(ctx, n) == rec.lhs(ctx, n), n
+
+
+def test_note_says_cleared_exactly_when_a_factor_was_cleared():
+    cleared = {}
+    for rec in register_catalog():
+        if from_anchor(rec):
+            form = read_anchor(rec.anchor, rec.ring, rec.lo)
+            cleared[rec.key] = form.cleared
+            assert form.cleared == ("recorded cleared by" in (rec.note or "")), rec.key
+    assert sum(cleared.values()) == 14
+
+
+def test_the_parity_flag_comes_from_the_anchor():
+    for rec in register_catalog():
+        if from_anchor(rec):
+            assert rec.parity == rec.anchor.startswith(("sum[n=k(2)]", "sum[m=k(2)]"))
+
+
+def test_corrected_anchors_hold_in_their_rings():
+    # the anchors of the mechanically derived records are quoted in the
+    # errata as "corrected form"; read as statements they must hold too
+    derived = [rec for rec in register_catalog() if not from_anchor(rec)]
+    assert len(derived) == 4 + 38
+    for rec in derived:
+        form = read_anchor(rec.anchor, rec.ring, rec.lo)
+        ctx = get_context(rec.ring)
+        for n in range(rec.lo, 7):
+            assert form.lhs(ctx, n) == form.rhs(ctx, n), (rec.key, n)
+
+
+# ---------------------------------------------------------------------------
+# the notation itself
+# ---------------------------------------------------------------------------
+
+
+def sides(anchor, ring="indeterminate", n=3):
+    form = read_anchor(anchor, ring, 0)
+    ctx = get_context(ring)
+    return form.lhs(ctx, n), form.rhs(ctx, n)
+
+
+def test_glued_symbols_multiply():
+    ctx = get_context("fibonacci-roots")
+    lhs, rhs = sides("2xd = 2 x d", "fibonacci-roots")
+    assert lhs == rhs == 2 * ctx.x * ctx.delta
+    lhs, rhs = sides("dx + 9y^2 = d x + 9 y^2", "fibonacci-roots")
+    assert lhs == rhs
+    ind = get_context("indeterminate")
+    lhs, rhs = sides("xD = x D")
+    assert lhs == rhs == ind.x * ind.D
+    lhs, rhs = sides("(3u+v)^n = (3 u + v)^n")
+    assert lhs == rhs == (3 * ind.u + ind.v) ** 3
+
+
+def test_juxtaposed_parenthesis_multiplies_but_a_basis_is_called():
+    ind = get_context("indeterminate")
+    for n in range(5):
+        lhs, rhs = sides("n(1-n) u^n = n u^n - n^2 u^n", n=n)
+        assert lhs == rhs == n * (1 - n) * ind.u ** n
+        lhs, rhs = sides("S_n = h_n(u, v)", n=n)
+        assert lhs == rhs == ind.S(n)
+
+
+def test_division_binds_tighter_than_juxtaposition():
+    ind = get_context("indeterminate")
+    lhs, rhs = sides("2 u/2 v = u v")
+    assert lhs == rhs == ind.u * ind.v
+    # a scalar ratio is one factor: 3/(n-1) at n = 3 is 3/2, not 3/n - 1
+    lhs, _ = sides("3/(n-1) u = u", n=3)
+    assert lhs == Fraction(3, 2) * ind.u
+
+
+def test_a_ratio_over_zero_is_undefined_unless_its_numerator_is_zero():
+    ctx = get_context("indeterminate")
+    form = read_anchor("B_(n-2)/(n-2) u^n = u^n", "indeterminate", 0)
+    with pytest.raises(PrintedFormUndefined, match=r"^summand coefficient 1/0$"):
+        form.lhs(ctx, 2)
+    assert form.lhs(ctx, 3) == -ctx.u ** 3 / 2
+    # G_0 = 0, so G_0/0 contributes nothing
+    zero = read_anchor("G_(n-2)/(n-2) u^n = u^n", "indeterminate", 0)
+    assert zero.lhs(ctx, 2) == ctx.zero
+
+
+def test_scalar_zero_skips_the_ring_factors():
+    # x^(n-2) has no value at n = 0 or 1, where the scalar part is 0
+    ctx = get_context("fibonacci-roots")
+    form = read_anchor("2n(1-n) (y^2+4t) x^(n-2) = 0 x", "fibonacci-roots", 0)
+    assert form.lhs(ctx, 0) == form.lhs(ctx, 1) == ctx.zero
+
+
+def one_line_error(anchor, ring, lo=0):
+    with pytest.raises(ValueError) as info:
+        read_anchor(anchor, ring, lo)
+    message = str(info.value)
+    assert "\n" not in message and repr(anchor) in message
+    return message
+
+
+def test_a_false_radicand_is_refused_where_it_stands():
+    anchor = get_record("C3.1:as_printed").anchor.replace("sqrt(y^2+4t)", "sqrt(y^2+5t)")
+    message = one_line_error(anchor, "fibonacci-roots")
+    assert f"at position {anchor.index('[d = ')}:" in message
+
+
+def test_an_unknown_symbol_is_refused_where_it_stands():
+    anchor = get_record("T3.1:as_printed").anchor.replace("G_(n-k)", "Q_(n-k)")
+    message = one_line_error(anchor, "indeterminate")
+    assert f"at position {anchor.index('Q_')}: unknown symbol 'Q'" in message
+
+
+def test_annotations_are_checked_against_the_record():
+    assert "(n positive)" in one_line_error("S_n - u v S_(n-2) = phi_n  (n positive)", "indeterminate")
+    derived = get_record("C3.1:corrected").anchor
+    assert "fibonacci roots" in one_line_error(derived, "balancing-roots")
