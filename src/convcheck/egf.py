@@ -150,7 +150,7 @@ SPECIAL_KINDS = (
 )
 
 
-def egf_special(which: str, order: int, substituted_arg=None) -> EgfSeries:
+def egf_special(which: str, order: int) -> EgfSeries:
     """Closed-form special series, assembled from the primitives above.
 
     bernoulli        z/(e^z - 1)
@@ -159,30 +159,23 @@ def egf_special(which: str, order: int, substituted_arg=None) -> EgfSeries:
     bernoulli_poly   e^(xz) * z/(e^z - 1)
     euler_poly       e^(xz) * 2/(e^z + 1)
     genocchi_poly    e^(xz) * 2z/(e^z + 1)
-
-    ``substituted_arg`` optionally replaces z by c*z at the end, scaling
-    coefficient n by c^n.
     """
     if order < 0:
         raise ValueError("order must be non-negative")
     if which == "bernoulli":
-        series = egf_invert(_exp_z_minus_one_over_z(order))
+        return egf_invert(_exp_z_minus_one_over_z(order))
     elif which == "euler":
         # 2 e^z / (e^(2z) + 1) = e^z * (2 / (e^(2z) + 1)); the halved
         # denominator (e^(2z)+1)/2 has coefficients 1, 2^(n-1) for n >= 1
         num = egf_exp_linear(1, order)
         den = EgfSeries([_ONE] + [MultiPoly.constant(2 ** (n - 1)) for n in range(1, order + 1)])
-        series = egf_mul(num, egf_invert(den))
+        return egf_mul(num, egf_invert(den))
     elif which == "genocchi":
-        series = egf_mul_by_z(egf_invert(_exp_z_plus_one_half(order)))
+        return egf_mul_by_z(egf_invert(_exp_z_plus_one_half(order)))
     elif which == "bernoulli_poly":
-        series = egf_mul(egf_special("bernoulli", order), egf_exp_linear(MultiPoly.var("x"), order))
+        return egf_mul(egf_special("bernoulli", order), egf_exp_linear(MultiPoly.var("x"), order))
     elif which == "euler_poly":
-        series = egf_mul(egf_invert(_exp_z_plus_one_half(order)), egf_exp_linear(MultiPoly.var("x"), order))
+        return egf_mul(egf_invert(_exp_z_plus_one_half(order)), egf_exp_linear(MultiPoly.var("x"), order))
     elif which == "genocchi_poly":
-        series = egf_mul(egf_special("genocchi", order), egf_exp_linear(MultiPoly.var("x"), order))
-    else:
-        raise ValueError(f"unknown special series {which!r}; choose from {SPECIAL_KINDS}")
-    if substituted_arg is not None:
-        series = egf_scale_arg(series, substituted_arg)
-    return series
+        return egf_mul(egf_special("genocchi", order), egf_exp_linear(MultiPoly.var("x"), order))
+    raise ValueError(f"unknown special series {which!r}; choose from {SPECIAL_KINDS}")

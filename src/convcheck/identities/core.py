@@ -148,9 +148,6 @@ class Context:
             powers.append(powers[-1] * base)
         return powers[e]
 
-    def Dpow(self, e: int):
-        return self.power(self.D, e)
-
     def factor(self, fn: Callable[["Context", int], Any], k: int):
         """fn(self, k), computed once per (fn, k) in this ring.  A sum's
         factor of the summation index k alone (a bracket) is the same at
@@ -192,9 +189,6 @@ class Context:
         """sqrt(d) itself, available in root contexts."""
         self._require_family()
         return QuadExtElem(MultiPoly.constant(0), MultiPoly.constant(1), self.pair.disc)
-
-    def deltapow(self, e: int):
-        return self.power(self.delta, e)
 
     def seq(self, kind: str, j: int):
         """Embedded bivariate sequence value, with negative index -> 0."""
@@ -273,9 +267,12 @@ class IdentityRecord:
     ``lhs``/``rhs`` evaluate the two sides in a given context at index n.
     ``anchor`` quotes the equation as the catalog states it (for reports);
     ``note`` documents a known discrepancy on as-printed variants.
-    For parity-restricted sums, ``unrestricted_lhs``/``unrestricted_rhs``
-    optionally carry the companion closed form of the full sum, which is
-    what :func:`parity_restriction_equivalence` checks.
+    ``statement`` holds the two cleared side trees the sides were
+    compiled from, when the record was read or rewritten by
+    :mod:`convcheck.identities.notation`.  For parity-restricted sums,
+    ``unrestricted_lhs``/``unrestricted_rhs`` optionally carry the
+    companion closed form of the full sum, which is what
+    :func:`parity_restriction_equivalence` checks.
     """
 
     ident: str
@@ -289,7 +286,7 @@ class IdentityRecord:
     parity: bool = False
     note: Optional[str] = None
     source: Optional[str] = None
-    shape: Optional[Any] = None  # WeightedShape, when a transform applies
+    statement: Optional[Tuple[Any, Any]] = None
     unrestricted_lhs: Optional[SideFn] = None
     unrestricted_rhs: Optional[SideFn] = None
 

@@ -1,18 +1,20 @@
 """Mechanical transforms that produce the corrected catalog entries.
 
-Three operations, all shape-driven so nothing is re-derived by hand:
+Three operations, none re-derived by hand.  The first two are rewrites
+of the parsed source statement (:mod:`convcheck.identities.notation`
+reads every new piece, written here in the anchors' notation), so a
+corrected record is evaluated by the same compiled closures as a
+printed one:
 
-* :func:`reindex_shift_two` -- rewrite a weighted convolution
-  ``sum C(n,k) D^(n-k) (n-k-1) [..] num_(n-k)`` at ``n = m+2`` as a sum
-  over ``k <= m`` with the weight absorbed into ``num_(m-k+2)/(m-k+2)``,
-  using ``C(m+2,k)(m+1-k) = C(m,k)(m+1)(m+2)/(m-k+2)``.  The two
-  boundary summands ``k = m+1, m+2`` are evaluated literally and moved
-  to the right side, which is then divided by ``(m+1)(m+2)``.
+* :func:`convert_genocchi_to_bernoulli` -- apply ``G_j = 2 (1 - 2^j) B_j``
+  to the summand's Genocchi weight: ``G_(n-k)`` becomes
+  ``(1-2^(n-k)) B_(n-k)`` and the right side is halved.
 
-* :func:`convert_genocchi_to_bernoulli` -- replace the Genocchi weight
-  via ``G_j = 2 (1 - 2^j) B_j``: the left side keeps its shape but gains
-  the factor ``(1 - 2^(n-k))`` and a Bernoulli weight, the right side is
-  halved.
+* :func:`reindex_shift_two` -- put ``n = m+2`` into a sum
+  ``sum C(n,k) (n-k-1) X(n,k)`` and divide by ``(m+1)(m+2)``: by
+  ``C(m+2,k)(m+1-k) = C(m,k)(m+1)(m+2)/(m-k+2)`` the summand becomes
+  ``C(m,k) X(m+2,k)/(m-k+2)`` for k <= m, and the two boundary summands
+  k = m+1, m+2 move to the right side.
 
 * :func:`derive_corollary` -- evaluate a generic-ring entry with the
   letters bound to the conjugate roots of a recurrence family.  The
@@ -27,18 +29,19 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .._scalar import Rational
-from ..arith import binomial
 from ..quadext import FAMILIES
-from .core import Context, IdentityRecord, eval_convolution_sum
-from .theorems import (
-    WeightedShape,
-    _bracket_fn,
-    _halving_factor,
-    _number_fn,
-    theorem_records,
-    weighted_conv_lhs,
+from .core import IdentityRecord
+from .notation import (
+    difference,
+    product,
+    quotient,
+    stated,
+    substitute,
+    sum_of,
+    summand,
+    without,
 )
+from .theorems import theorem_records
 
 __all__ = [
     "COROLLARY_TO_THEOREM",
@@ -58,38 +61,14 @@ def convert_genocchi_to_bernoulli(
     anchor: str,
     note: Optional[str] = None,
 ) -> IdentityRecord:
-    """Rewrite a G-weighted entry as its B-weighted equivalent."""
-    shape = src.shape
-    if shape is None or shape.num != "G" or shape.halving:
-        raise ValueError("conversion needs a plain Genocchi-weighted shape")
-    new_shape = WeightedShape(num="B", bracket=shape.bracket, halving=1)
-    half = Rational(1, 2)
-    src_rhs = src.rhs
-
-    def rhs(ctx: Context, n: int):
-        return half * src_rhs(ctx, n)
-
-    return IdentityRecord(
+    """Rewrite a G-weighted sum as its B-weighted equivalent."""
+    lhs, rhs = src.statement
+    term = product(without(summand(lhs), "G_(n-k)"), "(1-2^(n-k)) B_(n-k)")
+    return stated(
         ident, "corrected", src.ring, src.lo, src.hi,
-        weighted_conv_lhs(new_shape), rhs,
-        anchor=anchor, note=note, source=src.ident, shape=new_shape,
+        (sum_of(term), quotient(rhs, "2")),
+        anchor=anchor, note=note, source=src.ident,
     )
-
-
-def _boundary_term(ctx: Context, m: int, shape: WeightedShape):
-    """Summands k = m+1, m+2 of the source sum at n = m+2, literally."""
-    n = m + 2
-    numf = _number_fn(ctx, shape.num)
-    bracket = _bracket_fn(ctx, shape.bracket)
-    total = ctx.zero
-    for k in (m + 1, m + 2):
-        j = n - k
-        w = (j - 1) * _halving_factor(shape.halving, j) * numf(j)
-        if not w:
-            continue
-        scalar = binomial(n, k) * w
-        total = total + scalar * (ctx.Dpow(j) * bracket(k))
-    return total
 
 
 def reindex_shift_two(
@@ -102,40 +81,24 @@ def reindex_shift_two(
     anchor: str,
     note: Optional[str] = None,
 ) -> IdentityRecord:
-    """Shift a weighted entry by n = m+2 into its ratio-weighted form.
+    """Shift a ``(n-k-1)``-weighted sum by n = m+2 into its ratio-weighted form.
 
     With ``flip=True`` both sides are negated, which turns a halving
     factor ``(1 - 2^(m-k+2))`` into the printed orientation
     ``(2^(m-k+2) - 1)``.
     """
-    shape = src.shape
-    if shape is None:
-        raise ValueError("re-indexing needs a weighted shape")
-    sign = -1 if flip else 1
-    numf_name = shape.num
-    halving = shape.halving
-    bracket_sign = shape.bracket
-    src_rhs = src.rhs
-
-    def lhs(ctx: Context, m: int):
-        numf = _number_fn(ctx, numf_name)
-
-        def weight(m_: int, k: int):
-            j2 = m_ - k + 2
-            return sign * _halving_factor(halving, j2) * numf(j2) * Rational(1, j2)
-
-        return eval_convolution_sum(
-            ctx, m, _bracket_fn(ctx, bracket_sign),
-            lambda j: ctx.Dpow(j + 2),
-            weight=weight,
-        )
-
-    def rhs(ctx: Context, m: int):
-        full = src_rhs(ctx, m + 2) - _boundary_term(ctx, m, shape)
-        return (sign * Rational(1, (m + 1) * (m + 2))) * full
-
-    return IdentityRecord(
-        ident, "corrected", src.ring, lo, hi, lhs, rhs,
+    lhs, rhs = src.statement
+    term = summand(lhs)
+    shifted = substitute(without(term, "C(n,k)", "(n-k-1)"), n="n+2")
+    boundary = [substitute(term, n="n+2", k=k) for k in ("n+1", "n+2")]
+    statement = (
+        sum_of(product("C(n,k)", shifted, "1/(n-k+2)")),
+        quotient(difference(substitute(rhs, n="n+2"), *boundary), "(n+1)(n+2)"),
+    )
+    if flip:
+        statement = (product("-1", statement[0]), product("-1", statement[1]))
+    return stated(
+        ident, "corrected", src.ring, lo, hi, statement,
         anchor=anchor, note=note, source=src.ident,
     )
 
@@ -252,6 +215,7 @@ def _corollary_from(
         anchor=f"{src.anchor}  [letters = {family} roots]",
         note=f"derived from {theorem_ident} over the {family} root pair",
         source=theorem_ident,
+        statement=src.statement,
         parity=src.parity,
         unrestricted_lhs=src.unrestricted_lhs,
         unrestricted_rhs=src.unrestricted_rhs,

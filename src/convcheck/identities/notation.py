@@ -52,6 +52,16 @@ Clearing: how a printed statement becomes a cleared record
     ``X^c`` is cleared into the other side.
   The note of a cleared record says "recorded cleared by".
 
+Rewrites of a statement
+  A record keeps its cleared statement, the pair of side trees.  The
+  corrected T3 records rewrite their source's statement with
+  ``summand``, ``without``, ``substitute``, ``product``, ``difference``,
+  ``quotient`` and ``sum_of``, whose new pieces are written in this
+  notation (``"C(n,k)"``, ``"n+2"``); :func:`stated` compiles the result
+  as a read anchor is compiled.  The two rewrites, the weight conversion
+  and the index shift n = m+2, are stated in
+  :mod:`convcheck.identities.derive`.
+
 Annotations, each checked against the record it states
   ``(n positive)``          the record's range starts at n = 1 or later
   ``[d = sqrt(E)]``         E equals d^2 in the record's ring
@@ -76,7 +86,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 from .._scalar import Rational
 from ..arith import MultiPoly, binomial
 from ..quadext import FAMILIES
-from ..symfun import LetterPair, sym_ehp
+from ..symfun import sym_ehp
 from .core import (
     Context,
     IdentityRecord,
@@ -86,7 +96,19 @@ from .core import (
     printed_ratio,
 )
 
-__all__ = ["PrintedForm", "k_factor", "printed", "read_anchor"]
+__all__ = [
+    "PrintedForm",
+    "difference",
+    "printed",
+    "product",
+    "quotient",
+    "read_anchor",
+    "stated",
+    "substitute",
+    "sum_of",
+    "summand",
+    "without",
+]
 
 # leading space, then a token or (third group) a character that starts
 # none; the single letters listed first begin no longer name
@@ -405,17 +427,12 @@ def _product(factors) -> Eval:
 
 
 @functools.lru_cache(maxsize=None)
-def _k_factor(factors: tuple) -> Callable[[Context, int], Any]:
+def _factor_of_k(factors: tuple) -> Callable[[Context, int], Any]:
     """fn(ctx, k), the product of a summand's ring factors of k alone, for
     ``Context.factor``.  Equal products share one callable, so equal
     brackets of different records share their memo entries."""
     ev = _product(factors) if factors else (lambda ctx, n, k: ctx.one)
     return lambda ctx, k: ev(ctx, 0, k)
-
-
-def k_factor(text: str) -> Callable[[Context, int], Any]:
-    """The summand factor of k alone written ``text``, as for a sum."""
-    return _k_factor(tuple(_factors(_Reader(text).lone_side())))
 
 
 def _sum(parity: bool, summand) -> Eval:
@@ -429,7 +446,7 @@ def _sum(parity: bool, summand) -> Eval:
         else:
             (high if _reads(f, "n") else low).append(f)
     weight = _product(scalars) if scalars else None
-    low_fn = _k_factor(tuple(low))
+    low_fn = _factor_of_k(tuple(low))
     high_ev = _product(high) if high else (lambda ctx, n, k: ctx.one)
 
     def ev(ctx, n, k):
@@ -474,9 +491,7 @@ def _compile(node) -> Eval:
     if tag == "ehp":
         kind = node[1]
         sub, a, b = (_compile(c) for c in node[2:])
-        return lambda ctx, n, k: sym_ehp(
-            kind, sub(ctx, n, k), LetterPair(a(ctx, n, k), b(ctx, n, k))
-        )
+        return lambda ctx, n, k: sym_ehp(kind, sub(ctx, n, k), a(ctx, n, k), b(ctx, n, k))
     if tag == "binom":
         a, b = _compile(node[1]), _compile(node[2])
         return lambda ctx, n, k: binomial(a(ctx, n, k), b(ctx, n, k))
@@ -527,7 +542,10 @@ def _side(node) -> SideFn:
     return side
 
 
-def _sides(lhs, rhs) -> Tuple[SideFn, SideFn, bool]:
+Statement = Tuple[Any, Any]  # the two side trees of an equation
+
+
+def _cleared(lhs, rhs) -> Tuple[Statement, bool]:
     """Both sides, cleared, and whether a factor was cleared."""
     lhs, by_lhs = _clear(lhs)
     rhs, by_rhs = _clear(rhs)
@@ -535,7 +553,7 @@ def _sides(lhs, rhs) -> Tuple[SideFn, SideFn, bool]:
         rhs = ("mul", (by_lhs, rhs))
     if by_rhs is not None:
         lhs = ("mul", (by_rhs, lhs))
-    return _side(lhs), _side(rhs), by_lhs is not None or by_rhs is not None
+    return (lhs, rhs), by_lhs is not None or by_rhs is not None
 
 
 # --------------------------------------------------------------------------
@@ -546,13 +564,15 @@ def _sides(lhs, rhs) -> Tuple[SideFn, SideFn, bool]:
 class PrintedForm(NamedTuple):
     """An anchor read into the sides a record evaluates.
 
-    ``cleared`` says whether a factor was cleared; ``checks`` hold one
-    callable ``check(ring, lo)`` per annotation.  The unrestricted sides
-    exist when a companion closed form was given.
+    ``statement`` holds the two cleared side trees, ``cleared`` says
+    whether a factor was cleared, and ``checks`` hold one callable
+    ``check(ring, lo)`` per annotation.  The unrestricted sides exist
+    when a companion closed form was given.
     """
 
     lhs: SideFn
     rhs: SideFn
+    statement: Statement
     parity: bool
     cleared: bool
     unrestricted_lhs: Optional[SideFn]
@@ -591,15 +611,15 @@ def _read(anchor: str, companion: Optional[str]) -> PrintedForm:
     reader = _Reader(anchor)
     lhs, rhs, notes = reader.statement()
     parity = lhs[0] == "sum" and lhs[1]
-    lhs_fn, rhs_fn, cleared = _sides(lhs, rhs)
+    statement, cleared = _cleared(lhs, rhs)
     unrestricted: Tuple[Optional[SideFn], Optional[SideFn]] = (None, None)
     if companion is not None:
         if not parity:
             raise ValueError(f"anchor {anchor!r}: a companion needs a parity-restricted sum")
-        full = ("sum", False, lhs[2])
-        unrestricted = _sides(full, _Reader(companion).lone_side())[:2]
+        full = _cleared(("sum", False, lhs[2]), _Reader(companion).lone_side())[0]
+        unrestricted = (_side(full[0]), _side(full[1]))
     return PrintedForm(
-        lhs_fn, rhs_fn, parity, cleared, *unrestricted,
+        _side(statement[0]), _side(statement[1]), statement, parity, cleared, *unrestricted,
         tuple(_annotation_check(anchor, note) for note in notes),
     )
 
@@ -631,13 +651,92 @@ def printed(
     note: Optional[str] = None,
     *,
     source: Optional[str] = None,
-    shape: Optional[Any] = None,
     companion: Optional[str] = None,
 ) -> IdentityRecord:
     """The record stating ``anchor``: sides and parity are read from it."""
     form = read_anchor(anchor, ring, lo, companion)
     return IdentityRecord(
         ident, variant, ring, lo, hi, form.lhs, form.rhs,
-        anchor=anchor, parity=form.parity, note=note, source=source, shape=shape,
+        anchor=anchor, parity=form.parity, note=note, source=source,
+        statement=form.statement,
         unrestricted_lhs=form.unrestricted_lhs, unrestricted_rhs=form.unrestricted_rhs,
     )
+
+
+def stated(
+    ident: str,
+    variant: str,
+    ring: str,
+    lo: int,
+    hi: int,
+    statement: Statement,
+    *,
+    anchor: str,
+    note: Optional[str] = None,
+    source: Optional[str] = None,
+) -> IdentityRecord:
+    """The record of a statement rewritten from another record's."""
+    return IdentityRecord(
+        ident, variant, ring, lo, hi, _side(statement[0]), _side(statement[1]),
+        anchor=anchor, note=note, source=source, statement=statement,
+    )
+
+
+# --------------------------------------------------------------------------
+# rewrites of a statement's sides; a new piece is written in the notation
+# --------------------------------------------------------------------------
+
+
+def _piece(part):
+    """A side tree, or the tree of a piece written in the notation."""
+    return _Reader(part).lone_side() if isinstance(part, str) else part
+
+
+def summand(side):
+    """The summand of a side that is a sum over every k."""
+    if side[0] != "sum" or side[1]:
+        raise ValueError("the side is not a sum over every k")
+    return side[2]
+
+
+def sum_of(term):
+    """The sum over every k of a summand."""
+    return ("sum", False, _piece(term))
+
+
+def without(term, *factors: str):
+    """The product ``term`` with each of ``factors`` taken out once."""
+    rest = _factors(term)
+    for text in factors:
+        factor = _piece(text)
+        if factor not in rest:
+            raise ValueError(f"the term has no factor {text}")
+        rest.remove(factor)
+    return ("mul", tuple(rest))
+
+
+def substitute(node, **indices: str):
+    """``node`` with the index n and/or k replaced, at once, by pieces."""
+    pieces = {("idx", name): _piece(text) for name, text in indices.items()}
+
+    def walk(part):
+        if part in pieces:
+            return pieces[part]
+        return tuple(walk(c) if isinstance(c, tuple) else c for c in part)
+
+    return walk(node)
+
+
+def product(*parts):
+    """The product of trees and pieces."""
+    return ("mul", tuple(_piece(p) for p in parts))
+
+
+def difference(first, *rest):
+    """``first`` minus each of ``rest``."""
+    return ("add", (("+", _piece(first)),) + tuple(("-", _piece(p)) for p in rest))
+
+
+def quotient(num, den):
+    """``num`` divided by a scalar ``den``."""
+    return ("div", _piece(num), _piece(den))

@@ -9,9 +9,8 @@ and the closed-form entries for the recurrence families (BINET.x).
 
 Each record is its anchor, read by :mod:`convcheck.identities.notation`
 (which states the notation and the clearing conventions), plus a note
-on what is known to be wrong with it as printed.  A weighted record also
-carries its :class:`WeightedShape`, the input of the mechanical
-transforms.
+on what is known to be wrong with it as printed.  A record also keeps
+its parsed, cleared statement, which the mechanical transforms rewrite.
 
 Corrected variants of the false printed statements are not written by
 hand here: they are produced mechanically in
@@ -20,70 +19,12 @@ hand here: they are produced mechanically in
 
 from __future__ import annotations
 
-from typing import List, NamedTuple
+from typing import List
 
-from .._scalar import Rational
-from .core import Context, IdentityRecord, eval_convolution_sum
-from .notation import k_factor, printed
+from .core import IdentityRecord
+from .notation import printed
 
-__all__ = [
-    "WeightedShape",
-    "binet_records",
-    "lemma_records",
-    "theorem_records",
-    "weighted_conv_lhs",
-]
-
-
-class WeightedShape(NamedTuple):
-    """Summand shape sum_k C(n,k) D^(n-k) (n-k-1) [2-power] bracket(k) num(n-k).
-
-    ``num`` picks the number sequence ("G" or "B"), ``bracket`` the sign
-    in 2^k phi_k +- 2 Sig^k, and ``halving`` an optional extra factor:
-    0 for none, +1 for (1 - 2^(n-k)), -1 for (2^(n-k) - 1).
-    The shape is what the mechanical index-shift and sequence-conversion
-    transforms operate on.
-    """
-
-    num: str
-    bracket: str
-    halving: int = 0
-
-
-_BRACKETS = {"+": k_factor("2^k phi_k + 2 Sig^k"), "-": k_factor("2^k phi_k - 2 Sig^k")}
-
-
-def _bracket_fn(ctx: Context, sign: str):
-    bracket = _BRACKETS[sign]
-    return lambda k: ctx.factor(bracket, k)
-
-
-def _number_fn(ctx: Context, num: str):
-    return ctx.G if num == "G" else ctx.B
-
-
-def _halving_factor(halving: int, j: int):
-    if not halving:
-        return 1
-    return halving * (1 - Rational(2) ** j)
-
-
-def weighted_conv_lhs(shape: WeightedShape):
-    """LHS evaluator for a :class:`WeightedShape` (full sum over k)."""
-
-    def lhs(ctx: Context, n: int):
-        numf = _number_fn(ctx, shape.num)
-
-        def weight(n_: int, k: int):
-            j = n_ - k
-            return (j - 1) * numf(j) * _halving_factor(shape.halving, j)
-
-        return eval_convolution_sum(
-            ctx, n, _bracket_fn(ctx, shape.bracket), ctx.Dpow, weight=weight
-        )
-
-    return lhs
-
+__all__ = ["binet_records", "lemma_records", "theorem_records"]
 
 _IND = "indeterminate"
 
@@ -150,12 +91,6 @@ _THEOREMS = [
      "sum C(n,k) D^(n-k) (2^k phi_k + 2 Sig^k) E_(n-k)(x) "
      "= 2 ((Sig + xD)^n + (2v + xD)^n)", None),
 ]
-# the summand shape of the weighted sums, for the mechanical transforms
-_SHAPES = {
-    "T3.2": WeightedShape(num="G", bracket="+"),
-    "T3.5a": WeightedShape(num="B", bracket="-"),
-    "T3.5b": WeightedShape(num="B", bracket="+"),
-}
 # the closed form of each parity-restricted sum taken over every k
 _COMPANIONS = {
     "T3.1": "2n D (Sig^(n-1) + (2v)^(n-1))",
@@ -211,7 +146,7 @@ def _records(rows) -> List[IdentityRecord]:
     # a hand-stated corrected record is its own source's correction
     return [
         printed(*row, source=row[0] if row[1] == "corrected" else None,
-                shape=_SHAPES.get(row[0]), companion=_COMPANIONS.get(row[0]))
+                companion=_COMPANIONS.get(row[0]))
         for row in rows
     ]
 

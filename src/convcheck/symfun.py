@@ -1,84 +1,41 @@
 """Symmetric functions in two letters, generic over the coefficient ring.
 
-A :class:`LetterPair` holds the two letters (u, v); any ring whose
-elements support +, -, *, ** works, which in practice means
-:class:`~convcheck.arith.MultiPoly` (letters x1, x2) and
-:class:`~convcheck.quadext.QuadExtElem` (letters lam1, lam2).
+The two letters a, b may come from any ring whose elements support +,
+-, * and **, which in practice means :class:`~convcheck.arith.MultiPoly`
+(letters x1, x2) and :class:`~convcheck.quadext.QuadExtElem` (letters
+lam1, lam2).
 
-Conventions:
-
-* sym_S(pair, n) is the complete homogeneous sum of degree n,
-  u^n + u^(n-1)v + ... + v^n, with sym_S(pair, -1) = 0 and more
-  generally 0 for every negative index;
-* sym_phi(pair, n) is the power sum u^n + v^n (so sym_phi(pair, 0) = 2);
-* sym_ehp('e'|'h'|'p', k, pair) gives the elementary, complete
-  homogeneous, and power-sum bases at two variables; e_k vanishes for
-  k > 2, h_k coincides with sym_S, p_k with sym_phi.
+sym_ehp('e'|'h'|'p', k, a, b) gives the elementary, complete
+homogeneous, and power-sum bases at the two letters: e_k vanishes for
+k > 2, h_k is the complete homogeneous sum a^k + a^(k-1) b + ... + b^k,
+and p_k is the power sum a^k + b^k (so p_0 = 2).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
-__all__ = ["LetterPair", "ring_one", "ring_zero", "sym_S", "sym_ehp", "sym_phi"]
+__all__ = ["sym_ehp"]
 
 
-@dataclass(frozen=True)
-class LetterPair:
-    """An ordered pair of ring elements serving as the two letters."""
-
-    first: Any
-    second: Any
-
-
-def ring_one(pair: LetterPair):
-    # empty product: x**0 is one in both supported rings, including x = 0
-    return pair.first ** 0
-
-
-def ring_zero(pair: LetterPair):
-    return pair.first * 0
-
-
-def sym_S(pair: LetterPair, n: int):
-    """Complete homogeneous sum of degree n in the two letters.
-
-    Computed iteratively from S_j = u*S_(j-1) + v^j, which costs O(n)
-    ring multiplications instead of the O(n^2) of the literal sum.
-    """
-    if n < 0:
-        return ring_zero(pair)
-    u, v = pair.first, pair.second
-    acc = ring_one(pair)
-    vpow = ring_one(pair)
-    for _ in range(n):
-        vpow = vpow * v
-        acc = u * acc + vpow
-    return acc
-
-
-def sym_phi(pair: LetterPair, n: int):
-    """Power sum u^n + v^n of the two letters (n >= 0)."""
-    if n < 0:
-        raise ValueError(f"sym_phi: n must be non-negative, got {n}")
-    return pair.first ** n + pair.second ** n
-
-
-def sym_ehp(kind: str, k: int, pair: LetterPair):
+def sym_ehp(kind: str, k: int, a, b):
     """Elementary / complete homogeneous / power-sum basis at two letters."""
     if k < 0:
         raise ValueError(f"sym_ehp: index must be non-negative, got {k}")
     if kind == "e":
         if k == 0:
-            return ring_one(pair)
+            # empty product: a**0 is one in both supported rings, including a = 0
+            return a ** 0
         if k == 1:
-            return pair.first + pair.second
+            return a + b
         if k == 2:
-            return pair.first * pair.second
-        return ring_zero(pair)
+            return a * b
+        return a * 0
     if kind == "h":
-        return sym_S(pair, k)
+        # h_j = a h_(j-1) + b^j: O(k) ring multiplications, not O(k^2)
+        acc = bpow = a ** 0
+        for _ in range(k):
+            bpow = bpow * b
+            acc = a * acc + bpow
+        return acc
     if kind == "p":
-        return sym_phi(pair, k)
+        return a ** k + b ** k
     raise ValueError(f"unknown basis kind {kind!r}; choose e, h, or p")

@@ -31,7 +31,7 @@ from convcheck.sequences import (
     euler_number,
     genocchi_number,
 )
-from convcheck.symfun import LetterPair, sym_S, sym_ehp, sym_phi
+from convcheck.symfun import sym_ehp
 import convcheck.cli as cli
 from convcheck.arith import MultiPoly
 
@@ -152,14 +152,14 @@ def test_criterion_6_symmetric_function_relations():
         u, v = MultiPoly.var("x1"), MultiPoly.var("x2")
         exp_u = egf_exp_linear(u, 40)
         exp_v = egf_exp_linear(v, 40)
-        pair = LetterPair(u, v)
+        ctx = get_context("indeterminate")
         for n in range(41):
-            assert exp_u[n] + exp_v[n] == sym_phi(pair, n)
-            assert exp_u[n] - exp_v[n] == (u - v) * sym_S(pair, n - 1)
+            assert exp_u[n] + exp_v[n] == sym_ehp("p", n, u, v)
+            assert exp_u[n] - exp_v[n] == (u - v) * ctx.S(n - 1)
         # basis bridges at two variables
         for n in range(41):
-            assert sym_S(pair, n) == sym_ehp("h", n, pair)
-            assert sym_phi(pair, n) == sym_ehp("p", n, pair)
+            assert ctx.S(n) == sym_ehp("h", n, u, v)
+            assert ctx.phi(n) == sym_ehp("p", n, u, v)
         all_pass(run_record(get_record("R1.1:corrected"), (0, 40)))
         all_pass(run_record(get_record("R1.2:corrected"), (0, 40)))
 

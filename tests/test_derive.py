@@ -23,6 +23,13 @@ def printed_theorems():
     return {r.ident: r for r in theorem_records() if r.variant == "as_printed"}
 
 
+def leaves(tree):
+    """Every string in a statement tree, in order."""
+    if isinstance(tree, tuple):
+        return [leaf for part in tree for leaf in leaves(part)]
+    return [tree] if isinstance(tree, str) else []
+
+
 # ---------------------------------------------------------------------------
 # the binomial re-indexing identity behind the n = m+2 shift
 # ---------------------------------------------------------------------------
@@ -62,9 +69,20 @@ def test_reindex_requires_shape():
         reindex_shift_two(bare, "X", anchor="scratch")
 
 
+def test_reindex_refuses_a_parity_restricted_sum():
+    with pytest.raises(ValueError, match="not a sum over every k"):
+        reindex_shift_two(printed_theorems()["T3.1"], "X", anchor="scratch")
+
+
 def test_conversion_requires_plain_genocchi_shape():
     with pytest.raises(ValueError):
         convert_genocchi_to_bernoulli(printed_theorems()["T3.5a"], "X", anchor="scratch")
+
+
+def test_conversion_refuses_a_sum_without_a_genocchi_factor():
+    for ident in ("T3.5a", "T2.1b"):
+        with pytest.raises(ValueError, match="no factor G_"):
+            convert_genocchi_to_bernoulli(printed_theorems()[ident], "X", anchor="scratch")
 
 
 def test_conversion_halves_right_side():
@@ -74,8 +92,10 @@ def test_conversion_halves_right_side():
     for n in range(0, 8):
         assert conv.rhs(ctx, n) == Rational(1, 2) * src.rhs(ctx, n)
         assert (conv.lhs(ctx, n) - conv.rhs(ctx, n)).is_zero()
-    assert conv.shape.num == "B" and conv.shape.halving == 1
-    assert conv.shape.bracket == src.shape.bracket
+    # the rewritten statement: the G_ weight is gone, one B_ weight is in
+    assert "G_" in leaves(src.statement)
+    assert "G_" not in leaves(conv.statement)
+    assert leaves(conv.statement).count("B_") == 1
 
 
 def test_corrected_records_carry_their_sources():
@@ -119,6 +139,7 @@ def test_derive_corollary_record_shape():
     assert rec.ring == "fibonacci-roots"
     assert rec.default_range() == (0, 20)
     assert rec.source == "T2.1a"
+    assert rec.statement == printed_theorems()["T2.1a"].statement
     with pytest.raises(ValueError):
         derive_corollary("T2.1a", "pell")
     with pytest.raises(ValueError):

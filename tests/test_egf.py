@@ -115,8 +115,6 @@ def test_scale_arg_scales_coefficients_geometrically():
     doubled = egf_scale_arg(series, 2)
     for n in range(13):
         assert doubled[n] == MultiPoly.constant(2 ** n) * series[n]
-    # egf_special routes substituted_arg through the same path
-    assert egf_special("bernoulli", 12, substituted_arg=2).coeffs == doubled.coeffs
 
 
 def test_special_kind_validation():
