@@ -31,3 +31,11 @@ def as_rational(value):
 
 def is_scalar(value) -> bool:
     return isinstance(value, SCALAR_TYPES)
+
+
+def num_den(value):
+    """Numerator and positive denominator of a scalar in lowest terms."""
+    if isinstance(value, int):
+        return int(value), 1
+    q = as_rational(value)
+    return q.numerator, q.denominator

@@ -29,6 +29,10 @@ numerator) = 1, and the zero polynomial is ``{}`` over 1.  Two
 polynomials are therefore equal iff their denominators and term dicts
 are equal.
 
+A sum of products Σ s·p·q is formed by :class:`ProductSum` in one
+integer accumulator, with no intermediate polynomial per product: the
+same idea as the one-pass division f − Σ q·g of Monagan & Pearce.
+
 Conventions baked in here and relied on everywhere above:
 
 * the zero polynomial has an empty term dict;
@@ -42,7 +46,7 @@ import math
 from collections.abc import Mapping
 from typing import Dict, Tuple, Union
 
-from ._scalar import BACKEND, Rational, as_rational, is_scalar
+from ._scalar import BACKEND, Rational, as_rational, is_scalar, num_den
 
 __all__ = [
     "BACKEND",
@@ -51,6 +55,7 @@ __all__ = [
     "Rational",
     "Monomial",
     "MultiPoly",
+    "ProductSum",
     "VARIABLES",
     "ZERO_EXP",
     "binomial",
@@ -95,6 +100,15 @@ def _overflow(degree: int) -> OverflowError:
     return OverflowError(f"total degree {degree} exceeds the packed exponent bound {MAX_EXP}")
 
 
+def _exact_product_degree(p: "MultiPoly", q: "MultiPoly") -> int:
+    # the slow half of the O(1) guard: called only when the degree bounds
+    # of p and q add up past MAX_EXP
+    deg = p.total_degree() + q.total_degree()
+    if deg > MAX_EXP:
+        raise _overflow(deg)
+    return deg
+
+
 def _pack(exp: Monomial) -> int:
     key = sum(exp) << _DEG_SHIFT
     for e, s in zip(exp, _SHIFTS):
@@ -104,14 +118,6 @@ def _pack(exp: Monomial) -> int:
 
 def _unpack(key: int) -> Monomial:
     return tuple((key >> s) & MAX_EXP for s in _SHIFTS)
-
-
-def _num_den(value: Scalar) -> Tuple[int, int]:
-    """Numerator and positive denominator of a scalar in lowest terms."""
-    if isinstance(value, int):
-        return int(value), 1
-    q = as_rational(value)
-    return q.numerator, q.denominator
 
 
 class MultiPoly:
@@ -172,7 +178,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, value: Scalar) -> "MultiPoly":
-        num, den = _num_den(value)
+        num, den = num_den(value)
         if not num:
             return cls._raw({}, 1, 0)
         return cls._raw({0: num}, den, 0)
@@ -289,7 +295,7 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not is_scalar(other):
                 return NotImplemented
-            num, den = _num_den(other)
+            num, den = num_den(other)
             if not num:
                 return MultiPoly._raw({}, 1, 0)
             out = {k: c * num for k, c in self._terms.items()}
@@ -299,9 +305,7 @@ class MultiPoly:
             return MultiPoly._raw({}, 1, 0)
         deg = self._deg + other._deg
         if deg > MAX_EXP:
-            deg = self.total_degree() + other.total_degree()
-            if deg > MAX_EXP:
-                raise _overflow(deg)
+            deg = _exact_product_degree(self, other)
         if len(a) > len(b):
             a, b = b, a
         items = iter(a.items())
@@ -343,6 +347,18 @@ class MultiPoly:
             if e:
                 base = base * base
         return result
+
+    @staticmethod
+    def sum_of_products(triples) -> "MultiPoly":
+        """Σ s·p·q over an iterable of triples (s, p, q) of a scalar s and
+        polynomials p and q, formed in one :class:`ProductSum`.  The
+        triples are consumed as they come, so a generator's summands are
+        never all held at once."""
+        acc = ProductSum()
+        for s, p, q in triples:
+            num, den = num_den(s)
+            acc.add(num, den, p, q)
+        return acc.value()
 
     # -- substitution and printing --------------------------------------
 
@@ -439,6 +455,64 @@ class MultiPoly:
 
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)})"
+
+
+class ProductSum:
+    """Exact accumulator of a sum of products (num/den)·p·q.
+
+    The running sum is integer numerators over one common denominator,
+    as in a :class:`MultiPoly`.  Each product is multiplied straight into
+    it, with no intermediate polynomial; the numerators are rescaled only
+    when a product's denominator does not divide the common one, and the
+    gcd is divided out once, by :meth:`value`.  The degree guard is the
+    O(1) one of ``MultiPoly.__mul__``, with the same exact-degree
+    fallback, so no packed key can carry into its neighbour field.
+    """
+
+    __slots__ = ("_terms", "_den", "_deg")
+
+    def __init__(self):
+        self._terms: Dict[int, int] = {}
+        self._den = 1
+        self._deg = 0
+
+    def add(self, num: int, den: int, p: MultiPoly, q: MultiPoly) -> None:
+        """Add (num/den)·p·q, for integers num and den > 0."""
+        a, b = p._terms, q._terms
+        if not num or not a or not b:
+            return
+        deg = p._deg + q._deg
+        if deg > MAX_EXP:
+            deg = _exact_product_degree(p, q)
+        if deg > self._deg:
+            self._deg = deg
+        d = den * p._den * q._den
+        out = self._terms
+        common = self._den
+        if common % d:
+            grow = d // _gcd(common, d)
+            for k in out:
+                out[k] *= grow
+            common = self._den = common * grow
+        scale = num * (common // d)
+        if len(a) > len(b):
+            a, b = b, a
+        get = out.get
+        b = b.items()
+        for ka, ca in a.items():
+            ca *= scale
+            for kb, cb in b:
+                k = ka + kb
+                out[k] = get(k, 0) + ca * cb
+
+    def value(self) -> MultiPoly:
+        """The sum as a canonical polynomial.  The accumulator is left
+        empty, since the polynomial takes over its terms."""
+        out, den, deg = self._terms, self._den, self._deg
+        self._terms, self._den, self._deg = {}, 1, 0
+        if 0 in out.values():
+            out = {k: c for k, c in out.items() if c}
+        return MultiPoly._reduced(out, den, deg)
 
 
 def format_poly(p: MultiPoly) -> str:

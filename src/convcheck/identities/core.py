@@ -203,8 +203,10 @@ class Context:
 
     # perfbench/tracer.py wraps this method by name, so it stays a method
     def pair_product(self, left_fn, right_fn, k: int, j: int):
-        """The summand product left_fn(k) * right_fn(j)."""
-        return left_fn(k) * right_fn(j)
+        """The two factors (left_fn(k), right_fn(j)) of one summand.  They
+        are not multiplied here: :func:`eval_convolution_sum` multiplies
+        every summand's factors into one accumulator."""
+        return left_fn(k), right_fn(j)
 
     def side(self, fn: SideFn, n: int):
         """fn(self, n), computed once per (side, n) in this ring."""
@@ -241,23 +243,30 @@ def eval_convolution_sum(
     ``term_low``/``term_high`` produce ring elements indexed by k and
     n-k; ``weight`` is an optional exact scalar factor and may signal a
     skipped term by returning 0.  With ``parity=True`` the sum runs only
-    over k with n - k even.
+    over k with n - k even.  The summands stream into the ring's
+    ``sum_of_products``, which forms the whole sum in one exact
+    accumulator rather than one polynomial per summand.
     """
-    total = ctx.zero
-    for k in range(n + 1):
-        j = n - k
-        if parity and j % 2:
-            continue
-        scalar = binomial(n, k) if use_binomial else 1
-        if weight is not None:
-            w = weight(n, k)
-            if not w:
+
+    def summands():
+        for k in range(n + 1):
+            j = n - k
+            if parity and j % 2:
                 continue
-            scalar = scalar * w
-        if not scalar:
-            continue
-        total = total + scalar * ctx.pair_product(term_low, term_high, k, j)
-    return total
+            scalar = binomial(n, k) if use_binomial else 1
+            if weight is not None:
+                w = weight(n, k)
+                if not w:
+                    continue
+                scalar = scalar * w
+            if not scalar:
+                continue
+            low, high = ctx.pair_product(term_low, term_high, k, j)
+            yield scalar, low, high
+
+    if ctx.pair is None:
+        return MultiPoly.sum_of_products(summands())
+    return QuadExtElem.sum_of_products(summands(), ctx.pair.disc)
 
 
 @dataclass

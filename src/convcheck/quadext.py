@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from ._scalar import Rational, is_scalar
-from .arith import MultiPoly, Scalar
+from ._scalar import Rational, is_scalar, num_den
+from .arith import MultiPoly, ProductSum, Scalar
 
 __all__ = [
     "Discriminant",
@@ -51,6 +51,11 @@ def _as_poly(value) -> MultiPoly:
     raise TypeError(f"cannot embed {value!r} into the extension ring")
 
 
+def _check_disc(disc: Discriminant, other: Discriminant) -> None:
+    if other is not disc and other != disc:
+        raise ValueError(f"mixed discriminants: {disc.name} vs {other.name}")
+
+
 @lru_cache(maxsize=64)
 def _substituted_disc(disc: Discriminant, bindings: tuple) -> Discriminant:
     # every element of a ring shares its discriminant, so substituting
@@ -75,10 +80,7 @@ class QuadExtElem:
 
     def _coerce(self, other) -> "QuadExtElem | None":
         if isinstance(other, QuadExtElem):
-            if other.disc != self.disc:
-                raise ValueError(
-                    f"mixed discriminants: {self.disc.name} vs {other.disc.name}"
-                )
+            _check_disc(self.disc, other.disc)
             return other
         if isinstance(other, MultiPoly) or is_scalar(other):
             return QuadExtElem(_as_poly(other), MultiPoly.constant(0), self.disc)
@@ -129,19 +131,48 @@ class QuadExtElem:
         return (-self) + other
 
     def __mul__(self, other) -> "QuadExtElem":
+        # a zero sqrt(d) part, on either side, drops the products it
+        # would have been a factor of
         if isinstance(other, QuadExtElem):
-            if other.disc != self.disc:
-                raise ValueError(
-                    f"mixed discriminants: {self.disc.name} vs {other.disc.name}"
-                )
-            d = self.disc.poly
+            _check_disc(self.disc, other.disc)
             a1, b1, a2, b2 = self.a, self.b, other.a, other.b
+            if not b1:
+                return QuadExtElem(a1 * a2, a1 * b2 if b2 else b2, self.disc)
+            if not b2:
+                return QuadExtElem(a1 * a2, b1 * a2, self.disc)
+            d = self.disc.poly
             return QuadExtElem(a1 * a2 + (b1 * b2) * d, a1 * b2 + a2 * b1, self.disc)
         if isinstance(other, MultiPoly) or is_scalar(other):
-            return QuadExtElem(self.a * other, self.b * other, self.disc)
+            b = self.b
+            return QuadExtElem(self.a * other, b * other if b else b, self.disc)
         return NotImplemented
 
     __rmul__ = __mul__
+
+    @staticmethod
+    def sum_of_products(triples, disc: Discriminant) -> "QuadExtElem":
+        """Σ s·p·q over an iterable of (scalar s, element p, element q) of
+        the extension by sqrt(d), d = ``disc.poly``.
+
+        With p = a1 + b1·sqrt(d) and q = a2 + b2·sqrt(d), the sum is
+        Σ s·a1·a2 + d·Σ s·b1·b2 + (Σ s·(a1·b2 + b1·a2))·sqrt(d): three
+        :class:`~convcheck.arith.ProductSum` accumulators, which skip
+        zero parts, and one product by d per sum.
+        """
+        aa, bb, ab = ProductSum(), ProductSum(), ProductSum()
+        for s, p, q in triples:
+            _check_disc(disc, p.disc)
+            _check_disc(disc, q.disc)
+            a1, b1, a2, b2 = p.a, p.b, q.a, q.b
+            num, den = num_den(s)
+            aa.add(num, den, a1, a2)
+            bb.add(num, den, b1, b2)
+            ab.add(num, den, a1, b2)
+            ab.add(num, den, b1, a2)
+        a, b_b = aa.value(), bb.value()
+        if b_b:
+            a = a + b_b * disc.poly
+        return QuadExtElem(a, ab.value(), disc)
 
     def __pow__(self, exponent: int) -> "QuadExtElem":
         if not isinstance(exponent, int) or exponent < 0:

@@ -6,7 +6,9 @@ import random
 import pytest
 
 from convcheck._scalar import Rational, as_rational
-from convcheck.arith import MAX_EXP, MultiPoly, VARIABLES, ZERO_EXP, binomial, format_poly, variable
+from convcheck.arith import (
+    MAX_EXP, MultiPoly, ProductSum, VARIABLES, ZERO_EXP, binomial, format_poly, variable,
+)
 
 x1 = MultiPoly.var("x1")
 x2 = MultiPoly.var("x2")
@@ -263,6 +265,46 @@ def test_kernel_matches_fraction_reference():
         assert _canonical(p.substitute(bindings)).terms == _ref_substitute(rp, ref_bindings)
 
 
+def _fold(triples):
+    """Σ s*p*q formed one product and one sum at a time."""
+    total = MultiPoly.constant(0)
+    for s, p, q in triples:
+        total = total + s * p * q
+    return total
+
+
+def test_sum_of_products_matches_the_fold():
+    zero = MultiPoly.constant(0)
+    empty = MultiPoly.sum_of_products([])
+    assert _canonical(empty).is_zero() and empty == zero
+    assert _canonical(MultiPoly.sum_of_products([(0, x1 + 1, x2), (3, zero, x1), (2, x, zero)])) == 0
+    # products that cancel leave canonical zero, not a term with numerator 0
+    assert _canonical(MultiPoly.sum_of_products([(1, x1, x2), (-1, x2, x1)])) == 0
+    rng = random.Random(20261018)
+    for _ in range(60):
+        triples = []
+        for _ in range(rng.randrange(1, 7)):
+            s = rng.choice([0, 1, rng.randrange(-40, 41),
+                            Rational(rng.randrange(-9, 10), rng.choice((1, 2, 3, 5, 6, 12)))])
+            p, q = (MultiPoly(_random_terms(rng)) for _ in range(2))
+            triples.append((s, p, q))
+        want = _fold(triples)
+        got = MultiPoly.sum_of_products(iter(triples))
+        assert _canonical(got) == want
+        assert got._den == want._den and got.terms == want.terms
+
+
+def test_product_sum_rescales_only_to_the_common_denominator():
+    acc = ProductSum()
+    acc.add(1, 2, x1, x2)
+    acc.add(1, 3, x1 / 2, x2)
+    acc.add(5, 1, x / 6, y / 4)
+    assert acc._den == 24
+    assert _canonical(acc.value()) == Rational(2, 3) * x1 * x2 + Rational(5, 24) * x * y
+    # value() hands over the terms and leaves the accumulator empty
+    assert acc.value() == 0
+
+
 # -- packed exponent bound ----------------------------------------------------
 
 def test_monomial_at_the_bound():
@@ -303,6 +345,28 @@ def test_total_degree_exact_after_cancellation():
     assert p.total_degree() == 1
     assert p * y == y ** 2 and p ** 3 == y ** 3
     assert (p * x1).substitute({"y": t ** (MAX_EXP - 1)}) == x1 * t ** (MAX_EXP - 1)
+
+
+def test_sum_of_products_degree_guard():
+    # the bounds add up past MAX_EXP, the exact degrees do not
+    low = t ** MAX_EXP + y - t ** MAX_EXP
+    top = t ** (MAX_EXP - 1)
+    got = MultiPoly.sum_of_products([(1, low, top), (Rational(1, 2), x1, top), (3, low, low)])
+    assert got.terms == {(0, 0, 0, 1, MAX_EXP - 1): 1, (1, 0, 0, 0, MAX_EXP - 1): Rational(1, 2),
+                         (0, 0, 0, 2, 0): 3}
+    assert got.total_degree() == MAX_EXP
+    # an exact degree past MAX_EXP is refused, wherever it comes in the sum,
+    # before its key could carry the t field into the y field
+    for triples in ([(1, t ** MAX_EXP, t)],
+                    [(1, x1, x2), (2, top, t * t), (1, y, y)],
+                    [(Rational(1, 3), t, t ** MAX_EXP), (1, low, top)]):
+        with pytest.raises(OverflowError) as err:
+            MultiPoly.sum_of_products(triples)
+        assert str(MAX_EXP) in str(err.value)
+    # an exact degree of MAX_EXP in every field stays in its field
+    one = MultiPoly.constant(1)
+    corner = MultiPoly.sum_of_products([(1, t ** (MAX_EXP - 1), t), (1, y ** MAX_EXP, one)])
+    assert corner.terms == {(0, 0, 0, 0, MAX_EXP): 1, (0, 0, 0, MAX_EXP, 0): 1}
 
 
 def test_constructor_rejects_a_non_mapping():

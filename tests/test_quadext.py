@@ -1,5 +1,8 @@
 """Quadratic extension ring and the two built-in root pairs."""
 
+import math
+import random
+
 import pytest
 
 from convcheck._scalar import Rational
@@ -15,6 +18,37 @@ from convcheck.sequences import bivariate_sequence
 
 y = MultiPoly.var("y")
 t = MultiPoly.var("t")
+x = MultiPoly.var("x")
+
+
+def _canonical(elem):
+    for part in (elem.a, elem.b):
+        assert part._den > 0 and 0 not in part._terms.values()
+        assert math.gcd(part._den, *part._terms.values()) == 1
+    return elem
+
+
+def _random_elements(rng, disc, count):
+    """Elements with a = 0 parts, b = 0 parts, both and neither."""
+    def part():
+        p = MultiPoly.constant(0)
+        for _ in range(rng.randrange(0, 4)):
+            p = p + Rational(rng.randrange(-9, 10), rng.choice((1, 2, 3, 4))) * rng.choice(
+                (MultiPoly.constant(1), x, y, t, y * t, x * x))
+        return p
+
+    zero = MultiPoly.constant(0)
+    out = []
+    for _ in range(count):
+        shape = rng.randrange(4)
+        out.append(QuadExtElem(zero if shape == 1 else part(), zero if shape == 2 else part(), disc))
+    return out
+
+
+def _full_product(p, q):
+    """(a1 + b1*r)(a2 + b2*r), every part product formed."""
+    d = p.disc.poly
+    return QuadExtElem(p.a * q.a + p.b * q.b * d, p.a * q.b + p.b * q.a, p.disc)
 
 
 def test_norm_via_conjugate():
@@ -119,3 +153,45 @@ def test_str_of_rational_element_is_plain():
 def test_unknown_family_rejected():
     with pytest.raises(ValueError):
         make_root_pair("pell")
+
+
+def test_zero_part_products_match_the_full_formula():
+    rng = random.Random(20261018)
+    for family in FAMILIES:
+        disc = make_root_pair(family).disc
+        elems = _random_elements(rng, disc, 14)
+        for p in elems:
+            for q in elems:
+                got = _canonical(p * q)
+                assert got == _full_product(p, q)
+            for other in (y - 2 * t, Rational(-3, 4), 0, MultiPoly.constant(0)):
+                want = QuadExtElem(p.a * other, p.b * other, disc)
+                assert _canonical(p * other) == want and _canonical(other * p) == want
+
+
+def test_sum_of_products_matches_the_fold():
+    rng = random.Random(20261019)
+    for family in FAMILIES:
+        disc = make_root_pair(family).disc
+        zero = QuadExtElem(0, 0, disc)
+        empty = QuadExtElem.sum_of_products([], disc)
+        assert _canonical(empty) == zero and empty.disc is disc
+        for _ in range(25):
+            elems = _random_elements(rng, disc, 8)
+            triples = [(rng.choice([0, 1, rng.randrange(-20, 21), Rational(rng.randrange(-7, 8), 6)]),
+                        rng.choice(elems), rng.choice(elems)) for _ in range(rng.randrange(1, 7))]
+            want = zero
+            for s_, p, q in triples:
+                want = want + s_ * _full_product(p, q)
+            assert _canonical(QuadExtElem.sum_of_products(iter(triples), disc)) == want
+
+
+def test_sum_of_products_rejects_mixed_discriminants():
+    fib = make_root_pair("fibonacci")
+    bal = make_root_pair("balancing")
+    # a balancing element in a sum over the fibonacci discriminant, first,
+    # second or only after a valid summand
+    for triples in ([(1, bal.lam1, fib.lam1)], [(1, fib.lam2, bal.lam2)],
+                    [(1, fib.lam1, fib.lam1), (1, fib.lam2, bal.lam1)]):
+        with pytest.raises(ValueError):
+            QuadExtElem.sum_of_products(triples, fib.disc)
