@@ -29,9 +29,12 @@ numerator) = 1, and the zero polynomial is ``{}`` over 1.  Two
 polynomials are therefore equal iff their denominators and term dicts
 are equal.
 
-A sum of products Σ s·p·q is formed by :class:`ProductSum` in one
-integer accumulator, with no intermediate polynomial per product: the
-same idea as the one-pass division f − Σ q·g of Monagan & Pearce.
+Every polynomial product is formed by :class:`ProductSum`: a sum of
+products Σ s·p·q goes into one integer accumulator, with no
+intermediate polynomial per product (the same idea as the one-pass
+division f − Σ q·g of Monagan & Pearce), and ``p * q`` is the sum of
+the one product p·q, so every product passes the one degree guard
+above, in :meth:`ProductSum.add`.
 
 Conventions baked in here and relied on everywhere above:
 
@@ -98,15 +101,6 @@ def binomial(n: int, k: int):
 
 def _overflow(degree: int) -> OverflowError:
     return OverflowError(f"total degree {degree} exceeds the packed exponent bound {MAX_EXP}")
-
-
-def _exact_product_degree(p: "MultiPoly", q: "MultiPoly") -> int:
-    # the slow half of the O(1) guard: called only when the degree bounds
-    # of p and q add up past MAX_EXP
-    deg = p.total_degree() + q.total_degree()
-    if deg > MAX_EXP:
-        raise _overflow(deg)
-    return deg
 
 
 def _pack(exp: Monomial) -> int:
@@ -300,27 +294,9 @@ class MultiPoly:
                 return MultiPoly._raw({}, 1, 0)
             out = {k: c * num for k, c in self._terms.items()}
             return MultiPoly._reduced(out, self._den * den, self._deg)
-        a, b = self._terms, other._terms
-        if not a or not b:
-            return MultiPoly._raw({}, 1, 0)
-        deg = self._deg + other._deg
-        if deg > MAX_EXP:
-            deg = _exact_product_degree(self, other)
-        if len(a) > len(b):
-            a, b = b, a
-        items = iter(a.items())
-        ka, ca = next(items)
-        # the first row's keys are distinct, so it needs no merging
-        out = {ka + kb: ca * cb for kb, cb in b.items()}
-        get = out.get
-        b = b.items()
-        for ka, ca in items:
-            for kb, cb in b:
-                k = ka + kb
-                out[k] = get(k, 0) + ca * cb
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return MultiPoly._reduced(out, self._den * other._den, deg)
+        acc = ProductSum()
+        acc.add(1, 1, self, other)
+        return acc.value()
 
     __rmul__ = __mul__
 
@@ -444,12 +420,6 @@ class MultiPoly:
             out = {k: c for k, c in out.items() if c}
         return MultiPoly._reduced(out, den * self._den, deg)
 
-    def sorted_terms(self):
-        """Terms in canonical print order: total degree then exponent
-        tuple, both descending."""
-        den = self._den
-        return [(_unpack(k), Rational(c, den)) for k, c in sorted(self._terms.items(), reverse=True)]
-
     def __str__(self) -> str:
         return format_poly(self)
 
@@ -464,9 +434,11 @@ class ProductSum:
     as in a :class:`MultiPoly`.  Each product is multiplied straight into
     it, with no intermediate polynomial; the numerators are rescaled only
     when a product's denominator does not divide the common one, and the
-    gcd is divided out once, by :meth:`value`.  The degree guard is the
-    O(1) one of ``MultiPoly.__mul__``, with the same exact-degree
-    fallback, so no packed key can carry into its neighbour field.
+    gcd is divided out once, by :meth:`value`.  ``MultiPoly.__mul__`` is
+    one :meth:`add` and one :meth:`value`, so this is the package's one
+    polynomial product.  :meth:`add` applies the O(1) degree guard of the
+    module docstring before any key is formed, so no packed key can carry
+    into its neighbour field.
     """
 
     __slots__ = ("_terms", "_den", "_deg")
@@ -483,7 +455,10 @@ class ProductSum:
             return
         deg = p._deg + q._deg
         if deg > MAX_EXP:
-            deg = _exact_product_degree(p, q)
+            # the bounds can overshoot: consult the exact degrees
+            deg = p.total_degree() + q.total_degree()
+            if deg > MAX_EXP:
+                raise _overflow(deg)
         if deg > self._deg:
             self._deg = deg
         d = den * p._den * q._den

@@ -10,10 +10,11 @@ series   print EGF coefficients of one of the special series
 Exit status: 0 when everything expected to hold does hold, 1 when a
 corrected-variant check (or an as-printed check with no corrected
 sibling) fails, 2 for usage errors such as an unknown identity id, a
-malformed ``--at`` point, an ``--at`` point given for a number kind or
-binding a variable outside the kind's own (``x`` for the ``*_poly``
-kinds, ``y`` and ``t`` for ``biv_*``), or an ``--out`` file that cannot
-be written.
+malformed ``--at`` point, an ``--at`` point given for a number kind,
+binding a variable twice or binding one outside the kind's own (``x``
+for the ``*_poly`` kinds, ``y`` and ``t`` for ``biv_*``), an ``--id``
+selection that the ``--variant`` filter leaves empty, or an ``--out``
+file that cannot be written.
 """
 
 from __future__ import annotations
@@ -60,10 +61,13 @@ def _parse_point(text: str) -> dict:
     bindings = {}
     for chunk in text.split(","):
         name, sep, value = chunk.partition("=")
-        if not sep or not name.strip():
+        name = name.strip()
+        if not sep or not name:
             raise ValueError(f"expected name=value, got {chunk!r}")
+        if name in bindings:
+            raise ValueError(f"--at binds {name} twice")
         try:
-            bindings[name.strip()] = as_rational(value.strip())
+            bindings[name] = as_rational(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {chunk!r}") from None
     return bindings

@@ -20,16 +20,10 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._scalar import Rational, as_rational
+from .._scalar import as_rational
 from ..arith import MultiPoly, binomial
 from ..quadext import QuadExtElem, RootPair, make_root_pair
-from ..sequences import (
-    bernoulli_number,
-    bivariate_sequence,
-    euler_number,
-    genocchi_number,
-    number_polynomial,
-)
+from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
 __all__ = [
     "Context",
@@ -69,15 +63,23 @@ def printed_ratio(num, den: int):
     return q / den
 
 
+# Context.memo keys of the embedded sequences, one callable per kind;
+# each calls its sequence function through this module's globals, which
+# perfbench/tracer.py rebinds
+_NPOLY = {kind: (lambda ctx, j, kind=kind: ctx.embed(number_polynomial(kind, j)))
+          for kind in ("bernoulli", "euler", "genocchi")}
+_SEQ = {kind: (lambda ctx, j, kind=kind: ctx.embed(bivariate_sequence(kind, j)))
+        for kind in BIVARIATE_KINDS}
+
+
 class Context:
-    """Ring adapter: letters, cached building blocks, and number tables.
+    """Ring adapter: letters and cached building blocks.
 
     The letters are ``u`` and ``v``; ``D = u - v`` and ``Sig = u + v``.
-    Each cache is keyed by what determines its entries -- a base element
-    by value, a sequence name and index, a summand factor callable and
-    its index k, a record side callable and its index n -- never by a
-    name a caller makes up, so an entry cannot be returned for a
-    different element.
+    Each cache is keyed by what determines its entries -- a power's base
+    element by value, any other value by the callable that computes it
+    and its index -- never by a name a caller makes up, so an entry
+    cannot be returned for a different element.
     """
 
     def __init__(self, ring: str):
@@ -103,9 +105,7 @@ class Context:
         self.x = self.embed(MultiPoly.var("x"))
         self._S: List[Any] = [self.one]
         self._powers: Dict[Any, List[Any]] = {}
-        self._factors: Dict[Tuple[Callable, int], Any] = {}
-        self._npoly: Dict[Tuple[str, int], Any] = {}
-        self._sides: Dict[Tuple[SideFn, int], Any] = {}
+        self._memo: Dict[Tuple[Callable, int], Any] = {}
 
     # -- embedding -------------------------------------------------------
 
@@ -148,34 +148,22 @@ class Context:
             powers.append(powers[-1] * base)
         return powers[e]
 
-    def factor(self, fn: Callable[["Context", int], Any], k: int):
-        """fn(self, k), computed once per (fn, k) in this ring.  A sum's
-        factor of the summation index k alone (a bracket) is the same at
-        every n; factors of n-k are not kept."""
-        key = (fn, k)
-        got = self._factors.get(key)
+    def memo(self, fn: Callable[["Context", int], Any], i: int):
+        """fn(self, i), computed once per (fn, i) in this ring.  It keeps
+        each record side at its n, each sum's factor of the summation
+        index k alone (a bracket, the same at every n; factors of n-k are
+        not kept) and each embedded sequence value."""
+        key = (fn, i)
+        got = self._memo.get(key)
         if got is None:
-            got = self._factors[key] = fn(self, k)
+            got = self._memo[key] = fn(self, i)
         return got
 
-    # -- number and polynomial sequences ----------------------------------
-
-    def B(self, j: int) -> Rational:
-        return bernoulli_number(j)
-
-    def E(self, j: int) -> Rational:
-        return euler_number(j)
-
-    def G(self, j: int) -> Rational:
-        return genocchi_number(j)
+    # -- polynomial sequences ---------------------------------------------
 
     def npoly(self, kind: str, j: int):
         """Embedded Bernoulli/Euler/Genocchi polynomial in x."""
-        key = (kind, j)
-        got = self._npoly.get(key)
-        if got is None:
-            got = self._npoly[key] = self.embed(number_polynomial(kind, j))
-        return got
+        return self.memo(_NPOLY[kind], j)
 
     # -- root-family extras ------------------------------------------------
 
@@ -195,11 +183,7 @@ class Context:
         self._require_family()
         if j < 0:
             return self.zero
-        key = ("seq:" + kind, j)
-        got = self._npoly.get(key)
-        if got is None:
-            got = self._npoly[key] = self.embed(bivariate_sequence(kind, j))
-        return got
+        return self.memo(_SEQ[kind], j)
 
     # perfbench/tracer.py wraps this method by name, so it stays a method
     def pair_product(self, left_fn, right_fn, k: int, j: int):
@@ -207,14 +191,6 @@ class Context:
         are not multiplied here: :func:`eval_convolution_sum` multiplies
         every summand's factors into one accumulator."""
         return left_fn(k), right_fn(j)
-
-    def side(self, fn: SideFn, n: int):
-        """fn(self, n), computed once per (side, n) in this ring."""
-        key = (fn, n)
-        got = self._sides.get(key)
-        if got is None:
-            got = self._sides[key] = fn(self, n)
-        return got
 
 
 _CONTEXTS: Dict[str, Context] = {}
@@ -363,7 +339,7 @@ def _check_range(
 ) -> List[IdentityVerdict]:
     """One verdict per n comparing ``lhs(ctx, n)`` with ``rhs(ctx, n)``,
     each substituted with ``bindings`` first when given.  Each side is
-    taken from the context's side memo, so a re-check, a companion
+    taken from the context's memo, so a re-check, a companion
     check or another point reuses it.  It calls no public check, so a
     wrapper around one check never nests another.
     """
@@ -378,7 +354,7 @@ def _check_range(
     for n in range(lo, hi + 1):
         try:
             verdict = _compare_sides(
-                record, n, image(ctx.side(lhs, n)), image(ctx.side(rhs, n))
+                record, n, image(ctx.memo(lhs, n)), image(ctx.memo(rhs, n))
             )
         except PrintedFormUndefined as exc:
             verdict = IdentityVerdict(

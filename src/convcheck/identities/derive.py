@@ -27,6 +27,7 @@ here from the true entries they should have followed from.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..quadext import FAMILIES
@@ -208,17 +209,17 @@ def _corollary_from(
     src = sources.get(theorem_ident)
     if src is None:
         raise ValueError(f"no generic catalog entry named {theorem_ident!r}")
-    cid = THEOREM_TO_COROLLARY[(theorem_ident, family)]
-    return IdentityRecord(
-        cid, "corrected", f"{family}-roots", 0, 20,
-        src.lhs, src.rhs,
+    # the sides, statement, parity and companion carry over from src
+    return dataclasses.replace(
+        src,
+        ident=THEOREM_TO_COROLLARY[(theorem_ident, family)],
+        variant="corrected",
+        ring=f"{family}-roots",
+        lo=0,
+        hi=20,
         anchor=f"{src.anchor}  [letters = {family} roots]",
         note=f"derived from {theorem_ident} over the {family} root pair",
         source=theorem_ident,
-        statement=src.statement,
-        parity=src.parity,
-        unrestricted_lhs=src.unrestricted_lhs,
-        unrestricted_rhs=src.unrestricted_rhs,
     )
 
 

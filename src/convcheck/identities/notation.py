@@ -86,6 +86,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 from .._scalar import Rational
 from ..arith import MultiPoly, binomial
 from ..quadext import FAMILIES
+from ..sequences import bernoulli_number, euler_number, genocchi_number
 from ..symfun import sym_ehp
 from .core import (
     Context,
@@ -144,7 +145,7 @@ _SEQUENCES = {
     "B*_": lambda ctx, j: ctx.seq("balancing", j),
     "C_": lambda ctx, j: ctx.seq("lucas_balancing", j),
 }
-_NUMBERS = {"B_": Context.B, "E_": Context.E, "G_": Context.G}
+_NUMBERS = {"B_": bernoulli_number, "E_": euler_number, "G_": genocchi_number}
 _ATOMS = {"n": ("idx", "n"), "m": ("idx", "n"), "k": ("idx", "k")}
 _ATOMS.update((name, ("sym", name)) for name in _SYMBOLS)
 _POLYNOMIALS = {"B_": "bernoulli", "E_": "euler", "G_": "genocchi"}
@@ -429,7 +430,7 @@ def _product(factors) -> Eval:
 @functools.lru_cache(maxsize=None)
 def _factor_of_k(factors: tuple) -> Callable[[Context, int], Any]:
     """fn(ctx, k), the product of a summand's ring factors of k alone, for
-    ``Context.factor``.  Equal products share one callable, so equal
+    ``Context.memo``.  Equal products share one callable, so equal
     brackets of different records share their memo entries."""
     ev = _product(factors) if factors else (lambda ctx, n, k: ctx.one)
     return lambda ctx, k: ev(ctx, 0, k)
@@ -452,7 +453,7 @@ def _sum(parity: bool, summand) -> Eval:
     def ev(ctx, n, k):
         return eval_convolution_sum(
             ctx, n,
-            lambda k_: ctx.factor(low_fn, k_),
+            lambda k_: ctx.memo(low_fn, k_),
             lambda j: high_ev(ctx, n, n - j),
             use_binomial=use_binomial,
             weight=None if weight is None else (lambda n_, k_: weight(ctx, n_, k_)),
@@ -485,7 +486,7 @@ def _compile(node) -> Eval:
 
         def ev_number(ctx, n, k):
             j = sub(ctx, n, k)
-            return number(ctx, j) if j >= 0 else 0
+            return number(j) if j >= 0 else 0
 
         return ev_number
     if tag == "ehp":

@@ -66,8 +66,9 @@ def select_records(
 ) -> List[IdentityRecord]:
     """Catalog slice for an id list (None = all) and a variant filter.
 
-    Each selected record appears once, in catalog order; an unknown id
-    raises ``KeyError``.
+    Each selected record appears once, in catalog order; an unknown id,
+    or ids of which the variant filter leaves no record, raise
+    ``KeyError``.
     """
     catalog = register_catalog()
     if ids:
@@ -75,6 +76,8 @@ def select_records(
         catalog = [r for r in catalog if r.key in wanted]
     if variant != "both":
         catalog = [r for r in catalog if r.variant == variant]
+    if ids and not catalog:
+        raise KeyError(f"no {variant} variant of {', '.join(ids)}")
     return catalog
 
 

@@ -121,11 +121,20 @@ def test_compute_bad_point_exits_2(tmp_path):
         ("compute", "euler", "4", "--at", "x=3"),
         ("compute", "biv_lucas", "2", "--at", "x=1"),
         ("compute", "bernoulli_poly", "2", "--at", "y=1"),
+        ("compute", "bernoulli_poly", "3", "--at", "x=1,x=2"),
     ]
     for args in cases:
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
+
+
+def test_verify_selection_that_checks_nothing_exits_2():
+    # T2.1b has no corrected variant: "0/0 records pass" is not a verdict
+    result = run_cli("verify", "--id", "T2.1b", "--variant", "corrected")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["no corrected variant of T2.1b"]
 
 
 def test_compute_unknown_kind_exits_2():

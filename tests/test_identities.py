@@ -14,6 +14,7 @@ from convcheck._scalar import Rational
 from convcheck.arith import MultiPoly
 from convcheck.egf import EgfSeries, egf_mul
 from convcheck.identities import (
+    RINGS,
     Context,
     PrintedFormUndefined,
     check_identity,
@@ -26,6 +27,7 @@ from convcheck.identities import (
     run_record_substituted,
     substitute_value,
 )
+from convcheck.sequences import bivariate_sequence, number_polynomial
 
 # ---------------------------------------------------------------------------
 # catalog shape
@@ -403,3 +405,25 @@ def test_power_is_cached_by_the_value_of_its_base():
     assert roots.power(2 * roots.delta, 3) is roots.power(roots.delta * 2, 3)
     assert roots.power(2 * roots.delta, 3) == 8 * roots.power(roots.delta, 3)
     assert roots.power(roots.delta + 1, 3) != roots.power(roots.delta - 1, 3)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_sequence_values_are_memoized_by_kind_and_index(ring):
+    ctx = Context(ring)
+    euler = ctx.npoly("euler", 4)
+    assert ctx.npoly("euler", 4) is euler
+    assert euler == ctx.embed(number_polynomial("euler", 4))
+    # the same index under another kind is another entry
+    bernoulli = ctx.npoly("bernoulli", 4)
+    assert bernoulli == ctx.embed(number_polynomial("bernoulli", 4)) != euler
+    if ctx.family is None:
+        with pytest.raises(ValueError):
+            ctx.seq("lucas", 4)
+        return
+    lucas = ctx.seq("lucas", 4)
+    assert ctx.seq("lucas", 4) is lucas
+    assert lucas == ctx.embed(bivariate_sequence("lucas", 4))
+    fibonacci = ctx.seq("fibonacci", 4)
+    assert fibonacci == ctx.embed(bivariate_sequence("fibonacci", 4)) != lucas
+    assert ctx.seq("lucas", -1) is ctx.zero and not ctx.zero
+

@@ -37,3 +37,10 @@ def test_select_records_filters_by_variant():
     ]
     corrected = select_records(None, "corrected")
     assert corrected and all(r.variant == "corrected" for r in corrected)
+
+
+def test_select_records_that_the_variant_filter_empties_raises_keyerror():
+    for ids, variant in ((["T2.1b"], "corrected"), (["L1.2S:corrected"], "as_printed")):
+        with pytest.raises(KeyError) as info:
+            select_records(ids, variant)
+        assert info.value.args == (f"no {variant} variant of {ids[0]}",)
