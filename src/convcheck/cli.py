@@ -13,8 +13,10 @@ sibling) fails, 2 for usage errors such as an unknown identity id, a
 malformed ``--at`` point, an ``--at`` point given for a number kind,
 binding a variable twice or binding one outside the kind's own (``x``
 for the ``*_poly`` kinds, ``y`` and ``t`` for ``biv_*``), an ``--id``
-selection that the ``--variant`` filter leaves empty, or an ``--out``
-file that cannot be written.
+that the ``--variant`` filter leaves without a record, a ``--max-n``
+below the first index of every selected record, or an ``--out`` file
+that cannot be written.  A record whose capped range holds no index is
+reported as skipped, never as a pass.
 """
 
 from __future__ import annotations
@@ -102,6 +104,10 @@ def _check_and_emit(args: argparse.Namespace, ids: Optional[List[str]]) -> int:
     started = time.perf_counter()
     rows = run_records(records, args.max_n)
     elapsed = time.perf_counter() - started
+    if all(row.status == "skipped" for row in rows):
+        print(f"--max-n {args.max_n} is below the first index of every selected record; "
+              "nothing was checked", file=sys.stderr)
+        return 2
     if args.format == "text":
         runtime = elapsed if args.command == "verify" else None
         doc = render_text(rows, per_n=bool(ids), runtime=runtime)

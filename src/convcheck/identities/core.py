@@ -216,9 +216,10 @@ def eval_convolution_sum(
 ):
     """sum over k of C(n,k) * weight(n,k) * term_low(k) * term_high(n-k).
 
-    ``term_low``/``term_high`` produce ring elements indexed by k and
-    n-k; ``weight`` is an optional exact scalar factor and may signal a
-    skipped term by returning 0.  With ``parity=True`` the sum runs only
+    ``term_low(k)`` is the summand's first operand at k and may read n;
+    ``term_high(j)`` is its second operand at j = n-k.  ``weight`` is an
+    optional exact scalar factor and may signal a skipped term by
+    returning 0.  With ``parity=True`` the sum runs only
     over k with n - k even.  The summands stream into the ring's
     ``sum_of_products``, which forms the whole sum in one exact
     accumulator rather than one polynomial per summand.

@@ -38,10 +38,18 @@ Reading
 Sums
   ``sum`` runs over k = 0..n and ``sum[n=k(2)]`` only over k = n (mod 2).
   A factor ``C(n,k)`` makes the sum binomial.  Each summand splits into
-  its scalar factors (the weight), its ring factors of k and its ring
-  factors of n-k, and is evaluated by ``eval_convolution_sum``.  A parity
-  restricted record may carry a *companion*: the closed form of the same
-  sum without ``[n=k(2)]``, written as one side in this notation.
+  its scalar factors (the weight) and two ring operands, which
+  ``eval_convolution_sum`` multiplies into one accumulator.  The split
+  is by the variables a factor reads.  The factors *in x alone* (``x``,
+  ``B_j(x) E_j(x) G_j(x)``) form the second operand; every other ring
+  factor reads the letters (or ``y``, ``t``) and goes into the first:
+  its factor of k alone, memoized per k, times its factors of n-k.
+  Those letter factors share variables, so their product collapses to
+  at most n+1 terms before the x factors, which share none with them,
+  multiply it.  A summand with no factor in x alone keeps the split
+  factor of k | factor of n-k.  A parity restricted record may carry a
+  *companion*: the closed form of the same sum without ``[n=k(2)]``,
+  written as one side in this notation.
 
 Clearing: how a printed statement becomes a cleared record
   * A denominator holding a ring element (``D^2``, ``y^2+4t``,
@@ -341,6 +349,21 @@ def _reads(node, index: str) -> bool:
     return any(isinstance(c, tuple) and _reads(c, index) for c in node)
 
 
+def _in_x_alone(node) -> bool:
+    """Whether the ring factor node reads no variable but x: it is built
+    from ``x``, ``B_j(x) E_j(x) G_j(x)`` and scalars.  Every other ring
+    symbol (``u v D Sig d S_ phi_ F_ L_ B*_ C_ h_ p_ y t``) reads the
+    letters."""
+    tag = node[0]
+    if tag == "sym":
+        return node[1] == "x"
+    if tag == "seq":
+        return node[1] not in _SEQUENCES
+    if tag in ("ehp", "sum"):
+        return False
+    return all(_in_x_alone(c) for c in node if isinstance(c, tuple))
+
+
 def _linear(node) -> Optional[Tuple[int, int, int]]:
     """(a, b, c) when node is the index a n + b k + c, else None."""
     if node[0] == "num":
@@ -438,23 +461,38 @@ def _factor_of_k(factors: tuple) -> Callable[[Context, int], Any]:
 
 def _sum(parity: bool, summand) -> Eval:
     use_binomial = False
-    scalars, low, high = [], [], []
+    scalars, low, high, in_x = [], [], [], []
     for f in _factors(summand):
         if f == _BINOMIAL_NK:
             use_binomial = True
         elif not _is_ring(f):
             scalars.append(f)
+        elif _in_x_alone(f):
+            in_x.append(f)
         else:
             (high if _reads(f, "n") else low).append(f)
     weight = _product(scalars) if scalars else None
     low_fn = _factor_of_k(tuple(low))
     high_ev = _product(high) if high else (lambda ctx, n, k: ctx.one)
 
+    def low_ev(ctx, n, k):
+        return ctx.memo(low_fn, k)
+
+    # the two operands of the summand at (n, k)
+    if not in_x:
+        first, second = low_ev, high_ev
+    else:
+        # the letters' factors collapse into one product of at most n+1
+        # terms; the factors in x alone share no variable with them, so
+        # they are multiplied in last, by the accumulator
+        first = lambda ctx, n, k: low_ev(ctx, n, k) * high_ev(ctx, n, k)
+        second = _product(in_x)
+
     def ev(ctx, n, k):
         return eval_convolution_sum(
             ctx, n,
-            lambda k_: ctx.memo(low_fn, k_),
-            lambda j: high_ev(ctx, n, n - j),
+            lambda k_: first(ctx, n, k_),
+            lambda j: second(ctx, n, n - j),
             use_binomial=use_binomial,
             weight=None if weight is None else (lambda n_, k_: weight(ctx, n_, k_)),
             parity=parity,

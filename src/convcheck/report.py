@@ -38,16 +38,16 @@ __all__ = [
 
 @dataclass
 class ResultRow:
-    """One record's outcome over its evaluated range."""
+    """One record's outcome over its evaluated range.
+
+    A range that holds no index (``--max-n`` below the record's first n)
+    checks nothing: the row is ``skipped``, neither a pass nor a failure.
+    """
 
     record: IdentityRecord
     lo: int
     hi: int
     verdicts: List[IdentityVerdict]
-
-    @property
-    def passed(self) -> bool:
-        return all(v.passed for v in self.verdicts)
 
     @property
     def first_fail_n(self) -> Optional[int]:
@@ -58,7 +58,14 @@ class ResultRow:
 
     @property
     def status(self) -> str:
-        return "pass" if self.passed else "fail"
+        """"pass", "fail", or "skipped" when no index was checked."""
+        if not self.verdicts:
+            return "skipped"
+        return "fail" if self.first_fail_n is not None else "pass"
+
+    @property
+    def failed(self) -> bool:
+        return self.status == "fail"
 
 
 def select_records(
@@ -67,18 +74,21 @@ def select_records(
     """Catalog slice for an id list (None = all) and a variant filter.
 
     Each selected record appears once, in catalog order; an unknown id,
-    or ids of which the variant filter leaves no record, raise
+    or an id of which the variant filter leaves no record, raises
     ``KeyError``.
     """
+    def kept(rec: IdentityRecord) -> bool:
+        return variant in ("both", rec.variant)
+
     catalog = register_catalog()
-    if ids:
-        wanted = {rec.key for ident in ids for rec in _lookup(ident)}
-        catalog = [r for r in catalog if r.key in wanted]
-    if variant != "both":
-        catalog = [r for r in catalog if r.variant == variant]
-    if ids and not catalog:
-        raise KeyError(f"no {variant} variant of {', '.join(ids)}")
-    return catalog
+    if not ids:
+        return [r for r in catalog if kept(r)]
+    chosen = {ident: [rec.key for rec in _lookup(ident) if kept(rec)] for ident in ids}
+    empty = [ident for ident, got in chosen.items() if not got]
+    if empty:
+        raise KeyError(f"no {variant} variant of {', '.join(empty)}")
+    wanted = {key for got in chosen.values() for key in got}
+    return [r for r in catalog if r.key in wanted]
 
 
 def run_records(
@@ -107,7 +117,7 @@ def _errata_rows(rows: Sequence[ResultRow]) -> List[Dict[str, str]]:
     found: List[Dict[str, str]] = []
     for row in rows:
         rec = row.record
-        if rec.variant != "as_printed" or row.passed:
+        if rec.variant != "as_printed" or not row.failed:
             continue
         note = rec.note or "fails as printed"
         note += f"; first failing index {row.first_fail_n}"
@@ -151,7 +161,7 @@ def exit_code_for(rows: Sequence[ResultRow]) -> int:
     """
     siblings = _corrected_siblings()
     for row in rows:
-        if row.passed:
+        if not row.failed:
             continue
         if row.record.variant == "corrected":
             return 1
@@ -164,14 +174,17 @@ def render_json(payload: Dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+_TEXT_STATUS = {"pass": "PASS", "fail": "FAIL", "skipped": "SKIP"}
+
+
 def render_text(
     rows: Sequence[ResultRow], per_n: bool = False, runtime: Optional[float] = None
 ) -> str:
     lines: List[str] = []
     ordered = sorted(rows, key=lambda r: (r.record.ident, r.record.variant))
     for row in ordered:
-        status = "PASS" if row.passed else "FAIL"
-        extra = "" if row.passed else f"  first failure at n={row.first_fail_n}"
+        status = _TEXT_STATUS[row.status]
+        extra = f"  first failure at n={row.first_fail_n}" if row.failed else ""
         lines.append(
             f"{status} {row.record.key}  n in [{row.lo},{row.hi}]{extra}"
         )
@@ -179,8 +192,11 @@ def render_text(
             for v in row.verdicts:
                 mark = "ok" if v.passed else "FAIL"
                 lines.append(f"  n={v.n:<3d} {mark}" + ("" if v.passed else f"  diff = {v.diff}"))
-    npass = sum(1 for r in ordered if r.passed)
-    summary = f"{npass}/{len(ordered)} records pass"
+    npass = sum(1 for r in ordered if r.status == "pass")
+    nchecked = sum(1 for r in ordered if r.status != "skipped")
+    summary = f"{npass}/{nchecked} records pass"
+    if nchecked < len(ordered):
+        summary += f", {len(ordered) - nchecked} skipped"
     if runtime is not None:
         summary += f" ({runtime:.2f}s)"
     lines.append(summary)
@@ -191,8 +207,11 @@ def render_markdown(payload: Dict) -> str:
     lines: List[str] = []
     lines.append("# Identity verification report")
     lines.append("")
-    lines.append(f"Tool version {payload['version']}; "
-                 f"{len(payload['results'])} records checked.")
+    skipped = sum(1 for row in payload["results"] if row["status"] == "skipped")
+    checked = f"{len(payload['results']) - skipped} records checked"
+    if skipped:
+        checked += f", {skipped} skipped"
+    lines.append(f"Tool version {payload['version']}; {checked}.")
     lines.append("")
     lines.append("## Results")
     lines.append("")

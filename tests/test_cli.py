@@ -172,3 +172,35 @@ def test_main_returns_zero_in_process(capsys):
     assert cli.main(["verify", "--id", "T2.2a", "--max-n", "5"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_verify_mixed_selection_with_an_id_the_variant_empties_exits_2():
+    # L1.2S has a corrected variant, T2.1b has none: T2.1b is not dropped
+    result = run_cli("verify", "--id", "L1.2S", "--id", "T2.1b",
+                     "--variant", "corrected", "--max-n", "3")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["no corrected variant of T2.1b"]
+
+
+def test_a_capped_range_with_no_index_is_skipped_not_passed(capsys):
+    # L1.1a starts at n = 1, so --max-n 0 leaves its range [1, 0] empty
+    assert cli.main(["verify", "--id", "L1.1a", "--id", "T2.1a", "--max-n", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "SKIP L1.1a:as_printed  n in [1,0]"
+    assert lines[1] == "PASS T2.1a:as_printed  n in [0,0]"
+    assert lines[-1].startswith("1/1 records pass, 1 skipped (")
+
+    assert cli.main(["verify", "--all", "--max-n", "0", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    (row,) = [r for r in doc["results"] if r["id"] == "L1.1a"]
+    assert (row["range"], row["status"], row["first_fail_n"]) == ([1, 0], "skipped", None)
+    assert "L1.1a" not in {e["id"] for e in doc["errata"]}
+
+
+def test_verify_selection_whose_every_range_is_empty_exits_2():
+    result = run_cli("verify", "--id", "L1.1a", "--max-n", "0")
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert "nothing was checked" in result.stderr

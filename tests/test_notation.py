@@ -16,14 +16,17 @@ from pathlib import Path
 
 import pytest
 
+from convcheck.arith import VARIABLES
 from convcheck.identities import (
     Context,
     PrintedFormUndefined,
     get_context,
     get_record,
     register_catalog,
+    run_record,
 )
 from convcheck.identities.notation import read_anchor
+from convcheck.quadext import QuadExtElem
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "printed_sides.json").read_text())
 HAND_STATED = {"L1.2S", "R1.1", "R1.2", "BINET.C"}
@@ -194,3 +197,51 @@ def test_annotations_are_checked_against_the_record():
     assert "(n positive)" in one_line_error("S_n - u v S_(n-2) = phi_n  (n positive)", "indeterminate")
     derived = get_record("C3.1:corrected").anchor
     assert "fibonacci roots" in one_line_error(derived, "balancing-roots")
+
+
+# ---------------------------------------------------------------------------
+# the two operands of a summand
+# ---------------------------------------------------------------------------
+
+
+def summand_operands(key, n_range):
+    """{(n, k): (first, second)}, the operands every summand of the
+    record's sides hands the accumulator, on a fresh context."""
+    ctx = Context(get_record(key).ring)
+    seen = {}
+    pair_product = ctx.pair_product
+
+    def recording(left_fn, right_fn, k, j):
+        seen[k + j, k] = pair_product(left_fn, right_fn, k, j)
+        return seen[k + j, k]
+
+    ctx.pair_product = recording
+    run_record(get_record(key), n_range, ctx)
+    return seen
+
+
+def variables(value):
+    """The variables a ring element reads; ``sqrt`` for a root-ring
+    element with a part in sqrt(d)."""
+    parts = (value.a, value.b) if isinstance(value, QuadExtElem) else (value,)
+    names = {name for part in parts for exp in part.terms for name, e in zip(VARIABLES, exp) if e}
+    return names | ({"sqrt"} if isinstance(value, QuadExtElem) and value.b else set())
+
+
+@pytest.mark.parametrize("key", ["T4.1:as_printed", "C4.1:as_printed", "C4.4:as_printed"])
+def test_the_factors_in_x_alone_are_the_second_operand(key):
+    operands = summand_operands(key, (6, 6))
+    assert sorted(operands) == [(6, k) for k in range(7)]
+    for first, second in operands.values():
+        assert variables(second) <= {"x"}
+        assert "x" not in variables(first)
+    # G_0(x) = 0 and G_1(x) = 1 read no variable; the others read x
+    assert variables(operands[6, 0][1]) == {"x"}
+
+
+def test_a_summand_without_factors_in_x_keeps_its_memoized_factor_of_k():
+    # T3.1 weights its sum by Genocchi numbers: no factor is in x alone
+    # (at k = n the weight G_0 = 0 skips the summand)
+    operands = summand_operands("T3.1:as_printed", (4, 6))
+    for k in (0, 2):
+        assert operands[6, k][0] is operands[4, k][0]
