@@ -45,6 +45,7 @@ Conventions baked in here and relied on everywhere above:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Mapping
 from typing import Dict, Tuple, Union
@@ -350,34 +351,41 @@ class MultiPoly:
             if name not in _VAR_INDEX:
                 raise ValueError(f"unknown variable {name!r} in substitution")
             subs[_VAR_INDEX[name]] = value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
-        if not subs:
+        if not subs or not self._terms:
             return self
-        # a variable bound to a constant contributes integer powers of its
-        # numerator and denominator; one bound to a polynomial, a power
-        # of that polynomial
+        # a variable bound to a constant num/den multiplies a term of
+        # exponent e by num^e·den^(top-e), which puts every term over the
+        # common denominator den^top; top, the total degree (the largest
+        # key's top field), bounds every exponent.  One bound to a
+        # polynomial multiplies it by a power of that polynomial
+        top = max(self._terms) >> _DEG_SHIFT
         scalars, polys = [], []
+        scalar_den = 1
         for i in sorted(subs):
             value = subs[i]
+            shift = _SHIFTS[i]
             if value.is_constant():
-                scalars.append((_SHIFTS[i], _VAR_KEYS[i], value._terms.get(0, 0), value._den))
+                num_i, den_i = value._terms.get(0, 0), value._den
+                scalars.append((shift, _VAR_KEYS[i], _power_row(num_i, den_i, top)))
+                scalar_den *= den_i ** top
             else:
-                polys.append((_SHIFTS[i], _VAR_KEYS[i], i))
+                polys.append((shift, _VAR_KEYS[i], i))
         pow_cache: Dict[Tuple[int, int], MultiPoly] = {}
 
         # each term becomes (numerator, denominator, residual key, factor):
-        # the term is numerator/(denominator * _den) * monomial(residual) * factor
+        # the term is numerator/(denominator * scalar_den * _den)
+        # * monomial(residual) * factor
         pieces = []
         den = 1
         for key, c in self._terms.items():
-            d = 1
-            for shift, unit, num_i, den_i in scalars:
+            for shift, unit, row in scalars:
                 e = (key >> shift) & MAX_EXP
                 if e:
                     key -= e * unit
-                    c *= num_i ** e
-                    d *= den_i ** e
+                c *= row[e]
             if not c:
                 continue
+            d = 1
             factor = None
             for shift, unit, i in polys:
                 e = (key >> shift) & MAX_EXP
@@ -390,12 +398,13 @@ class MultiPoly:
             if factor is not None:
                 if not factor._terms:
                     continue
-                d *= factor._den
-            if den % d:
-                den = math.lcm(den, d)
+                d = factor._den
+                if den % d:
+                    den = math.lcm(den, d)
             pieces.append((c, d, key, factor))
 
-        # one integer accumulator over the common denominator den * _den
+        # one integer accumulator over the common denominator
+        # den * scalar_den * _den
         out: Dict[int, int] = {}
         get = out.get
         deg = 0
@@ -418,13 +427,23 @@ class MultiPoly:
                 deg = rdeg + fdeg
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
-        return MultiPoly._reduced(out, den * self._den, deg)
+        return MultiPoly._reduced(out, den * scalar_den * self._den, deg)
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)})"
+
+
+@functools.lru_cache(maxsize=512)
+def _power_row(num: int, den: int, top: int) -> Tuple[int, ...]:
+    """num^e·den^(top-e) for e = 0..top: the factors that put the terms
+    of a substitution by num/den over the common denominator den^top."""
+    row = [den ** top]
+    for _ in range(top):
+        row.append(row[-1] // den * num)
+    return tuple(row)
 
 
 class ProductSum:

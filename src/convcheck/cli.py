@@ -101,8 +101,10 @@ def _check_and_emit(args: argparse.Namespace, ids: Optional[List[str]]) -> int:
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
+    # only verify's text for chosen ids lists every index
+    per_n = args.format == "text" and bool(ids)
     started = time.perf_counter()
-    rows = run_records(records, args.max_n)
+    rows = run_records(records, args.max_n, per_n=per_n)
     elapsed = time.perf_counter() - started
     if all(row.status == "skipped" for row in rows):
         print(f"--max-n {args.max_n} is below the first index of every selected record; "
@@ -110,7 +112,7 @@ def _check_and_emit(args: argparse.Namespace, ids: Optional[List[str]]) -> int:
         return 2
     if args.format == "text":
         runtime = elapsed if args.command == "verify" else None
-        doc = render_text(rows, per_n=bool(ids), runtime=runtime)
+        doc = render_text(rows, per_n=per_n, runtime=runtime)
     else:
         config = {
             "command": args.command,

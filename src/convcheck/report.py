@@ -40,8 +40,10 @@ __all__ = [
 class ResultRow:
     """One record's outcome over its evaluated range.
 
-    A range that holds no index (``--max-n`` below the record's first n)
-    checks nothing: the row is ``skipped``, neither a pass nor a failure.
+    ``verdicts`` ends at the first failing index unless the run was
+    asked for every index (``run_records``'s ``per_n``).  A range that
+    holds no index (``--max-n`` below the record's first n) checks
+    nothing: the row is ``skipped``, neither a pass nor a failure.
     """
 
     record: IdentityRecord
@@ -92,15 +94,27 @@ def select_records(
 
 
 def run_records(
-    records: Sequence[IdentityRecord], max_n: Optional[int] = None
+    records: Sequence[IdentityRecord], max_n: Optional[int] = None, per_n: bool = False
 ) -> List[ResultRow]:
-    """Evaluate each record over its range (optionally capped at max_n)."""
+    """Evaluate each record over its range (optionally capped at max_n).
+
+    A record's checks stop after its first failing index, wrong or
+    undefined: status, ``first_fail_n``, errata and exit code read no
+    later one.  ``per_n`` checks every index, for the per-index listing.
+    Each index is its own ``run_record`` call, so the stop is here and a
+    wrapper that splits ``run_record`` by index sees only what ran.
+    """
     rows: List[ResultRow] = []
     for rec in records:
         lo, hi = rec.default_range()
         if max_n is not None:
             hi = min(hi, max_n)
-        rows.append(ResultRow(rec, lo, hi, run_record(rec, (lo, hi))))
+        verdicts: List[IdentityVerdict] = []
+        for n in range(lo, hi + 1):
+            verdicts += run_record(rec, (n, n))
+            if not (per_n or verdicts[-1].passed):
+                break
+        rows.append(ResultRow(rec, lo, hi, verdicts))
     return rows
 
 

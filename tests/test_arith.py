@@ -259,10 +259,46 @@ def test_kernel_matches_fraction_reference():
             {"y": 0},
             {"x": q},
         ])
-        ref_bindings = {name: (rq if v is q else v.terms if isinstance(v, MultiPoly) else
-                               {ZERO_EXP: Rational(v)} if v else {})
-                        for name, v in bindings.items()}
-        assert _canonical(p.substitute(bindings)).terms == _ref_substitute(rp, ref_bindings)
+        assert _canonical(p.substitute(bindings)).terms == _ref_substitute(rp, _ref_bindings(bindings))
+
+
+def _ref_bindings(bindings):
+    return {name: v.terms if isinstance(v, MultiPoly) else {ZERO_EXP: Rational(v)} if v else {}
+            for name, v in bindings.items()}
+
+
+def test_substitution_by_scalars_matches_the_reference():
+    # a scalar binding puts every term over den^top through a cached row
+    # of num^e*den^(top-e), one row per (num, den, top)
+    y_, t_ = Rational(-7, 9), Rational(3, 4)
+    low = {(0, 0, 1, 2, 0): Rational(5, 6), (0, 0, 0, 1, 1): Rational(-4, 3),
+           (0, 0, 0, 0, 0): Rational(2)}
+    high = {(0, 0, 0, 6, 0): Rational(1, 5), (0, 0, 2, 5, 1): Rational(-9, 2),
+            (0, 0, 0, 1, 3): Rational(3), (0, 1, 0, 0, 0): Rational(7, 4)}
+    cases = [
+        (low, {"y": y_, "t": t_}),
+        # a higher top at the same point: the short row above must not serve it
+        (high, {"y": y_, "t": t_}),
+        (low, {"y": y_, "t": t_}),
+        (high, {"y": Rational(-14, 3), "t": Rational(-5, 2)}),
+        (high, {"y": y_}),
+        (high, {"t": t_}),
+        (low, {"y": 0, "t": t_}),
+        (high, {"t": 0}),
+        (high, {"y": 0, "t": 0}),
+        (low, {"y": Rational(2, 3), "x1": x2 - x}),
+        (high, {"y": Rational(2, 3), "x1": x2 - x}),
+        (high, {"x1": Rational(-5, 8), "y": y_, "t": 1}),
+    ]
+    rng = random.Random(20261018)
+    for _ in range(40):
+        terms = _random_terms(rng, max_terms=6, max_deg=7)
+        point = rng.choice([{"y": y_, "t": t_}, {"y": Rational(-7, 9)},
+                            {"y": Rational(2, 3), "x1": x2 - x}, {"t": 0, "x": Rational(6, 5)}])
+        cases.append((terms, point))
+    for terms, bindings in cases:
+        got = _canonical(MultiPoly(terms).substitute(bindings))
+        assert got.terms == _ref_substitute(terms, _ref_bindings(bindings)), (terms, bindings)
 
 
 def _fold(triples):

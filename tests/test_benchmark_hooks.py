@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from convcheck import report
 from convcheck.identities import core, get_record
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -60,3 +61,18 @@ def test_tracer_counts_the_steps_of_a_root_ring_record(key, conv_sums, pair_prod
     metrics = tracer.layer_metrics()
     assert metrics["core.conv_sum.calls"] == conv_sums
     assert metrics["core.pair_product.calls"] == pair_products
+
+
+def test_traced_run_records_checks_a_failing_record_only_to_its_first_failure():
+    # run_records stops after n = 3, so the per-index split of run_record
+    # must see exactly the indices that ran
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        (row,) = report.run_records([get_record("C3.1:as_printed")])
+    finally:
+        tracer.restore()
+    assert row.first_fail_n == 3
+    verdict = tracer.names.index("core.verdict")
+    assert [tracer.name[idx] for idx, _, _, _ in tracer.checks] == [verdict] * 4
+    assert [n for _, _, _, n in tracer.checks] == [0, 1, 2, 3]

@@ -26,6 +26,16 @@ def test_verify_single_identity_prints_per_n_lines():
     assert len(per_n) == 5
 
 
+def test_verify_id_text_lists_every_index_past_the_first_failure(capsys):
+    # the per-index listing is the one output that reads past a failure
+    assert cli.main(["verify", "--id", "C3.1:as_printed"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL C3.1:as_printed  n in [0,20]  first failure at n=3"
+    per_n = [ln.split() for ln in lines if ln.strip().startswith("n=")]
+    assert [int(words[0][2:]) for words in per_n] == list(range(21))
+    assert [words[1] for words in per_n] == ["ok"] * 3 + ["FAIL"] * 18
+
+
 def test_verify_unknown_identity_exits_2():
     result = run_cli("verify", "--id", "NOPE")
     assert result.returncode == 2

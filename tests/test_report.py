@@ -75,3 +75,14 @@ def test_a_row_with_no_verdicts_is_skipped():
     assert [r["status"] for r in payload["results"]] == ["skipped", "pass"]
     assert "L1.1a" not in {e["id"] for e in payload["errata"]}
     assert "; 1 records checked, 1 skipped." in render_markdown(payload)
+
+
+def test_a_failing_record_stops_at_its_first_failing_index():
+    rec = get_record("C3.1:as_printed")
+    (stopped,) = run_records([rec])
+    (listed,) = run_records([rec], per_n=True)
+    assert [v.n for v in stopped.verdicts] == [0, 1, 2, 3]
+    assert [v.n for v in listed.verdicts] == list(range(21))
+    assert stopped.first_fail_n == listed.first_fail_n == 3
+    assert stopped.status == listed.status == "fail"
+    assert [v.passed for v in listed.verdicts[:4]] == [v.passed for v in stopped.verdicts]
