@@ -346,88 +346,86 @@ class MultiPoly:
         binding's value is never re-substituted, so binding x to x+1 is
         well-defined.
         """
-        subs: Dict[int, MultiPoly] = {}
-        for name, value in bindings.items():
-            if name not in _VAR_INDEX:
-                raise ValueError(f"unknown variable {name!r} in substitution")
-            subs[_VAR_INDEX[name]] = value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
-        if not subs or not self._terms:
-            return self
-        # a variable bound to a constant num/den multiplies a term of
-        # exponent e by num^e·den^(top-e), which puts every term over the
-        # common denominator den^top; top, the total degree (the largest
-        # key's top field), bounds every exponent.  One bound to a
-        # polynomial multiplies it by a power of that polynomial
-        top = max(self._terms) >> _DEG_SHIFT
+        # a scalar binding, or one to a constant polynomial, is read as
+        # its num/den; the others are polynomial bindings
         scalars, polys = [], []
-        scalar_den = 1
-        for i in sorted(subs):
-            value = subs[i]
-            shift = _SHIFTS[i]
-            if value.is_constant():
-                num_i, den_i = value._terms.get(0, 0), value._den
-                scalars.append((shift, _VAR_KEYS[i], _power_row(num_i, den_i, top)))
-                scalar_den *= den_i ** top
+        for name, value in bindings.items():
+            i = _VAR_INDEX.get(name)
+            if i is None:
+                raise ValueError(f"unknown variable {name!r} in substitution")
+            if not isinstance(value, MultiPoly):
+                scalars.append((i, *num_den(value)))
+            elif value.is_constant():
+                scalars.append((i, value._terms.get(0, 0), value._den))
             else:
-                polys.append((shift, _VAR_KEYS[i], i))
+                polys.append((_SHIFTS[i], _VAR_KEYS[i], value))
+        if not bindings or not self._terms:
+            return self
+        # a variable bound to num/den multiplies a term of exponent e by
+        # num^e·den^(top-e), which puts every term over the common
+        # denominator ∏ den^top; top, the total degree (the largest key's
+        # top field), bounds every exponent
+        top = max(self._terms) >> _DEG_SHIFT
+        rows = []
+        den = self._den
+        for i, num_i, den_i in scalars:
+            row = _power_row(num_i, den_i, top)
+            rows.append((_SHIFTS[i], _VAR_KEYS[i], row))
+            den *= row[0]
+        # one integer accumulator: a term's scalar image goes straight in,
+        # times the power product of its polynomial bindings, whose
+        # denominator rescales the accumulator when it does not divide the
+        # running one, as in ProductSum.add
+        out: Dict[int, int] = {}
+        get = out.get
         pow_cache: Dict[Tuple[int, int], MultiPoly] = {}
-
-        # each term becomes (numerator, denominator, residual key, factor):
-        # the term is numerator/(denominator * scalar_den * _den)
-        # * monomial(residual) * factor
-        pieces = []
-        den = 1
+        poly_den = 1
+        deg = 0
         for key, c in self._terms.items():
-            for shift, unit, row in scalars:
+            for shift, unit, row in rows:
                 e = (key >> shift) & MAX_EXP
                 if e:
                     key -= e * unit
                 c *= row[e]
             if not c:
                 continue
-            d = 1
             factor = None
-            for shift, unit, i in polys:
+            for shift, unit, value in polys:
                 e = (key >> shift) & MAX_EXP
                 if e:
                     key -= e * unit
-                    piece = pow_cache.get((i, e))
+                    piece = pow_cache.get((shift, e))
                     if piece is None:
-                        piece = pow_cache[(i, e)] = subs[i] ** e
+                        piece = pow_cache[(shift, e)] = value ** e
                     factor = piece if factor is None else factor * piece
-            if factor is not None:
-                if not factor._terms:
-                    continue
-                d = factor._den
-                if den % d:
-                    den = math.lcm(den, d)
-            pieces.append((c, d, key, factor))
-
-        # one integer accumulator over the common denominator
-        # den * scalar_den * _den
-        out: Dict[int, int] = {}
-        get = out.get
-        deg = 0
-        for c, d, key, factor in pieces:
-            scale = c * (den // d)
             rdeg = key >> _DEG_SHIFT
             if factor is None:
-                out[key] = get(key, 0) + scale
-                fdeg = 0
-            else:
-                fdeg = factor._deg
+                out[key] = get(key, 0) + c * poly_den
+                if rdeg > deg:
+                    deg = rdeg
+                continue
+            if not factor._terms:
+                continue
+            fdeg = factor._deg
+            if rdeg + fdeg > MAX_EXP:
+                fdeg = factor.total_degree()
                 if rdeg + fdeg > MAX_EXP:
-                    fdeg = factor.total_degree()
-                    if rdeg + fdeg > MAX_EXP:
-                        raise _overflow(rdeg + fdeg)
-                for k, fc in factor._terms.items():
-                    k += key
-                    out[k] = get(k, 0) + scale * fc
+                    raise _overflow(rdeg + fdeg)
             if rdeg + fdeg > deg:
                 deg = rdeg + fdeg
+            d = factor._den
+            if poly_den % d:
+                grow = d // _gcd(poly_den, d)
+                for k in out:
+                    out[k] *= grow
+                poly_den *= grow
+            c *= poly_den // d
+            for k, fc in factor._terms.items():
+                k += key
+                out[k] = get(k, 0) + c * fc
         if 0 in out.values():
             out = {k: c for k, c in out.items() if c}
-        return MultiPoly._reduced(out, den * scalar_den * self._den, deg)
+        return MultiPoly._reduced(out, den * poly_den, deg)
 
     def __str__(self) -> str:
         return format_poly(self)

@@ -347,16 +347,25 @@ def _check_range(
     if ctx is None:
         ctx = get_context(record.ring)
     lo, hi = n_range if n_range is not None else record.default_range()
-
-    def image(value):
-        return value if bindings is None else substitute_value(value, bindings)
-
     out: List[IdentityVerdict] = []
     for n in range(lo, hi + 1):
         try:
-            verdict = _compare_sides(
-                record, n, image(ctx.memo(lhs, n)), image(ctx.memo(rhs, n))
-            )
+            lhs_v = ctx.memo(lhs, n)
+            if bindings is None:
+                rhs_v = ctx.memo(rhs, n)
+            else:
+                lhs_i = substitute_value(lhs_v, bindings)
+                rhs_v = ctx.memo(rhs, n)
+                # a right side equal to the left one takes its image,
+                # which a second substitution would reproduce exactly;
+                # equal values of two types (a constant and its scalar,
+                # which is not substituted) are each substituted
+                if type(rhs_v) is type(lhs_v) and rhs_v == lhs_v:
+                    rhs_v = lhs_i
+                else:
+                    rhs_v = substitute_value(rhs_v, bindings)
+                lhs_v = lhs_i
+            verdict = _compare_sides(record, n, lhs_v, rhs_v)
         except PrintedFormUndefined as exc:
             verdict = IdentityVerdict(
                 record.ident, record.variant, n, False, f"undefined: {exc}"
@@ -390,7 +399,9 @@ def run_record_substituted(
     """Evaluate both sides, substitute each, and compare the images.
 
     The sides are specialized independently (never the difference), so a
-    pass here is evidence about the substituted statement itself.
+    pass here is evidence about the substituted statement itself.  Two
+    equal sides share one image, since substituting the right side again
+    would give the same element; sides that differ are each substituted.
     """
     return _check_range(record, record.lhs, record.rhs, n_range, ctx, bindings)
 

@@ -112,8 +112,13 @@ def _euler(n: int) -> Rational:
     return Rational((-1) ** m * _SECANT.get(m))
 
 
+def _genocchi(n: int) -> Rational:
+    return 2 * (1 - 2 ** n) * bernoulli_number(n)
+
+
 _BERNOULLI = NumberFamily("bernoulli", _bernoulli)
 _EULER = NumberFamily("euler", _euler)
+_GENOCCHI = NumberFamily("genocchi", _genocchi)
 
 
 def bernoulli_number(n: int) -> Rational:
@@ -125,9 +130,7 @@ def euler_number(n: int) -> Rational:
 
 
 def genocchi_number(n: int) -> Rational:
-    if n < 0:
-        raise ValueError(f"genocchi: index must be non-negative, got {n}")
-    return 2 * (1 - Rational(2) ** n) * bernoulli_number(n)
+    return _GENOCCHI.value(n)
 
 
 class PolyFamily:

@@ -102,6 +102,11 @@ def test_unknown_variable_rejected():
         MultiPoly.var("z")
     with pytest.raises(ValueError):
         variable("w")
+    # a substitution checks its bindings, also on the zero polynomial
+    for p in (x1 + y / 2, MultiPoly(), MultiPoly.constant(0)):
+        for bindings in ({"z": 1}, {"y": 1, "z": x1}, {"x1": x2, "X": Rational(1, 2)}):
+            with pytest.raises(ValueError, match="unknown variable"):
+                p.substitute(bindings)
 
 
 # -- printing conventions -------------------------------------------------
@@ -299,6 +304,35 @@ def test_substitution_by_scalars_matches_the_reference():
     for terms, bindings in cases:
         got = _canonical(MultiPoly(terms).substitute(bindings))
         assert got.terms == _ref_substitute(terms, _ref_bindings(bindings)), (terms, bindings)
+
+
+def test_one_pass_substitution_rescales_part_way_through():
+    # the terms come in dict order: a term with no bound variable goes in
+    # over denominator 1, then each polynomial factor's denominator (3,
+    # 10, 90, 1000) stops dividing the running one and rescales the
+    # accumulator, with the terms already in it
+    terms = {(0, 0, 0, 0, 1): Rational(7, 2), (1, 0, 0, 0, 0): Rational(-5, 6),
+             (0, 0, 0, 1, 0): Rational(3), (0, 0, 1, 0, 0): Rational(1, 4),
+             (2, 0, 0, 1, 0): Rational(2, 9), (0, 0, 0, 3, 0): Rational(-1, 7),
+             (1, 1, 0, 2, 1): Rational(11, 12)}
+    for bindings in (
+        {"x1": x2 / 3 + 1, "y": x / 5 - Rational(1, 2)},
+        {"y": x / 5 - Rational(1, 2), "x1": x2 / 3 + 1},
+        {"x1": x2 / 3 + 1, "y": x / 5 - Rational(1, 2), "t": Rational(-3, 4)},
+        {"t": Rational(5, 8), "y": x1 - Rational(1, 3) * x2, "x1": 0},
+    ):
+        got = _canonical(MultiPoly(terms).substitute(bindings))
+        assert got.terms == _ref_substitute(terms, _ref_bindings(bindings)), bindings
+
+
+def test_a_constant_binding_is_its_scalar():
+    p = MultiPoly({(1, 0, 0, 2, 0): Rational(5, 6), (0, 0, 0, 1, 1): Rational(-4, 3),
+                   (0, 0, 0, 0, 0): Rational(2)})
+    for value in (Rational(3, 4), Rational(-7, 9), 0, 5):
+        want = _canonical(p.substitute({"y": value, "x1": x2 - x}))
+        got = _canonical(p.substitute({"y": MultiPoly.constant(value), "x1": x2 - x}))
+        assert (got._den, got._terms) == (want._den, want._terms)
+        assert got.terms == _ref_substitute(p.terms, _ref_bindings({"y": value, "x1": x2 - x}))
 
 
 def _fold(triples):

@@ -7,6 +7,7 @@ small check catches a rename here, far faster than a benchmark smoke run.
 """
 
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -76,3 +77,19 @@ def test_traced_run_records_checks_a_failing_record_only_to_its_first_failure():
     verdict = tracer.names.index("core.verdict")
     assert [tracer.name[idx] for idx, _, _, _ in tracer.checks] == [verdict] * 4
     assert [n for _, _, _, n in tracer.checks] == [0, 1, 2, 3]
+
+
+def test_traced_substituted_check_substitutes_equal_sides_once():
+    # the sides of a passing record are equal at every n, so each n
+    # substitutes one root-ring element, not two
+    rec = get_record("C2.1.1:corrected")
+    tracer = _load_tracer_module().Tracer()
+    try:
+        tracer.install()
+        verdicts = core.run_record_substituted(
+            rec, {"y": Fraction(2, 3), "t": Fraction(-1, 2)}, (0, 3), core.Context(rec.ring))
+    finally:
+        tracer.restore()
+    assert [(v.n, v.passed) for v in verdicts] == [(n, True) for n in range(4)]
+    substitute = tracer.names.index("quadext.substitute")
+    assert list(tracer.name).count(substitute) == 4

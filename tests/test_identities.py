@@ -18,6 +18,7 @@ from convcheck.identities import (
     Context,
     PrintedFormUndefined,
     check_identity,
+    core,
     get_context,
     get_record,
     parity_restriction_equivalence,
@@ -309,6 +310,41 @@ def test_run_record_substituted_specializes_both_sides():
     assert all(v.passed for v in verdicts)
     verdicts = run_record_substituted(rec, {"y": 1, "t": 1}, (0, 8))
     assert all(v.passed for v in verdicts)
+
+
+def _counting_substitutions(monkeypatch):
+    """Route core.substitute_value through a wrapper that counts its calls."""
+    calls = []
+    real = core.substitute_value
+
+    def counting(value, bindings):
+        calls.append(value)
+        return real(value, bindings)
+
+    monkeypatch.setattr(core, "substitute_value", counting)
+    return calls
+
+
+def test_equal_sides_share_one_image(monkeypatch):
+    calls = _counting_substitutions(monkeypatch)
+    rec = get_record("C2.1.1:corrected")
+    verdicts = run_record_substituted(rec, {"y": Rational(2, 3), "t": Rational(-1, 2)}, (0, 5))
+    assert all(v.passed for v in verdicts) and len(verdicts) == 6
+    assert len(calls) == 6
+    # the as-printed C3.1 fails at (1, 1) from n = 3: there the sides
+    # differ, and each is substituted itself
+    rec, point = get_record("C3.1:as_printed"), {"y": 1, "t": 1}
+    per_n, verdicts = [], []
+    for n in range(5):
+        del calls[:]
+        verdicts += run_record_substituted(rec, point, (n, n))
+        per_n.append(len(calls))
+    assert per_n == [1, 1, 1, 2, 2]
+    assert [v.passed for v in verdicts] == [True, True, True, False, False]
+    ctx = get_context(rec.ring)
+    for v in verdicts[3:]:
+        by_hand = substitute_value(rec.lhs(ctx, v.n), point) - substitute_value(rec.rhs(ctx, v.n), point)
+        assert v.diff == str(by_hand) != "0"
 
 
 def test_corrected_t33_small_values():

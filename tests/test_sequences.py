@@ -53,6 +53,10 @@ def test_odd_indices_vanish():
 def test_genocchi_bernoulli_relation():
     for n in range(0, 41):
         assert genocchi_number(n) == 2 * (1 - Rational(2) ** n) * bernoulli_number(n)
+    # each value is derived once and cached, like B_n and E_n
+    assert genocchi_number(40) is genocchi_number(40)
+    with pytest.raises(ValueError, match=r"^genocchi: index must be non-negative, got -1$"):
+        genocchi_number(-1)
 
 
 def test_polynomial_frozen_strings():
