@@ -85,13 +85,11 @@ def register_catalog() -> List[IdentityRecord]:
     """The full, deterministic record list (built once per process)."""
     global _CATALOG
     if _CATALOG is None:
-        records: List[IdentityRecord] = []
-        records.extend(lemma_records())
-        records.extend(binet_records())
-        records.extend(theorem_records())
-        records.extend(corrected_theorem_records())
+        theorems = theorem_records()
+        corrected = corrected_theorem_records(theorems)
+        records = lemma_records() + binet_records() + theorems + corrected
         records.extend(corollary_records())
-        records.extend(derived_corollary_records())
+        records.extend(derived_corollary_records(theorems, corrected))
         for rec in records:
             if rec.key in _BY_KEY:
                 raise RuntimeError(f"duplicate catalog key {rec.key}")

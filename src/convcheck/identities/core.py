@@ -16,10 +16,10 @@ literally zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from .._fields import Fields
 from .._scalar import as_rational
 from ..arith import MultiPoly, binomial
 from ..quadext import QuadExtElem, RootPair, make_root_pair
@@ -246,8 +246,11 @@ def eval_convolution_sum(
     return QuadExtElem.sum_of_products(summands(), ctx.pair.disc)
 
 
-@dataclass
-class IdentityRecord:
+# the fields a record may take from its form on first read
+_FORM = ("lhs", "rhs", "parity", "statement", "unrestricted_lhs", "unrestricted_rhs")
+
+
+class IdentityRecord(Fields):
     """One catalog entry: a single equation in a single variant.
 
     ``lhs``/``rhs`` evaluate the two sides in a given context at index n.
@@ -259,22 +262,79 @@ class IdentityRecord:
     ``unrestricted_lhs``/``unrestricted_rhs`` optionally carry the
     companion closed form of the full sum, which is what
     :func:`parity_restriction_equivalence` checks.
+
+    A record built with ``form`` takes ``lhs``, ``rhs``, ``parity``,
+    ``statement``, ``unrestricted_lhs`` and ``unrestricted_rhs`` from
+    ``form()`` on the first read of any of them, once, so registering
+    the catalog reads no anchor that no check evaluates.  Any error of
+    the form (an anchor that cannot be read, or an annotation that rules
+    out the record's ring or range) is raised at that read.
     """
 
-    ident: str
-    variant: str  # "as_printed" | "corrected"
-    ring: str
-    lo: int
-    hi: int
-    lhs: SideFn
-    rhs: SideFn
-    anchor: str
-    parity: bool = False
-    note: Optional[str] = None
-    source: Optional[str] = None
-    statement: Optional[Tuple[Any, Any]] = None
-    unrestricted_lhs: Optional[SideFn] = None
-    unrestricted_rhs: Optional[SideFn] = None
+    _fields = ("ident", "variant", "ring", "lo", "hi", "anchor", "note", "source") + _FORM
+
+    def __init__(
+        self,
+        ident: str,
+        variant: str,  # "as_printed" | "corrected"
+        ring: str,
+        lo: int,
+        hi: int,
+        lhs: Optional[SideFn] = None,
+        rhs: Optional[SideFn] = None,
+        *,
+        anchor: str,
+        parity: bool = False,
+        note: Optional[str] = None,
+        source: Optional[str] = None,
+        statement: Optional[Tuple[Any, Any]] = None,
+        unrestricted_lhs: Optional[SideFn] = None,
+        unrestricted_rhs: Optional[SideFn] = None,
+        form: Optional[Callable[[], Any]] = None,
+    ):
+        self.ident = ident
+        self.variant = variant
+        self.ring = ring
+        self.lo = lo
+        self.hi = hi
+        self.anchor = anchor
+        self.note = note
+        self.source = source
+        if form is not None:
+            self._form = form
+            return
+        self.lhs = lhs
+        self.rhs = rhs
+        self.parity = parity
+        self.statement = statement
+        self.unrestricted_lhs = unrestricted_lhs
+        self.unrestricted_rhs = unrestricted_rhs
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set yet: a field of the form,
+        # before its first read
+        space = self.__dict__
+        if name not in _FORM or "_form" not in space:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        form = space["_form"]()
+        for field in _FORM:
+            space.setdefault(field, getattr(form, field))
+        del space["_form"]
+        return space[name]
+
+    def replace(self, **changes) -> "IdentityRecord":
+        """A copy with the named fields changed.  A field of the form that
+        is not changed is this record's own: read from it on the copy's
+        first read when this record has not been read yet."""
+        unknown = sorted(set(changes) - set(self._fields))
+        if unknown:
+            raise TypeError(f"IdentityRecord has no field {unknown[0]!r}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__)
+        if "_form" in new.__dict__:
+            new._form = lambda: self
+        new.__dict__.update(changes)
+        return new
 
     @property
     def key(self) -> str:
@@ -284,8 +344,7 @@ class IdentityRecord:
         return (self.lo, self.hi)
 
 
-@dataclass
-class IdentityVerdict:
+class IdentityVerdict(Fields):
     """Outcome of one identity at one index.
 
     A failed comparison keeps its two side elements in ``sides``; the
@@ -295,17 +354,30 @@ class IdentityVerdict:
     not be evaluated at n, and is then the ``diff``.
     """
 
-    ident: str
-    variant: str
-    n: int
-    passed: bool
-    reason: Optional[str] = None
-    status: str = ""  # "pass" | "fail" | "skipped"
-    sides: Optional[Tuple[Any, Any]] = field(default=None, repr=False)
+    _fields = ("ident", "variant", "n", "passed", "reason", "status", "sides")
 
-    def __post_init__(self):
-        if not self.status:
-            self.status = "pass" if self.passed else "fail"
+    def __init__(
+        self,
+        ident: str,
+        variant: str,
+        n: int,
+        passed: bool,
+        reason: Optional[str] = None,
+        status: str = "",  # "pass" | "fail" | "skipped"
+        sides: Optional[Tuple[Any, Any]] = None,
+    ):
+        self.ident = ident
+        self.variant = variant
+        self.n = n
+        self.passed = passed
+        self.reason = reason
+        self.status = status or ("pass" if passed else "fail")
+        self.sides = sides
+
+    def __repr__(self) -> str:
+        # the sides may be large polynomials; diff renders them on demand
+        return (f"IdentityVerdict({self.ident!r}, {self.variant!r}, n={self.n}, "
+                f"passed={self.passed}, reason={self.reason!r}, status={self.status!r})")
 
     @cached_property
     def diff(self) -> Optional[str]:

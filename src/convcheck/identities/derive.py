@@ -27,7 +27,6 @@ here from the true entries they should have followed from.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Dict, List, Optional, Tuple
 
 from ..quadext import FAMILIES
@@ -104,9 +103,10 @@ def reindex_shift_two(
     )
 
 
-def corrected_theorem_records() -> List[IdentityRecord]:
-    """The machine-corrected variants of the false printed statements."""
-    by_id = {r.ident: r for r in theorem_records() if r.variant == "as_printed"}
+def corrected_theorem_records(theorems: List[IdentityRecord]) -> List[IdentityRecord]:
+    """The machine-corrected variants of the false printed statements,
+    rewritten from the records of ``theorems`` (:func:`theorem_records`)."""
+    by_id = {r.ident: r for r in theorems if r.variant == "as_printed"}
 
     t35b = convert_genocchi_to_bernoulli(
         by_id["T3.2"], "T3.5b",
@@ -193,10 +193,12 @@ COROLLARY_TO_THEOREM: Dict[str, Tuple[str, str]] = {
 }
 
 
-def _generic_theorems() -> Dict[str, IdentityRecord]:
+def _generic_theorems(
+    theorems: List[IdentityRecord], corrected: List[IdentityRecord]
+) -> Dict[str, IdentityRecord]:
     """Generic-ring sources, preferring the corrected variant if one exists."""
-    out = {r.ident: r for r in theorem_records()}
-    for rec in corrected_theorem_records():
+    out = {r.ident: r for r in theorems}
+    for rec in corrected:
         out[rec.ident] = rec
     return out
 
@@ -209,9 +211,9 @@ def _corollary_from(
     src = sources.get(theorem_ident)
     if src is None:
         raise ValueError(f"no generic catalog entry named {theorem_ident!r}")
-    # the sides, statement, parity and companion carry over from src
-    return dataclasses.replace(
-        src,
+    # the sides, statement, parity and companion carry over from src,
+    # read from it on first use
+    return src.replace(
         ident=THEOREM_TO_COROLLARY[(theorem_ident, family)],
         variant="corrected",
         ring=f"{family}-roots",
@@ -230,12 +232,18 @@ def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
     is the ring, where ``u``/``v`` are the conjugate roots, ``D`` their
     difference, and the symmetric functions become the family sequences.
     """
-    return _corollary_from(_generic_theorems(), theorem_ident, family)
+    theorems = theorem_records()
+    sources = _generic_theorems(theorems, corrected_theorem_records(theorems))
+    return _corollary_from(sources, theorem_ident, family)
 
 
-def derived_corollary_records() -> List[IdentityRecord]:
-    """Every theorem evaluated over both root families, in catalog order."""
-    sources = _generic_theorems()
+def derived_corollary_records(
+    theorems: List[IdentityRecord], corrected: List[IdentityRecord]
+) -> List[IdentityRecord]:
+    """Every theorem evaluated over both root families, in catalog order:
+    the corollaries of ``theorems`` and of their ``corrected`` variants
+    share these records' sides."""
+    sources = _generic_theorems(theorems, corrected)
     return [
         _corollary_from(sources, tid, family)
         for (tid, family) in sorted(

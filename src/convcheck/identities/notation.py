@@ -4,8 +4,9 @@ An as-printed record *is* its ``anchor``: the equation exactly as the
 source catalog states it.  :func:`read_anchor` parses an anchor once per
 process (forms are cached by anchor text) into its two side callables
 ``side(ctx, n)`` and its parity flag, so the equation a report quotes is
-the equation the checker evaluates.  A side compiles its tree to nested
-closures on its first call.  This docstring is the one statement of the
+the equation the checker evaluates.  A record reads its anchor on the
+first read of its sides, and a side compiles its tree to nested closures
+on its first call.  This docstring is the one statement of the
 notation and of the conventions that turn a printed statement into a
 checkable record.
 
@@ -70,7 +71,8 @@ Rewrites of a statement
   and the index shift n = m+2, are stated in
   :mod:`convcheck.identities.derive`.
 
-Annotations, each checked against the record it states
+Annotations, each checked against the record it states when the
+record's sides are first read
   ``(n positive)``          the record's range starts at n = 1 or later
   ``[d = sqrt(E)]``         E equals d^2 in the record's ring
   ``[letters = F roots]``   the record's ring is F's root ring
@@ -569,8 +571,8 @@ def _compile(node) -> Eval:
 
 
 def _side(node) -> SideFn:
-    """side(ctx, n), compiled on its first call: registration reads every
-    anchor, while a run may evaluate only a few."""
+    """side(ctx, n), compiled on its first call: a rewrite reads its
+    source's statement without evaluating the source."""
     compiled: List[Eval] = []
 
     def side(ctx, n):
@@ -692,13 +694,12 @@ def printed(
     source: Optional[str] = None,
     companion: Optional[str] = None,
 ) -> IdentityRecord:
-    """The record stating ``anchor``: sides and parity are read from it."""
-    form = read_anchor(anchor, ring, lo, companion)
+    """The record stating ``anchor``: its sides, parity, statement and
+    companion are read from it, with its annotations checked against
+    ``ring`` and ``lo``, on the first read of any of them."""
     return IdentityRecord(
-        ident, variant, ring, lo, hi, form.lhs, form.rhs,
-        anchor=anchor, parity=form.parity, note=note, source=source,
-        statement=form.statement,
-        unrestricted_lhs=form.unrestricted_lhs, unrestricted_rhs=form.unrestricted_rhs,
+        ident, variant, ring, lo, hi, anchor=anchor, note=note, source=source,
+        form=lambda: read_anchor(anchor, ring, lo, companion),
     )
 
 

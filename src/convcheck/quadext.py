@@ -14,10 +14,10 @@ to sqrt(d):  lam1 - lam2 = c * sqrt(d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
+from ._fields import FrozenFields
 from ._scalar import Rational, is_scalar, num_den
 from .arith import MultiPoly, ProductSum, Scalar
 
@@ -31,16 +31,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Discriminant:
-    """A named square-free discriminant polynomial."""
+class Discriminant(FrozenFields):
+    """A named square-free discriminant polynomial, equal and hashed by
+    value."""
 
-    name: str
-    poly: MultiPoly
+    __slots__ = _fields = ("name", "poly")
 
-    def __post_init__(self):
-        if self.poly.is_zero():
+    def __init__(self, name: str, poly: MultiPoly):
+        if poly.is_zero():
             raise ValueError("discriminant must be non-zero")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "poly", poly)
 
 
 def _as_poly(value) -> MultiPoly:
@@ -202,8 +203,7 @@ class QuadExtElem:
         return f"QuadExtElem({self!s} | d={self.disc.name})"
 
 
-@dataclass(frozen=True)
-class RootPair:
+class RootPair(FrozenFields):
     """Conjugate roots lam1, lam2 of X^2 - trace*X + norm over Q[y,t].
 
     ``diff_scale`` is the scalar c with lam1 - lam2 = c*sqrt(d); it is
@@ -211,13 +211,12 @@ class RootPair:
     polynomial (see :func:`qe_binet_ratio`).
     """
 
-    family: str
-    disc: Discriminant
-    lam1: QuadExtElem
-    lam2: QuadExtElem
-    trace: MultiPoly
-    norm: MultiPoly
-    diff_scale: Rational
+    __slots__ = _fields = ("family", "disc", "lam1", "lam2", "trace", "norm", "diff_scale")
+
+    def __init__(self, family: str, disc: Discriminant, lam1: QuadExtElem, lam2: QuadExtElem,
+                 trace: MultiPoly, norm: MultiPoly, diff_scale: Rational):
+        for name, value in zip(self._fields, (family, disc, lam1, lam2, trace, norm, diff_scale)):
+            object.__setattr__(self, name, value)
 
 
 def _fibonacci_pair() -> RootPair:

@@ -17,10 +17,10 @@ byte-identical.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
+from ._fields import Fields
 from .identities.catalog import STATIC_ERRATA, _lookup, register_catalog
 from .identities.core import IdentityRecord, IdentityVerdict, run_record
 
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class ResultRow:
+class ResultRow(Fields):
     """One record's outcome over its evaluated range.
 
     ``verdicts`` ends at the first failing index unless the run was
@@ -46,10 +45,14 @@ class ResultRow:
     nothing: the row is ``skipped``, neither a pass nor a failure.
     """
 
-    record: IdentityRecord
-    lo: int
-    hi: int
-    verdicts: List[IdentityVerdict]
+    _fields = ("record", "lo", "hi", "verdicts")
+
+    def __init__(self, record: IdentityRecord, lo: int, hi: int,
+                 verdicts: List[IdentityVerdict]):
+        self.record = record
+        self.lo = lo
+        self.hi = hi
+        self.verdicts = verdicts
 
     @property
     def first_fail_n(self) -> Optional[int]:

@@ -7,7 +7,6 @@ the per-module tests use shorter prefixes for speed, this file does not.
 """
 
 import contextlib
-import dataclasses
 import json
 import math
 import subprocess
@@ -191,8 +190,8 @@ def test_criterion_7_cli_determinism_and_exit_codes(tmp_path, monkeypatch):
 
         def broken(ids, variant):
             rec = real(["T2.1b"], "both")[0]
-            bad = dataclasses.replace(
-                rec, variant="corrected", rhs=lambda c, n: c.zero + 1,
+            bad = rec.replace(
+                variant="corrected", rhs=lambda c, n: c.zero + 1,
             )
             return [bad]
 

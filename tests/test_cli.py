@@ -1,6 +1,5 @@
 """Command-line behavior: formats, determinism, exit codes."""
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -168,8 +167,8 @@ def test_exit_code_1_when_a_corrected_check_fails(monkeypatch):
 
     def broken(ids, variant):
         rec = real(["T2.1a"], "both")[0]
-        bad = dataclasses.replace(
-            rec, variant="corrected", rhs=lambda ctx, n: ctx.zero + 1,
+        bad = rec.replace(
+            variant="corrected", rhs=lambda ctx, n: ctx.zero + 1,
         )
         return [bad]
 

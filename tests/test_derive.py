@@ -168,3 +168,15 @@ def test_parity_marker_survives_descent():
     rec = derive_corollary("T3.1", "balancing")
     assert rec.parity
     assert rec.unrestricted_rhs is not None
+
+
+def test_corollaries_share_the_sides_of_the_catalog_records_they_descend_from():
+    # the catalog builds each record list once, so a corollary of a
+    # corrected theorem descends from the catalog's own corrected record
+    assert get_record("C3.5b:corrected").lhs is get_record("T3.5b:corrected").lhs
+    catalog = {r.key: r for r in register_catalog()}
+    for (tid, family), cid in THEOREM_TO_COROLLARY.items():
+        src = catalog.get(f"{tid}:corrected") or catalog[f"{tid}:as_printed"]
+        rec = catalog[f"{cid}:corrected"]
+        for name in ("lhs", "rhs", "unrestricted_lhs", "unrestricted_rhs"):
+            assert getattr(rec, name) is getattr(src, name), (cid, name)

@@ -5,7 +5,6 @@ the as-printed forms; it is asserted exactly so that any change in the
 checker's verdict on any printed equation is caught.
 """
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -372,7 +371,7 @@ def _counted(record, calls):
 
         return side
 
-    return dataclasses.replace(record, **{
+    return record.replace(**{
         name: counted(name, getattr(record, name))
         for name in _SIDES if getattr(record, name) is not None
     })
@@ -412,6 +411,27 @@ def test_record_sides_are_built_once_per_n_on_one_context():
         assert [(v.diff, v.lhs_value, v.rhs_value) for v in got] == [
             (v.diff, v.lhs_value, v.rhs_value) for v in want
         ]
+
+
+def test_record_replace_keeps_unchanged_sides_and_overrides_unread_ones():
+    from convcheck.identities import notation
+
+    # an anchor no record states, so this record is the first to read it
+    rec = notation.printed("X", "as_printed", "indeterminate", 0, 2, "phi_n + 7 = p_n(u, v) + 7")
+    reads = notation._read.cache_info().misses
+    zero = lambda ctx, n: ctx.zero  # noqa: E731
+    bad = rec.replace(variant="corrected", rhs=zero)
+    assert bad.rhs is zero and bad.key == "X:corrected" and rec.key == "X:as_printed"
+    assert notation._read.cache_info().misses == reads
+    # the unchanged fields are the source's own, read once for both
+    assert bad.lhs is rec.lhs and bad.statement is rec.statement
+    assert rec.rhs is not zero
+    assert notation._read.cache_info().misses == reads + 1
+    assert rec.replace() == rec != bad
+    assert [v.passed for v in run_record(rec)] == [True] * 3
+    assert [v.passed for v in run_record(bad)] == [False] * 3
+    with pytest.raises(TypeError, match="'sides'"):
+        rec.replace(sides=None)
 
 
 def test_failing_verdict_renders_its_sides_on_read():

@@ -25,7 +25,7 @@ from convcheck.identities import (
     register_catalog,
     run_record,
 )
-from convcheck.identities.notation import read_anchor
+from convcheck.identities.notation import printed, read_anchor
 from convcheck.quadext import QuadExtElem
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "printed_sides.json").read_text())
@@ -191,6 +191,16 @@ def test_an_unknown_symbol_is_refused_where_it_stands():
     anchor = get_record("T3.1:as_printed").anchor.replace("G_(n-k)", "Q_(n-k)")
     message = one_line_error(anchor, "indeterminate")
     assert f"at position {anchor.index('Q_')}: unknown symbol 'Q'" in message
+
+
+def test_a_record_checks_its_annotations_when_its_sides_are_first_read():
+    anchor = get_record("L1.1a:as_printed").anchor
+    assert "(n positive)" in anchor
+    rec = printed("L1.1a", "as_printed", "indeterminate", 0, 3, anchor)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            rec.lhs
+        assert repr(anchor) in str(info.value) and "(n positive)" in str(info.value)
 
 
 def test_annotations_are_checked_against_the_record():

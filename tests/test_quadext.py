@@ -195,3 +195,37 @@ def test_sum_of_products_rejects_mixed_discriminants():
                     [(1, fib.lam1, fib.lam1), (1, fib.lam2, bal.lam1)]):
         with pytest.raises(ValueError):
             QuadExtElem.sum_of_products(triples, fib.disc)
+
+
+def test_equal_discriminants_built_apart_are_equal_and_hash_equal():
+    first = Discriminant("fibonacci", y * y + 4 * t)
+    second = Discriminant("fibonacci", 4 * t + y * y)
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != Discriminant("balancing", y * y + 4 * t)
+    assert first != Discriminant("fibonacci", y * y - 4 * t)
+    with pytest.raises(AttributeError):
+        first.name = "balancing"
+    with pytest.raises(ValueError):
+        Discriminant("fibonacci", MultiPoly.constant(0))
+
+
+def test_root_pairs_built_apart_are_equal_and_hash_equal():
+    first, second = make_root_pair("balancing"), make_root_pair("balancing")
+    assert first is not second
+    assert first == second and hash(first) == hash(second)
+    assert first != make_root_pair("fibonacci")
+
+
+def test_substituting_two_elements_at_one_point_hits_the_discriminant_cache():
+    from convcheck.quadext import _substituted_disc
+
+    pair = make_root_pair("fibonacci")
+    # a point no other test substitutes at, so its first element misses
+    point = {"y": Rational(7, 11), "t": Rational(-5, 13)}
+    before = _substituted_disc.cache_info()
+    first = QuadExtElem(y, t, pair.disc).substitute(point)
+    second = QuadExtElem(t, y, make_root_pair("fibonacci").disc).substitute(point)
+    after = _substituted_disc.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert first.disc is second.disc
