@@ -3,7 +3,6 @@
 from .catalog import STATIC_ERRATA, check_identity, get_record, register_catalog
 from .core import (
     Context,
-    IdentityRecord,
     IdentityVerdict,
     PrintedFormUndefined,
     RINGS,
@@ -22,6 +21,7 @@ from .derive import (
     derive_corollary,
     reindex_shift_two,
 )
+from .notation import IdentityRecord
 
 __all__ = [
     "COROLLARY_TO_THEOREM",

@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from .core import IdentityRecord, IdentityVerdict, run_record
+from .core import IdentityVerdict, run_record
 from .corollaries import corollary_records
 from .derive import corrected_theorem_records, derived_corollary_records
+from .notation import IdentityRecord
 from .theorems import binet_records, lemma_records, theorem_records
 
 __all__ = [

@@ -1,7 +1,10 @@
 """Evaluation engine for the identity catalog.
 
-Every catalog entry is an :class:`IdentityRecord` whose two sides are
-callables ``side(ctx, n) -> ring element``.  The *context* supplies the
+Every catalog entry is an ``IdentityRecord``
+(:mod:`convcheck.identities.notation`, next to the tree format of the
+statement it stores) whose two sides are callables
+``side(ctx, n) -> ring element``; the engine reads only those sides and
+the record's plain fields.  The *context* supplies the
 ring: the generic two-letter ring (letters x1, x2 in Q[x1,x2,x,y,t]) or
 one of the two root rings, where the letters are the conjugate roots of
 a recurrence family and live in a quadratic extension of Q[y,t,x].
@@ -17,7 +20,7 @@ literally zero.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational
@@ -25,9 +28,11 @@ from ..arith import MultiPoly, binomial
 from ..quadext import QuadExtElem, RootPair, make_root_pair
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
+if TYPE_CHECKING:
+    from .notation import IdentityRecord
+
 __all__ = [
     "Context",
-    "IdentityRecord",
     "IdentityVerdict",
     "PrintedFormUndefined",
     "RINGS",
@@ -246,104 +251,6 @@ def eval_convolution_sum(
     return QuadExtElem.sum_of_products(summands(), ctx.pair.disc)
 
 
-# the fields a record may take from its form on first read
-_FORM = ("lhs", "rhs", "parity", "statement", "unrestricted_lhs", "unrestricted_rhs")
-
-
-class IdentityRecord(Fields):
-    """One catalog entry: a single equation in a single variant.
-
-    ``lhs``/``rhs`` evaluate the two sides in a given context at index n.
-    ``anchor`` quotes the equation as the catalog states it (for reports);
-    ``note`` documents a known discrepancy on as-printed variants.
-    ``statement`` holds the two cleared side trees the sides were
-    compiled from, when the record was read or rewritten by
-    :mod:`convcheck.identities.notation`.  For parity-restricted sums,
-    ``unrestricted_lhs``/``unrestricted_rhs`` optionally carry the
-    companion closed form of the full sum, which is what
-    :func:`parity_restriction_equivalence` checks.
-
-    A record built with ``form`` takes ``lhs``, ``rhs``, ``parity``,
-    ``statement``, ``unrestricted_lhs`` and ``unrestricted_rhs`` from
-    ``form()`` on the first read of any of them, once, so registering
-    the catalog reads no anchor that no check evaluates.  Any error of
-    the form (an anchor that cannot be read, or an annotation that rules
-    out the record's ring or range) is raised at that read.
-    """
-
-    _fields = ("ident", "variant", "ring", "lo", "hi", "anchor", "note", "source") + _FORM
-
-    def __init__(
-        self,
-        ident: str,
-        variant: str,  # "as_printed" | "corrected"
-        ring: str,
-        lo: int,
-        hi: int,
-        lhs: Optional[SideFn] = None,
-        rhs: Optional[SideFn] = None,
-        *,
-        anchor: str,
-        parity: bool = False,
-        note: Optional[str] = None,
-        source: Optional[str] = None,
-        statement: Optional[Tuple[Any, Any]] = None,
-        unrestricted_lhs: Optional[SideFn] = None,
-        unrestricted_rhs: Optional[SideFn] = None,
-        form: Optional[Callable[[], Any]] = None,
-    ):
-        self.ident = ident
-        self.variant = variant
-        self.ring = ring
-        self.lo = lo
-        self.hi = hi
-        self.anchor = anchor
-        self.note = note
-        self.source = source
-        if form is not None:
-            self._form = form
-            return
-        self.lhs = lhs
-        self.rhs = rhs
-        self.parity = parity
-        self.statement = statement
-        self.unrestricted_lhs = unrestricted_lhs
-        self.unrestricted_rhs = unrestricted_rhs
-
-    def __getattr__(self, name: str):
-        # reached only for an attribute not set yet: a field of the form,
-        # before its first read
-        space = self.__dict__
-        if name not in _FORM or "_form" not in space:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        form = space["_form"]()
-        for field in _FORM:
-            space.setdefault(field, getattr(form, field))
-        del space["_form"]
-        return space[name]
-
-    def replace(self, **changes) -> "IdentityRecord":
-        """A copy with the named fields changed.  A field of the form that
-        is not changed is this record's own: read from it on the copy's
-        first read when this record has not been read yet."""
-        unknown = sorted(set(changes) - set(self._fields))
-        if unknown:
-            raise TypeError(f"IdentityRecord has no field {unknown[0]!r}")
-        new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__)
-        if "_form" in new.__dict__:
-            new._form = lambda: self
-        new.__dict__.update(changes)
-        return new
-
-    @property
-    def key(self) -> str:
-        return f"{self.ident}:{self.variant}"
-
-    def default_range(self) -> Tuple[int, int]:
-        return (self.lo, self.hi)
-
-
 class IdentityVerdict(Fields):
     """Outcome of one identity at one index.
 
@@ -493,7 +400,7 @@ def parity_restriction_equivalence(
     to the restricted statement.  Records without a companion yield a
     single skipped verdict.
     """
-    if not record.parity or record.unrestricted_lhs is None or record.unrestricted_rhs is None:
+    if record.companion is None:
         return [
             IdentityVerdict(record.ident, record.variant, -1, True, None, "skipped")
         ]

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .core import IdentityRecord
-from .notation import printed
+from .notation import IdentityRecord, printed
 
 __all__ = ["corollary_records"]
 

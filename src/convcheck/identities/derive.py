@@ -30,18 +30,16 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..quadext import FAMILIES
-from .core import IdentityRecord
 from .notation import (
+    IdentityRecord,
     difference,
     product,
     quotient,
-    stated,
     substitute,
     sum_of,
     summand,
     without,
 )
-from .theorems import theorem_records
 
 __all__ = [
     "COROLLARY_TO_THEOREM",
@@ -64,10 +62,9 @@ def convert_genocchi_to_bernoulli(
     """Rewrite a G-weighted sum as its B-weighted equivalent."""
     lhs, rhs = src.statement
     term = product(without(summand(lhs), "G_(n-k)"), "(1-2^(n-k)) B_(n-k)")
-    return stated(
-        ident, "corrected", src.ring, src.lo, src.hi,
-        (sum_of(term), quotient(rhs, "2")),
-        anchor=anchor, note=note, source=src.ident,
+    return IdentityRecord(
+        ident, "corrected", src.ring, src.lo, src.hi, anchor, note,
+        source=src.ident, rewritten=(sum_of(term), quotient(rhs, "2")),
     )
 
 
@@ -97,9 +94,9 @@ def reindex_shift_two(
     )
     if flip:
         statement = (product("-1", statement[0]), product("-1", statement[1]))
-    return stated(
-        ident, "corrected", src.ring, lo, hi, statement,
-        anchor=anchor, note=note, source=src.ident,
+    return IdentityRecord(
+        ident, "corrected", src.ring, lo, hi, anchor, note,
+        source=src.ident, rewritten=statement,
     )
 
 
@@ -193,59 +190,51 @@ COROLLARY_TO_THEOREM: Dict[str, Tuple[str, str]] = {
 }
 
 
-def _generic_theorems(
-    theorems: List[IdentityRecord], corrected: List[IdentityRecord]
-) -> Dict[str, IdentityRecord]:
-    """Generic-ring sources, preferring the corrected variant if one exists."""
-    out = {r.ident: r for r in theorems}
-    for rec in corrected:
-        out[rec.ident] = rec
-    return out
-
-
-def _corollary_from(
-    sources: Dict[str, IdentityRecord], theorem_ident: str, family: str
-) -> IdentityRecord:
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    src = sources.get(theorem_ident)
-    if src is None:
-        raise ValueError(f"no generic catalog entry named {theorem_ident!r}")
-    # the sides, statement, parity and companion carry over from src,
-    # read from it on first use
+def _corollary_from(src: IdentityRecord, family: str) -> IdentityRecord:
+    # a printed source's anchor, with the letters annotated, reads to the
+    # source's own trees; a rewritten source's tree carries over
     return src.replace(
-        ident=THEOREM_TO_COROLLARY[(theorem_ident, family)],
+        ident=THEOREM_TO_COROLLARY[(src.ident, family)],
         variant="corrected",
         ring=f"{family}-roots",
         lo=0,
         hi=20,
         anchor=f"{src.anchor}  [letters = {family} roots]",
-        note=f"derived from {theorem_ident} over the {family} root pair",
-        source=theorem_ident,
+        note=f"derived from {src.ident} over the {family} root pair",
+        source=src.ident,
     )
 
 
 def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
-    """Family form of a generic entry, by evaluation over the root letters.
+    """Family form of a generic catalog entry, by evaluation over the
+    root letters.
 
-    The returned entry keeps the source's side callables: the only change
-    is the ring, where ``u``/``v`` are the conjugate roots, ``D`` their
-    difference, and the symmetric functions become the family sequences.
+    The returned entry states its source's statement in the family's
+    root ring, where ``u``/``v`` are the conjugate roots, ``D`` their
+    difference, and the symmetric functions become the family
+    sequences.  The source is the catalog's own record, its corrected
+    variant where one exists, so the entry shares its sides with the
+    catalog's corollary.
     """
-    theorems = theorem_records()
-    sources = _generic_theorems(theorems, corrected_theorem_records(theorems))
-    return _corollary_from(sources, theorem_ident, family)
+    from .catalog import _lookup  # the catalog is built from this module
+
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    if (theorem_ident, family) not in THEOREM_TO_COROLLARY:
+        raise ValueError(f"no generic catalog entry named {theorem_ident!r}")
+    # a corrected variant follows its printed one in the catalog
+    return _corollary_from(_lookup(theorem_ident)[-1], family)
 
 
 def derived_corollary_records(
     theorems: List[IdentityRecord], corrected: List[IdentityRecord]
 ) -> List[IdentityRecord]:
-    """Every theorem evaluated over both root families, in catalog order:
-    the corollaries of ``theorems`` and of their ``corrected`` variants
-    share these records' sides."""
-    sources = _generic_theorems(theorems, corrected)
+    """Every theorem evaluated over both root families, in catalog order,
+    each from the ``corrected`` variant of its source in ``theorems``
+    where one exists."""
+    sources = {r.ident: r for r in theorems + corrected}
     return [
-        _corollary_from(sources, tid, family)
+        _corollary_from(sources[tid], family)
         for (tid, family) in sorted(
             THEOREM_TO_COROLLARY, key=lambda p: THEOREM_TO_COROLLARY[p]
         )

@@ -1,14 +1,13 @@
-"""The notation of the anchors, read into record sides.
+"""The notation of the anchors, their statement trees, and the records.
 
 An as-printed record *is* its ``anchor``: the equation exactly as the
-source catalog states it.  :func:`read_anchor` parses an anchor once per
-process (forms are cached by anchor text) into its two side callables
-``side(ctx, n)`` and its parity flag, so the equation a report quotes is
-the equation the checker evaluates.  A record reads its anchor on the
-first read of its sides, and a side compiles its tree to nested closures
-on its first call.  This docstring is the one statement of the
-notation and of the conventions that turn a printed statement into a
-checkable record.
+source catalog states it.  :class:`IdentityRecord` reads its anchor on
+first use into its statement, the two cleared side trees, and compiles
+each tree to nested closures ``side(ctx, n)``, so the equation a report
+quotes is the equation the checker evaluates.  Equal trees compile to
+one callable.  This module is the one that knows the tree format, and
+this docstring is the one statement of the notation and of the
+conventions that turn a printed statement into a checkable record.
 
 Symbols
   ``u v lam1 lam2``      the two letters (``lam1 lam2`` in the root rings)
@@ -66,8 +65,8 @@ Rewrites of a statement
   corrected T3 records rewrite their source's statement with
   ``summand``, ``without``, ``substitute``, ``product``, ``difference``,
   ``quotient`` and ``sum_of``, whose new pieces are written in this
-  notation (``"C(n,k)"``, ``"n+2"``); :func:`stated` compiles the result
-  as a read anchor is compiled.  The two rewrites, the weight conversion
+  notation (``"C(n,k)"``, ``"n+2"``); the record stores the result and
+  compiles it as a read anchor is compiled.  The two rewrites, the weight conversion
   and the index shift n = m+2, are stated in
   :mod:`convcheck.identities.derive`.
 
@@ -91,8 +90,9 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Callable, List, NamedTuple, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
+from .._fields import Fields
 from .._scalar import Rational
 from ..arith import MultiPoly, binomial
 from ..quadext import FAMILIES
@@ -100,7 +100,6 @@ from ..sequences import bernoulli_number, euler_number, genocchi_number
 from ..symfun import sym_ehp
 from .core import (
     Context,
-    IdentityRecord,
     SideFn,
     eval_convolution_sum,
     get_context,
@@ -108,13 +107,12 @@ from .core import (
 )
 
 __all__ = [
-    "PrintedForm",
+    "IdentityRecord",
     "difference",
     "printed",
     "product",
     "quotient",
     "read_anchor",
-    "stated",
     "substitute",
     "sum_of",
     "summand",
@@ -570,156 +568,197 @@ def _compile(node) -> Eval:
     return _sum(node[1], node[2])
 
 
+@functools.lru_cache(maxsize=None)
 def _side(node) -> SideFn:
-    """side(ctx, n), compiled on its first call: a rewrite reads its
-    source's statement without evaluating the source."""
-    compiled: List[Eval] = []
-
-    def side(ctx, n):
-        if not compiled:
-            compiled.append(_compile(node))
-        return compiled[0](ctx, n, 0)
-
-    return side
+    """side(ctx, n) of a side tree.  Equal trees share one callable, and
+    so one ``Context.memo`` entry per n, whichever records state them."""
+    ev = _compile(node)
+    return lambda ctx, n: ev(ctx, n, 0)
 
 
 Statement = Tuple[Any, Any]  # the two side trees of an equation
 
 
-def _cleared(lhs, rhs) -> Tuple[Statement, bool]:
-    """Both sides, cleared, and whether a factor was cleared."""
+def _cleared(lhs, rhs) -> Statement:
+    """Both sides, cleared."""
     lhs, by_lhs = _clear(lhs)
     rhs, by_rhs = _clear(rhs)
     if by_lhs is not None:
         rhs = ("mul", (by_lhs, rhs))
     if by_rhs is not None:
         lhs = ("mul", (by_rhs, lhs))
-    return (lhs, rhs), by_lhs is not None or by_rhs is not None
+    return lhs, rhs
 
 
 # --------------------------------------------------------------------------
-# the compiled form and the records built from it
+# reading an anchor, and the records that state one
 # --------------------------------------------------------------------------
 
 
-class PrintedForm(NamedTuple):
-    """An anchor read into the sides a record evaluates.
-
-    ``statement`` holds the two cleared side trees, ``cleared`` says
-    whether a factor was cleared, and ``checks`` hold one callable
-    ``check(ring, lo)`` per annotation.  The unrestricted sides exist
-    when a companion closed form was given.
-    """
-
-    lhs: SideFn
-    rhs: SideFn
-    statement: Statement
-    parity: bool
-    cleared: bool
-    unrestricted_lhs: Optional[SideFn]
-    unrestricted_rhs: Optional[SideFn]
-    checks: Tuple[Callable[[str, int], None], ...]
-
-
-def _annotation_check(anchor: str, note) -> Callable[[str, int], None]:
+def _check(anchor: str, note, ring: str, lo: int) -> None:
+    """Raise if the annotation note rules out a record in ring from lo."""
     kind, at = note[0], note[1]
     if kind == "positive":
-
-        def check(ring, lo):
-            if lo < 1:
-                raise _error(anchor, at, f"(n positive) needs a range from 1, not from {lo}")
-
+        if lo < 1:
+            raise _error(anchor, at, f"(n positive) needs a range from 1, not from {lo}")
     elif kind == "letters":
-        want = f"{note[2]}-roots"
-
-        def check(ring, lo):
-            if ring != want:
-                raise _error(anchor, at, f"the letters are {note[2]} roots, not of ring {ring}")
-
+        if ring != f"{note[2]}-roots":
+            raise _error(anchor, at, f"the letters are {note[2]} roots, not of ring {ring}")
     else:
-        radicand = _compile(note[2])
-
-        def check(ring, lo):
-            ctx = get_context(ring)
-            if ctx.family is None or radicand(ctx, 0, 0) != ctx.delta * ctx.delta:
-                raise _error(anchor, at, f"the radicand is not d^2 in ring {ring}")
-
-    return check
+        ctx = get_context(ring)
+        if ctx.family is None or _compile(note[2])(ctx, 0, 0) != ctx.delta * ctx.delta:
+            raise _error(anchor, at, f"the radicand is not d^2 in ring {ring}")
 
 
 @functools.lru_cache(maxsize=None)
-def _read(anchor: str, companion: Optional[str]) -> PrintedForm:
-    reader = _Reader(anchor)
-    lhs, rhs, notes = reader.statement()
-    parity = lhs[0] == "sum" and lhs[1]
-    statement, cleared = _cleared(lhs, rhs)
-    unrestricted: Tuple[Optional[SideFn], Optional[SideFn]] = (None, None)
+def _read(anchor: str, ring: str, lo: int, companion: Optional[str]):
+    """(statement, statement of the companion or None, cleared) of an
+    anchor, read once per (anchor, ring, lo, companion), which is also
+    when its annotations are checked against ``ring`` and ``lo``."""
+    lhs, rhs, notes = _Reader(anchor).statement()
+    for note in notes:
+        _check(anchor, note, ring, lo)
+    statement = _cleared(lhs, rhs)
+    full = None
     if companion is not None:
-        if not parity:
+        if not (lhs[0] == "sum" and lhs[1]):
             raise ValueError(f"anchor {anchor!r}: a companion needs a parity-restricted sum")
-        full = _cleared(("sum", False, lhs[2]), _Reader(companion).lone_side())[0]
-        unrestricted = (_side(full[0]), _side(full[1]))
-    return PrintedForm(
-        _side(statement[0]), _side(statement[1]), statement, parity, cleared, *unrestricted,
-        tuple(_annotation_check(anchor, note) for note in notes),
-    )
+        full = _cleared(("sum", False, lhs[2]), _piece(companion))
+    return statement, full, statement != (lhs, rhs)
+
+
+# the views a side passed to IdentityRecord.replace takes the place of
+_SIDES = ("lhs", "rhs", "unrestricted_lhs", "unrestricted_rhs")
+
+
+class IdentityRecord(Fields):
+    """One catalog entry: a single equation in a single variant.
+
+    ``anchor`` quotes the equation as the catalog states it, and is the
+    statement checked unless ``rewritten`` holds the statement rewritten
+    from another record's (:mod:`convcheck.identities.derive`); ``note``
+    documents a known discrepancy on as-printed variants.  A parity
+    restricted sum may carry a ``companion``, the closed form of the
+    same sum over every k, which :func:`parity_restriction_equivalence`
+    checks.
+
+    Everything else is a view of these fields, read on first use:
+    ``statement``, the two cleared side trees; ``parity``; and the side
+    callables ``lhs``/``rhs`` (and ``unrestricted_lhs``/
+    ``unrestricted_rhs`` of the companion), each ``side(ctx, n)`` for a
+    context's ring at index n.  Reading the anchor checks its
+    annotations against the record's ring and lo, and raises any error
+    of the anchor.  A side passed to :meth:`replace` takes the place of
+    its view.
+    """
+
+    _fields = ("ident", "variant", "ring", "lo", "hi", "anchor", "note", "source",
+               "companion", "rewritten")
+
+    def __init__(
+        self,
+        ident: str,
+        variant: str,  # "as_printed" | "corrected"
+        ring: str,
+        lo: int,
+        hi: int,
+        anchor: str,
+        note: Optional[str] = None,
+        *,
+        source: Optional[str] = None,
+        companion: Optional[str] = None,
+        rewritten: Optional[Statement] = None,
+    ):
+        self.ident = ident
+        self.variant = variant
+        self.ring = ring
+        self.lo = lo
+        self.hi = hi
+        self.anchor = anchor
+        self.note = note
+        self.source = source
+        self.companion = companion
+        self.rewritten = rewritten
+
+    @functools.cached_property
+    def _trees(self):
+        if self.rewritten is None:
+            return _read(self.anchor, self.ring, self.lo, self.companion)
+        if self.companion is not None:
+            raise ValueError(f"{self.key}: a rewritten statement takes no companion")
+        return self.rewritten, None, False
+
+    @property
+    def statement(self) -> Statement:
+        return self._trees[0]
+
+    @property
+    def cleared(self) -> bool:
+        """Whether a factor of the anchor was cleared into the other side."""
+        return self._trees[2]
+
+    @property
+    def parity(self) -> bool:
+        """Whether the left side sums over k = n (mod 2) only; a cleared
+        right side wraps the left one in ("mul", (by, lhs))."""
+        lhs = self.statement[0]
+        if lhs[0] == "mul":
+            lhs = lhs[1][-1]
+        return lhs[0] == "sum" and lhs[1]
+
+    @functools.cached_property
+    def lhs(self) -> SideFn:
+        return _side(self.statement[0])
+
+    @functools.cached_property
+    def rhs(self) -> SideFn:
+        return _side(self.statement[1])
+
+    @functools.cached_property
+    def unrestricted_lhs(self) -> Optional[SideFn]:
+        full = self._trees[1]
+        return None if full is None else _side(full[0])
+
+    @functools.cached_property
+    def unrestricted_rhs(self) -> Optional[SideFn]:
+        full = self._trees[1]
+        return None if full is None else _side(full[1])
+
+    def replace(self, **changes) -> "IdentityRecord":
+        """A new record with the named fields changed, its views read from
+        its own fields; a side named here takes the place of its view."""
+        unknown = sorted(set(changes) - set(self._fields) - set(_SIDES))
+        if unknown:
+            raise TypeError(f"IdentityRecord has no field {unknown[0]!r}")
+        new = object.__new__(type(self))
+        vars(new).update((name, getattr(self, name)) for name in self._fields)
+        vars(new).update(changes)
+        return new
+
+    @property
+    def key(self) -> str:
+        return f"{self.ident}:{self.variant}"
+
+    def default_range(self) -> Tuple[int, int]:
+        return (self.lo, self.hi)
+
+
+# a table of printed anchors states each record by this name
+printed = IdentityRecord
 
 
 def read_anchor(
     anchor: str, ring: str, lo: int, companion: Optional[str] = None
-) -> PrintedForm:
-    """The compiled form of an anchor, its annotations checked against a
-    record in ``ring`` whose range starts at ``lo``.
+) -> IdentityRecord:
+    """A record stating ``anchor`` in ``ring`` from n = ``lo``, read now.
 
     Raises ValueError naming the anchor and the position of the first
     thing that cannot be read or that an annotation rules out.  (A ring
     denominator inside a term, which no clearing rule removes, is
-    refused when the side is first evaluated.)
+    refused when the side is first read.)
     """
-    form = _read(anchor, companion)
-    for check in form.checks:
-        check(ring, lo)
-    return form
-
-
-def printed(
-    ident: str,
-    variant: str,
-    ring: str,
-    lo: int,
-    hi: int,
-    anchor: str,
-    note: Optional[str] = None,
-    *,
-    source: Optional[str] = None,
-    companion: Optional[str] = None,
-) -> IdentityRecord:
-    """The record stating ``anchor``: its sides, parity, statement and
-    companion are read from it, with its annotations checked against
-    ``ring`` and ``lo``, on the first read of any of them."""
-    return IdentityRecord(
-        ident, variant, ring, lo, hi, anchor=anchor, note=note, source=source,
-        form=lambda: read_anchor(anchor, ring, lo, companion),
-    )
-
-
-def stated(
-    ident: str,
-    variant: str,
-    ring: str,
-    lo: int,
-    hi: int,
-    statement: Statement,
-    *,
-    anchor: str,
-    note: Optional[str] = None,
-    source: Optional[str] = None,
-) -> IdentityRecord:
-    """The record of a statement rewritten from another record's."""
-    return IdentityRecord(
-        ident, variant, ring, lo, hi, _side(statement[0]), _side(statement[1]),
-        anchor=anchor, note=note, source=source, statement=statement,
-    )
+    _read(anchor, ring, lo, companion)
+    return IdentityRecord("", "as_printed", ring, lo, lo, anchor, companion=companion)
 
 
 # --------------------------------------------------------------------------

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .core import IdentityRecord
-from .notation import printed
+from .notation import IdentityRecord, printed
 
 __all__ = ["binet_records", "lemma_records", "theorem_records"]
 

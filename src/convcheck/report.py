@@ -22,7 +22,8 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from ._fields import Fields
 from .identities.catalog import STATIC_ERRATA, _lookup, register_catalog
-from .identities.core import IdentityRecord, IdentityVerdict, run_record
+from .identities.core import IdentityVerdict, run_record
+from .identities.notation import IdentityRecord
 
 __all__ = [
     "ResultRow",

@@ -8,6 +8,7 @@ from convcheck._scalar import Rational
 from convcheck.identities import (
     COROLLARY_TO_THEOREM,
     THEOREM_TO_COROLLARY,
+    Context,
     convert_genocchi_to_bernoulli,
     derive_corollary,
     get_context,
@@ -180,3 +181,17 @@ def test_corollaries_share_the_sides_of_the_catalog_records_they_descend_from():
         rec = catalog[f"{cid}:corrected"]
         for name in ("lhs", "rhs", "unrestricted_lhs", "unrestricted_rhs"):
             assert getattr(rec, name) is getattr(src, name), (cid, name)
+
+
+def test_derive_corollary_shares_the_catalog_records_sides_and_memo():
+    # derive_corollary descends from the catalog's own records, so each
+    # call gives the catalog corollary's sides and no new memo entry
+    rec = get_record("C3.5b:corrected")
+    ctx = Context(rec.ring)
+    sizes = []
+    for got in (rec, derive_corollary("T3.5b", "fibonacci"), derive_corollary("T3.5b", "fibonacci")):
+        assert got == rec
+        assert got.lhs is rec.lhs and got.rhs is rec.rhs
+        run_record(got, (0, 8), ctx)
+        sizes.append(len(ctx._memo))
+    assert sizes == [25, 25, 25]

@@ -434,6 +434,45 @@ def test_record_replace_keeps_unchanged_sides_and_overrides_unread_ones():
         rec.replace(sides=None)
 
 
+def test_record_replace_reads_its_views_from_its_own_fields():
+    rec = get_record("T2.1b:as_printed")
+    other = get_record("T2.2a:as_printed")
+    assert rec.lhs is not other.lhs
+    # rec's views are cached now; the copy reads the other anchor's
+    moved = rec.replace(anchor=other.anchor)
+    assert moved.statement == other.statement != rec.statement
+    assert moved.lhs is other.lhs and moved.rhs is other.rhs
+    # a side passed to replace still overrides its view
+    zero = lambda ctx, n: ctx.zero  # noqa: E731
+    assert moved.replace(rhs=zero).rhs is zero
+    assert moved.replace(rhs=zero).lhs is other.lhs
+
+
+def test_a_derived_record_moved_to_another_ring_refuses_its_letters():
+    rec = get_record("C3.1:corrected")
+    assert rec.lhs is not None
+    moved = rec.replace(ring="balancing-roots")
+    with pytest.raises(ValueError) as info:
+        moved.lhs
+    message = str(info.value)
+    assert "\n" not in message and "fibonacci roots" in message
+
+
+def test_equal_side_trees_share_one_callable_catalog_wide():
+    # the sides are compiled per tree, not per record, so equal sides of
+    # different records (a printed and a corrected variant, a theorem and
+    # its corollary) share one callable and one memo entry per n
+    by_tree = {}
+    for rec in register_catalog():
+        for tree, side in zip(rec.statement, (rec.lhs, rec.rhs)):
+            by_tree.setdefault((rec.ring, tree), []).append(side)
+    assert len(by_tree) == 221
+    for sides in by_tree.values():
+        assert all(side is sides[0] for side in sides)
+    assert get_record("L1.1a:as_printed").rhs is get_record("R1.2:as_printed").lhs
+    assert get_record("BINET.C:as_printed").lhs is get_record("BINET.C:corrected").lhs
+
+
 def test_failing_verdict_renders_its_sides_on_read():
     ctx = Context("indeterminate")
     rec = get_record("C2.1.2:as_printed")

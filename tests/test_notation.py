@@ -209,6 +209,15 @@ def test_annotations_are_checked_against_the_record():
     assert "fibonacci roots" in one_line_error(derived, "balancing-roots")
 
 
+def test_a_companion_needs_a_parity_restricted_sum():
+    anchor = get_record("T2.1b:as_printed").anchor
+    with pytest.raises(ValueError) as info:
+        read_anchor(anchor, "indeterminate", 0, "2^n phi_n")
+    message = str(info.value)
+    assert "\n" not in message and repr(anchor) in message
+    assert "a companion needs a parity-restricted sum" in message
+
+
 # ---------------------------------------------------------------------------
 # the two operands of a summand
 # ---------------------------------------------------------------------------
