@@ -5,9 +5,13 @@ Every catalog entry is an ``IdentityRecord``
 statement it stores) whose two sides are callables
 ``side(ctx, n) -> ring element``; the engine reads only those sides and
 the record's plain fields.  The *context* supplies the
-ring: the generic two-letter ring (letters x1, x2 in Q[x1,x2,x,y,t]) or
-one of the two root rings, where the letters are the conjugate roots of
-a recurrence family and live in a quadratic extension of Q[y,t,x].
+ring: the generic two-letter ring Q[u,v,x,y,t], or one of the two root
+rings, where the letters are the conjugate roots of a recurrence family
+and live in a quadratic extension of Q[y,t,x].  Both kinds hold an
+element in the sum Sig = u + v and the difference D = u - v of the
+letters: a root-ring element is a + b*sqrt(d) with D = c*sqrt(d), and a
+generic one is a :class:`LetterElem`, a polynomial in Sig and D.  The
+letters x1 = u, x2 = v of the generic ring are its printed form only.
 Because both sides are written against the context interface, the same
 record can be evaluated in any ring -- that is what turns a verified
 generic identity into a family-specific one by pure substitution.
@@ -23,7 +27,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
-from .._scalar import as_rational
+from .._scalar import as_rational, is_scalar
 from ..arith import MultiPoly, binomial
 from ..quadext import QuadExtElem, RootPair, make_root_pair
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
@@ -34,6 +38,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Context",
     "IdentityVerdict",
+    "LetterElem",
     "PrintedFormUndefined",
     "RINGS",
     "eval_convolution_sum",
@@ -68,6 +73,131 @@ def printed_ratio(num, den: int):
     return q / den
 
 
+_X1, _X2 = MultiPoly.var("x1"), MultiPoly.var("x2")
+# a LetterElem's polynomial holds Sig in the x1 slot and D in the x2
+# slot; these bindings take it to the letters x1 = u, x2 = v and back
+_TO_LETTERS = {"x1": _X1 + _X2, "x2": _X1 - _X2}
+_FROM_LETTERS = {"x1": (_X1 + _X2) / 2, "x2": (_X1 - _X2) / 2}
+
+
+class LetterElem:
+    """Element of the generic two-letter ring Q[u,v,x,y,t], never changed,
+    held as ``poly``, a :class:`MultiPoly` in Sig = u + v (slot x1) and
+    D = u - v (slot x2), with u = (Sig + D)/2 and v = (Sig - D)/2.
+
+    In these coordinates D^j is one term and (Sig + xD)^j is j+1, where
+    in the letters they are j+1 and up to (j+1)^2, so the convolution
+    sums form far fewer coefficient products.  Arithmetic and the zero
+    test never leave the coordinates.  A value leaving the ring -- in
+    ``==`` against a polynomial, ``hash``, ``str``, ``terms`` and
+    ``substitute`` -- is its printed form, the polynomial in the
+    letters x1 = u and x2 = v, computed once per element.  A
+    :class:`MultiPoly` operand is read in the letters.
+    """
+
+    __slots__ = ("poly", "_letters")
+
+    def __init__(self, poly: MultiPoly):
+        self.poly = poly
+        self._letters = None
+
+    @staticmethod
+    def of(value) -> "LetterElem":
+        """value, a letter element, a polynomial in the letters or a
+        scalar, as a letter element."""
+        if type(value) is LetterElem:
+            return value
+        if isinstance(value, MultiPoly):
+            return LetterElem(value.substitute(_FROM_LETTERS))
+        return LetterElem(MultiPoly.constant(value))
+
+    def as_poly(self) -> MultiPoly:
+        """The printed form: this element as a polynomial in x1 = u, x2 = v."""
+        if self._letters is None:
+            self._letters = self.poly.substitute(_TO_LETTERS)
+        return self._letters
+
+    # -- ring operations ---------------------------------------------------
+
+    def is_zero(self) -> bool:
+        return not self.poly
+
+    def __bool__(self) -> bool:
+        return bool(self.poly)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is LetterElem:
+            return self.poly == other.poly
+        if isinstance(other, MultiPoly):
+            return self.as_poly() == other
+        if is_scalar(other):
+            # a constant is the same polynomial in either coordinates
+            return self.poly == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # an element equals its printed form, so it hashes as that
+        return hash(self.as_poly())
+
+    def __neg__(self) -> "LetterElem":
+        return LetterElem(-self.poly)
+
+    def __add__(self, other) -> "LetterElem":
+        o = _operand(other)
+        return NotImplemented if o is None else LetterElem(self.poly + o)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "LetterElem":
+        o = _operand(other)
+        return NotImplemented if o is None else LetterElem(self.poly - o)
+
+    def __rsub__(self, other) -> "LetterElem":
+        o = _operand(other)
+        return NotImplemented if o is None else LetterElem(o - self.poly)
+
+    def __mul__(self, other) -> "LetterElem":
+        o = _operand(other)
+        return NotImplemented if o is None else LetterElem(self.poly * o)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> "LetterElem":
+        if not is_scalar(other):
+            return NotImplemented
+        return LetterElem(self.poly / other)
+
+    def __pow__(self, exponent: int) -> "LetterElem":
+        return LetterElem(self.poly ** exponent)
+
+    # -- the printed form --------------------------------------------------
+
+    @property
+    def terms(self):
+        return self.as_poly().terms
+
+    def substitute(self, bindings) -> MultiPoly:
+        """The printed form with variables substituted (see
+        :meth:`MultiPoly.substitute`)."""
+        return self.as_poly().substitute(bindings)
+
+    def __str__(self) -> str:
+        return str(self.as_poly())
+
+    def __repr__(self) -> str:
+        return f"LetterElem({self})"
+
+
+def _operand(other):
+    """A LetterElem's operand in the Sig/D coordinates: a polynomial or a
+    scalar, or None for anything else."""
+    if type(other) is LetterElem:
+        return other.poly
+    if isinstance(other, MultiPoly):
+        return other.substitute(_FROM_LETTERS)
+    return other if is_scalar(other) else None
+
+
 # Context.memo keys of the embedded sequences, one callable per kind;
 # each calls its sequence function through this module's globals, which
 # perfbench/tracer.py rebinds
@@ -94,9 +224,9 @@ class Context:
         self.family: Optional[str] = None
         self.pair: Optional[RootPair] = None
         if ring == "indeterminate":
-            self.u: Any = MultiPoly.var("x1")
-            self.v: Any = MultiPoly.var("x2")
-            self.one: Any = MultiPoly.constant(1)
+            self.u: Any = LetterElem(_FROM_LETTERS["x1"])
+            self.v: Any = LetterElem(_FROM_LETTERS["x2"])
+            self.one: Any = LetterElem(MultiPoly.constant(1))
         else:
             self.family = ring.removesuffix("-roots")
             self.pair = make_root_pair(self.family)
@@ -117,9 +247,7 @@ class Context:
     def embed(self, value):
         """Lift a polynomial or scalar into the context ring."""
         if self.pair is None:
-            if isinstance(value, MultiPoly):
-                return value
-            return MultiPoly.constant(value)
+            return LetterElem.of(value)
         if isinstance(value, QuadExtElem):
             return value
         if not isinstance(value, MultiPoly):
@@ -145,10 +273,16 @@ class Context:
 
     def power(self, base, e: int):
         """base^e, cached per base by value and built up incrementally,
-        so two equal bases built separately share one list of powers."""
+        so two equal bases built separately share one list of powers.  A
+        letter element is keyed by its polynomial in Sig and D, which is
+        as canonical as the element and hashes without converting."""
         if e < 0:
             raise ValueError("negative power")
-        powers = self._powers.setdefault(base, [self.one])
+        key = base
+        if self.pair is None:
+            base = LetterElem.of(base)
+            key = base.poly
+        powers = self._powers.setdefault(key, [self.one])
         while len(powers) <= e:
             powers.append(powers[-1] * base)
         return powers[e]
@@ -227,7 +361,8 @@ def eval_convolution_sum(
     returning 0.  With ``parity=True`` the sum runs only
     over k with n - k even.  The summands stream into the ring's
     ``sum_of_products``, which forms the whole sum in one exact
-    accumulator rather than one polynomial per summand.
+    accumulator rather than one polynomial per summand; in the generic
+    ring that is one ``ProductSum`` over the polynomials in Sig and D.
     """
 
     def summands():
@@ -247,7 +382,8 @@ def eval_convolution_sum(
             yield scalar, low, high
 
     if ctx.pair is None:
-        return MultiPoly.sum_of_products(summands())
+        return LetterElem(MultiPoly.sum_of_products(
+            (s, low.poly, high.poly) for s, low, high in summands()))
     return QuadExtElem.sum_of_products(summands(), ctx.pair.disc)
 
 
@@ -363,8 +499,9 @@ def run_record(
 
 
 def substitute_value(value, bindings):
-    """Substitute variables in a ring element (scalars pass through)."""
-    if isinstance(value, (QuadExtElem, MultiPoly)):
+    """Substitute variables in a ring element (scalars pass through); a
+    letter element gives its printed form substituted."""
+    if isinstance(value, (LetterElem, QuadExtElem, MultiPoly)):
         return value.substitute(bindings)
     return value
 

@@ -176,10 +176,11 @@ class _Reader:
     ("mul", factors), ("add", ((sign, term), ...)), ("sum", parity, summand).
     """
 
-    def __init__(self, anchor: str):
+    def __init__(self, anchor: str, start: int = 0):
         self.anchor = anchor
-        # (leading space, token, a character that starts no token)
-        self.toks = _TOKEN.findall(anchor)
+        self.start = start
+        # (leading space, token, a character that starts no token) from start
+        self.toks = _TOKEN.findall(anchor, start)
         # closed by empty end tokens, so the parser may look two past the last
         self.texts = [tok[1] for tok in self.toks] + ["", "", ""]
         if "" in self.texts[:-3]:
@@ -189,7 +190,7 @@ class _Reader:
 
     def position(self, i: int) -> int:
         """Where token i starts in the anchor (its end, past the last)."""
-        before = sum(len("".join(tok)) for tok in self.toks[:i])
+        before = self.start + sum(len("".join(tok)) for tok in self.toks[:i])
         return before + len(self.toks[i][0]) if i < len(self.toks) else before
 
     def peek(self) -> str:
@@ -217,11 +218,14 @@ class _Reader:
         lhs = self.side()
         self.take("=")
         rhs = self.side()
+        return lhs, rhs, self.notes()
+
+    def notes(self):
         notes = []
         while self.peek() in ("(", "["):
             notes.append(self.annotation())
         self.take("")
-        return lhs, rhs, notes
+        return notes
 
     def lone_side(self):
         side = self.side()
@@ -610,6 +614,21 @@ def _check(anchor: str, note, ring: str, lo: int) -> None:
             raise _error(anchor, at, f"the radicand is not d^2 in ring {ring}")
 
 
+# where the annotations ending an anchor begin (compiled on first use,
+# as no start-up reads a rewritten record's sides)
+_NOTES = r"\(\s*n\s+positive\b|\[\s*(?:letters\b|d\s*=)"
+
+
+def _check_notes(anchor: str, ring: str, lo: int) -> None:
+    """Check the annotations ending ``anchor`` against ``ring`` and
+    ``lo``, reading them alone: the anchor of a rewritten statement is
+    a quotation, and its statement is never read."""
+    found = re.search(_NOTES, anchor)
+    if found is not None:
+        for note in _Reader(anchor, found.start()).notes():
+            _check(anchor, note, ring, lo)
+
+
 @functools.lru_cache(maxsize=None)
 def _read(anchor: str, ring: str, lo: int, companion: Optional[str]):
     """(statement, statement of the companion or None, cleared) of an
@@ -648,8 +667,9 @@ class IdentityRecord(Fields):
     ``unrestricted_rhs`` of the companion), each ``side(ctx, n)`` for a
     context's ring at index n.  Reading the anchor checks its
     annotations against the record's ring and lo, and raises any error
-    of the anchor.  A side passed to :meth:`replace` takes the place of
-    its view.
+    of the anchor; a rewritten record checks the annotations ending its
+    anchor when its sides are first compiled.  A side passed to
+    :meth:`replace` takes the place of its view.
     """
 
     _fields = ("ident", "variant", "ring", "lo", "hi", "anchor", "note", "source",
@@ -707,12 +727,20 @@ class IdentityRecord(Fields):
         return lhs[0] == "sum" and lhs[1]
 
     @functools.cached_property
+    def _checked(self) -> Statement:
+        # the statement, once a rewritten record's annotations hold; a
+        # read anchor's were checked when it was read
+        if self.rewritten is not None:
+            _check_notes(self.anchor, self.ring, self.lo)
+        return self.statement
+
+    @functools.cached_property
     def lhs(self) -> SideFn:
-        return _side(self.statement[0])
+        return _side(self._checked[0])
 
     @functools.cached_property
     def rhs(self) -> SideFn:
-        return _side(self.statement[1])
+        return _side(self._checked[1])
 
     @functools.cached_property
     def unrestricted_lhs(self) -> Optional[SideFn]:

@@ -458,6 +458,20 @@ def test_a_derived_record_moved_to_another_ring_refuses_its_letters():
     assert "\n" not in message and "fibonacci roots" in message
 
 
+def test_a_rewritten_record_moved_to_another_ring_refuses_its_letters():
+    # C3.3 carries the statement rewritten from T3.2; its anchor, a
+    # quotation, still states the letters, which hold in one ring only
+    rec = get_record("C3.3:corrected")
+    assert rec.rewritten is not None and rec.lhs is not None
+    moved = rec.replace(ring="balancing-roots")
+    assert moved.statement == rec.statement
+    with pytest.raises(ValueError) as info:
+        moved.lhs
+    message = str(info.value)
+    assert "\n" not in message and message.startswith(f"anchor {rec.anchor!r}")
+    assert "fibonacci roots" in message and "balancing-roots" in message
+
+
 def test_equal_side_trees_share_one_callable_catalog_wide():
     # the sides are compiled per tree, not per record, so equal sides of
     # different records (a printed and a corrected variant, a theorem and
