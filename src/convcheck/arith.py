@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Mapping
 from typing import Dict, Tuple, Union
 
@@ -102,6 +103,13 @@ def binomial(n: int, k: int):
 
 def _overflow(degree: int) -> OverflowError:
     return OverflowError(f"total degree {degree} exceeds the packed exponent bound {MAX_EXP}")
+
+
+def _index(name: str) -> int:
+    i = _VAR_INDEX.get(name)
+    if i is None:
+        raise ValueError(f"unknown variable {name!r}; choose from {VARIABLES}")
+    return i
 
 
 def _pack(exp: Monomial) -> int:
@@ -180,9 +188,7 @@ class MultiPoly:
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        if name not in _VAR_INDEX:
-            raise ValueError(f"unknown variable {name!r}; choose from {VARIABLES}")
-        return cls._raw({_VAR_KEYS[_VAR_INDEX[name]]: 1}, 1, 1)
+        return cls._raw({_VAR_KEYS[_index(name)]: 1}, 1, 1)
 
     # -- inspection ------------------------------------------------------
 
@@ -215,6 +221,29 @@ class MultiPoly:
         if len(exp) != _NVARS or min(exp) < 0 or sum(exp) > MAX_EXP:
             return as_rational(0)
         return Rational(self._terms.get(_pack(exp), 0), self._den)
+
+    def degree_in(self, name: str) -> int:
+        """The largest exponent of the variable ``name`` (0 if it is not read)."""
+        shift = _SHIFTS[_index(name)]
+        return max(((k >> shift) & MAX_EXP for k in self._terms), default=0)
+
+    def even_odd(self, name: str) -> Tuple["MultiPoly", "MultiPoly"]:
+        """(E, O) with self = E(v^2) + v*O(v^2) for the variable v =
+        ``name``: E and O are written with v standing for v^2."""
+        i = _index(name)
+        shift, unit = _SHIFTS[i], _VAR_KEYS[i]
+        even: Dict[int, int] = {}
+        odd: Dict[int, int] = {}
+        for key, c in self._terms.items():
+            # v^e becomes v^(e//2); the key's degree field follows, as
+            # every unit key carries one degree
+            e = (key >> shift) & MAX_EXP
+            if e & 1:
+                odd[key - ((e + 1) >> 1) * unit] = c
+            else:
+                even[key - (e >> 1) * unit] = c
+        return (MultiPoly._reduced(even, self._den, self._deg),
+                MultiPoly._reduced(odd, self._den, self._deg))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -363,12 +392,17 @@ class MultiPoly:
             return self
         # a variable bound to num/den multiplies a term of exponent e by
         # num^e·den^(top-e), which puts every term over the common
-        # denominator ∏ den^top; top, the total degree (the largest key's
-        # top field), bounds every exponent
-        top = max(self._terms) >> _DEG_SHIFT
+        # denominator ∏ den^top, where top bounds the variable's own
+        # exponents: the smaller of the total degree (the largest key's
+        # top field) and the variable's field of all keys OR'd together,
+        # which is 0 for a variable the polynomial does not read
+        if scalars:
+            total = max(self._terms) >> _DEG_SHIFT
+            seen = functools.reduce(operator.or_, self._terms)
         rows = []
         den = self._den
         for i, num_i, den_i in scalars:
+            top = min(total, (seen >> _SHIFTS[i]) & MAX_EXP)
             row = _power_row(num_i, den_i, top)
             rows.append((_SHIFTS[i], _VAR_KEYS[i], row))
             den *= row[0]

@@ -7,11 +7,14 @@ statement it stores) whose two sides are callables
 the record's plain fields.  The *context* supplies the
 ring: the generic two-letter ring Q[u,v,x,y,t], or one of the two root
 rings, where the letters are the conjugate roots of a recurrence family
-and live in a quadratic extension of Q[y,t,x].  Both kinds hold an
-element in the sum Sig = u + v and the difference D = u - v of the
-letters: a root-ring element is a + b*sqrt(d) with D = c*sqrt(d), and a
-generic one is a :class:`LetterElem`, a polynomial in Sig and D.  The
-letters x1 = u, x2 = v of the generic ring are its printed form only.
+and live in the quadratic extension Q[x,y,t][sqrt(d)].  Every ring holds
+its elements as one class, :class:`LetterElem`: a polynomial in the sum
+Sig = u + v and the difference D = u - v of the letters, in the
+coordinates of the ring's chart.  The generic ring's are Sig and D; a
+root ring's are x, y and D, since there D = c*sqrt(d) and d is linear in
+t, so Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,y,D] (see
+:class:`_RootChart`).  The letters x1 = u, x2 = v of the generic ring and
+the form a + b*sqrt(d) of a root ring are printed forms only.
 Because both sides are written against the context interface, the same
 record can be evaluated in any ring -- that is what turns a verified
 generic identity into a family-specific one by pure substitution.
@@ -23,6 +26,7 @@ literally zero.
 
 from __future__ import annotations
 
+import functools
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
@@ -73,49 +77,198 @@ def printed_ratio(num, den: int):
     return q / den
 
 
-_X1, _X2 = MultiPoly.var("x1"), MultiPoly.var("x2")
-# a LetterElem's polynomial holds Sig in the x1 slot and D in the x2
-# slot; these bindings take it to the letters x1 = u, x2 = v and back
+_X1, _X2, _T = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("t")
+# a generic element's polynomial holds Sig in the x1 slot and D in the
+# x2 slot; these bindings take it to the letters x1 = u, x2 = v and back
 _TO_LETTERS = {"x1": _X1 + _X2, "x2": _X1 - _X2}
 _FROM_LETTERS = {"x1": (_X1 + _X2) / 2, "x2": (_X1 - _X2) / 2}
 
 
-class LetterElem:
-    """Element of the generic two-letter ring Q[u,v,x,y,t], never changed,
-    held as ``poly``, a :class:`MultiPoly` in Sig = u + v (slot x1) and
-    D = u - v (slot x2), with u = (Sig + D)/2 and v = (Sig - D)/2.
+class _LetterChart:
+    """The generic ring's chart: a polynomial in Sig (slot x1) and D
+    (slot x2), printed as the polynomial in the letters x1 = u, x2 = v."""
 
-    In these coordinates D^j is one term and (Sig + xD)^j is j+1, where
-    in the letters they are j+1 and up to (j+1)^2, so the convolution
-    sums form far fewer coefficient products.  Arithmetic and the zero
-    test never leave the coordinates.  A value leaving the ring -- in
-    ``==`` against a polynomial, ``hash``, ``str``, ``terms`` and
-    ``substitute`` -- is its printed form, the polynomial in the
-    letters x1 = u and x2 = v, computed once per element.  A
-    :class:`MultiPoly` operand is read in the letters.
+    pair = None
+    family = None
+    letters = (_X1, _X2)
+
+    def lift(self, value) -> Optional[MultiPoly]:
+        """A polynomial in the letters, or a scalar, in Sig and D; None
+        for anything else."""
+        if isinstance(value, MultiPoly):
+            return value.substitute(_FROM_LETTERS)
+        return MultiPoly.constant(value) if is_scalar(value) else None
+
+    def form(self, poly: MultiPoly) -> MultiPoly:
+        """What an element keeps to print and substitute: its printed form."""
+        return poly.substitute(_TO_LETTERS)
+
+    def printed(self, form: MultiPoly) -> MultiPoly:
+        return form
+
+    def substitute(self, form: MultiPoly, bindings) -> MultiPoly:
+        return form.substitute(bindings)
+
+    def terms(self, elem: "LetterElem"):
+        return elem.as_poly().terms
+
+
+class _RootChart:
+    """A root ring's chart: Q[x, y, t][sqrt(d)] is the polynomial ring
+    Q[x, y, D], with D = lam1 - lam2 = c*sqrt(d) in slot x2.
+
+    The discriminant is linear in t with a constant coefficient,
+    d = alpha*t + r(y) (y^2 + 4t and 9y^2 - t), so t = (D^2/c^2 - r)/alpha.
+    The map Q[x, y, D] -> Q[x, y, t][sqrt(d)] that sends D to c*sqrt(d)
+    is a ring homomorphism; sending t to that expression and sqrt(d) to
+    D/c respects sqrt(d)^2 = d and inverts it.  So it is an isomorphism,
+    and an element is zero iff its polynomial in x, y and D is: the zero
+    test stays exact.  The chart is read off the root pair's
+    discriminant and ``diff_scale`` c.
+
+    A polynomial P = E(D^2) + D*O(D^2) prints as a + b*sqrt(d) with
+    a = E(c^2 d) and b = c*O(c^2 d).  An element keeps the halves E and
+    c*O, written with x2 standing for D^2 and held as a QuadExtElem, so
+    a substitution at a point binds x2 to c^2 d(point) and reads no t.
     """
 
-    __slots__ = ("poly", "_letters")
+    def __init__(self, pair: RootPair):
+        d, c = pair.disc.poly, pair.diff_scale
+        alpha = d.coeff((0, 0, 0, 0, 1))
+        rest = d - alpha * _T
+        if not alpha or any(rest.degree_in(name) for name in ("x1", "x2", "t")):
+            raise ValueError(f"discriminant {d} is not alpha*t + r(x, y)")
+        self.pair = pair
+        self.family = pair.family
+        self.letters = (pair.lam1, pair.lam2)
+        self.disc = pair.disc
+        self.scale = c
+        self._c2 = c * c
+        self._t = {"t": (_X2 * _X2 / self._c2 - rest) / alpha}
+        self._sqrt_d = _X2 / c
 
-    def __init__(self, poly: MultiPoly):
+    def lift(self, value) -> Optional[MultiPoly]:
+        """A polynomial in x, y, t, an element a + b*sqrt(d) of this
+        ring, or a scalar, in x, y and D; None for anything else (a
+        polynomial reading x1 or x2, which no root-ring element reads)."""
+        if isinstance(value, QuadExtElem):
+            if value.disc != self.disc:
+                raise ValueError(f"mixed discriminants: {self.disc.name} vs {value.disc.name}")
+            a, b = self.lift(value.a), self.lift(value.b)
+            return None if a is None or b is None else a + b * self._sqrt_d
+        if isinstance(value, MultiPoly):
+            if value.degree_in("x1") or value.degree_in("x2"):
+                return None
+            return value.substitute(self._t)
+        return MultiPoly.constant(value) if is_scalar(value) else None
+
+    def form(self, poly: MultiPoly) -> QuadExtElem:
+        even, odd = poly.even_odd("x2")
+        return QuadExtElem(even, odd * self.scale, self.disc)
+
+    def printed(self, form: QuadExtElem) -> QuadExtElem:
+        # the image at no point: x2 bound to c^2 d alone
+        return self.substitute(form, {})
+
+    def substitute(self, form: QuadExtElem, bindings) -> QuadExtElem:
+        # the image is formed by QuadExtElem.substitute, which also
+        # substitutes the discriminant
+        return QuadExtElem.substitute(form, _form_bindings(self, tuple(sorted(bindings.items()))))
+
+    def terms(self, elem: "LetterElem"):
+        return elem.poly.terms
+
+
+@functools.lru_cache(maxsize=64)
+def _form_bindings(chart: _RootChart, point: tuple) -> Dict[str, MultiPoly]:
+    """The bindings that take a root-ring element's halves to its printed
+    form at ``point``: x2, standing for D^2, to c^2 d(point), and every
+    other bound variable but x1 and x2, which no root-ring element reads,
+    to its value as a polynomial, whose hash is kept.  Made once per
+    point, so substituting many elements there formats, hashes and
+    substitutes each binding once; every caller shares the dict and
+    only reads it."""
+    images = {name: value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
+              for name, value in point if name not in ("x1", "x2")}
+    images["x2"] = chart._c2 * chart.disc.poly.substitute(dict(point))
+    return images
+
+
+_LETTERS = _LetterChart()
+
+
+@functools.lru_cache(maxsize=None)
+def _chart(ring: str):
+    if ring == "indeterminate":
+        return _LETTERS
+    return _RootChart(make_root_pair(ring.removesuffix("-roots")))
+
+
+class LetterElem:
+    """Element of one of the three rings, never changed, held as ``poly``,
+    a :class:`MultiPoly` in the letters' sum Sig = u + v and difference
+    D = u - v, and its ring's ``chart``.
+
+    In the generic ring Q[u,v,x,y,t] the polynomial is in Sig (slot x1)
+    and D (slot x2), with u = (Sig + D)/2 and v = (Sig - D)/2.  In a
+    root ring it is in x, y and D (slot x2), where Sig is the trace of
+    the root pair and t is a polynomial in y and D (see
+    :class:`_RootChart`).  In these coordinates D^j is one term and
+    (Sig + xD)^j is j+1, so the convolution sums form far fewer
+    coefficient products, and a root-ring product needs no sqrt(d)
+    fold.  Arithmetic and the zero test never leave the coordinates.
+
+    A value leaving the ring -- in ``==`` against a polynomial or a
+    QuadExtElem, ``hash``, ``str`` and ``substitute`` -- is its printed
+    form: the polynomial in the letters x1 = u and x2 = v in the generic
+    ring, a + b*sqrt(d) (a :class:`QuadExtElem`) in a root ring.  What
+    it needs is computed once per element.  ``terms`` are the printed
+    form's in the generic ring and the polynomial's in x, y and D in a
+    root ring.  An operand from another ring raises, a root ring's
+    ValueError for two discriminants, TypeError otherwise.
+    """
+
+    __slots__ = ("poly", "chart", "_form")
+
+    def __init__(self, poly: MultiPoly, chart):
         self.poly = poly
-        self._letters = None
+        self.chart = chart
+        self._form = None
 
     @staticmethod
-    def of(value) -> "LetterElem":
-        """value, a letter element, a polynomial in the letters or a
-        scalar, as a letter element."""
-        if type(value) is LetterElem:
+    def of(value, chart=_LETTERS) -> "LetterElem":
+        """value, an element, a printed form or a scalar, as an element of
+        the ring of ``chart`` (the generic ring by default)."""
+        if type(value) is LetterElem and value.chart is chart:
             return value
-        if isinstance(value, MultiPoly):
-            return LetterElem(value.substitute(_FROM_LETTERS))
-        return LetterElem(MultiPoly.constant(value))
+        poly = chart.lift(value)
+        if poly is None:
+            raise TypeError(f"cannot embed {value!r} into the ring")
+        return LetterElem(poly, chart)
 
-    def as_poly(self) -> MultiPoly:
-        """The printed form: this element as a polynomial in x1 = u, x2 = v."""
-        if self._letters is None:
-            self._letters = self.poly.substitute(_TO_LETTERS)
-        return self._letters
+    def _operand(self, other):
+        """other in this element's coordinates: a polynomial or a scalar,
+        or None for what is not of this ring."""
+        if type(other) is LetterElem:
+            if other.chart is self.chart:
+                return other.poly
+            if self.chart.pair is not None and other.chart.pair is not None:
+                raise ValueError(f"mixed discriminants: {self.chart.family} vs {other.chart.family}")
+            return None
+        if is_scalar(other):
+            return other
+        return self.chart.lift(other)
+
+    def _get_form(self):
+        form = self._form
+        if form is None:
+            form = self._form = self.chart.form(self.poly)
+        return form
+
+    def as_poly(self):
+        """The printed form: the polynomial in x1 = u, x2 = v in the
+        generic ring, a + b*sqrt(d) in a root ring."""
+        return self.chart.printed(self._get_form())
 
     # -- ring operations ---------------------------------------------------
 
@@ -127,75 +280,63 @@ class LetterElem:
 
     def __eq__(self, other) -> bool:
         if type(other) is LetterElem:
-            return self.poly == other.poly
-        if isinstance(other, MultiPoly):
-            return self.as_poly() == other
+            return other.chart is self.chart and self.poly == other.poly
         if is_scalar(other):
             # a constant is the same polynomial in either coordinates
             return self.poly == other
-        return NotImplemented
+        return self.as_poly() == other
 
     def __hash__(self) -> int:
         # an element equals its printed form, so it hashes as that
         return hash(self.as_poly())
 
     def __neg__(self) -> "LetterElem":
-        return LetterElem(-self.poly)
+        return LetterElem(-self.poly, self.chart)
 
     def __add__(self, other) -> "LetterElem":
-        o = _operand(other)
-        return NotImplemented if o is None else LetterElem(self.poly + o)
+        o = self._operand(other)
+        return NotImplemented if o is None else LetterElem(self.poly + o, self.chart)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "LetterElem":
-        o = _operand(other)
-        return NotImplemented if o is None else LetterElem(self.poly - o)
+        o = self._operand(other)
+        return NotImplemented if o is None else LetterElem(self.poly - o, self.chart)
 
     def __rsub__(self, other) -> "LetterElem":
-        o = _operand(other)
-        return NotImplemented if o is None else LetterElem(o - self.poly)
+        o = self._operand(other)
+        return NotImplemented if o is None else LetterElem(o - self.poly, self.chart)
 
     def __mul__(self, other) -> "LetterElem":
-        o = _operand(other)
-        return NotImplemented if o is None else LetterElem(self.poly * o)
+        o = self._operand(other)
+        return NotImplemented if o is None else LetterElem(self.poly * o, self.chart)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "LetterElem":
         if not is_scalar(other):
             return NotImplemented
-        return LetterElem(self.poly / other)
+        return LetterElem(self.poly / other, self.chart)
 
     def __pow__(self, exponent: int) -> "LetterElem":
-        return LetterElem(self.poly ** exponent)
+        return LetterElem(self.poly ** exponent, self.chart)
 
     # -- the printed form --------------------------------------------------
 
     @property
     def terms(self):
-        return self.as_poly().terms
+        return self.chart.terms(self)
 
-    def substitute(self, bindings) -> MultiPoly:
+    def substitute(self, bindings):
         """The printed form with variables substituted (see
-        :meth:`MultiPoly.substitute`)."""
-        return self.as_poly().substitute(bindings)
+        :meth:`MultiPoly.substitute` and :meth:`QuadExtElem.substitute`)."""
+        return self.chart.substitute(self._get_form(), bindings)
 
     def __str__(self) -> str:
         return str(self.as_poly())
 
     def __repr__(self) -> str:
         return f"LetterElem({self})"
-
-
-def _operand(other):
-    """A LetterElem's operand in the Sig/D coordinates: a polynomial or a
-    scalar, or None for anything else."""
-    if type(other) is LetterElem:
-        return other.poly
-    if isinstance(other, MultiPoly):
-        return other.substitute(_FROM_LETTERS)
-    return other if is_scalar(other) else None
 
 
 # Context.memo keys of the embedded sequences, one callable per kind;
@@ -221,38 +362,26 @@ class Context:
         if ring not in RINGS:
             raise ValueError(f"unknown ring {ring!r}; choose from {RINGS}")
         self.ring = ring
-        self.family: Optional[str] = None
-        self.pair: Optional[RootPair] = None
-        if ring == "indeterminate":
-            self.u: Any = LetterElem(_FROM_LETTERS["x1"])
-            self.v: Any = LetterElem(_FROM_LETTERS["x2"])
-            self.one: Any = LetterElem(MultiPoly.constant(1))
-        else:
-            self.family = ring.removesuffix("-roots")
-            self.pair = make_root_pair(self.family)
-            self.u = self.pair.lam1
-            self.v = self.pair.lam2
-            self.one = QuadExtElem(MultiPoly.constant(1), MultiPoly.constant(0), self.pair.disc)
-        self.zero = self.one * 0
+        self.chart = _chart(ring)
+        self.family: Optional[str] = self.chart.family
+        self.pair: Optional[RootPair] = self.chart.pair
+        self.u, self.v = (self.embed(letter) for letter in self.chart.letters)
+        self.one = self.embed(1)
+        self.zero = self.embed(0)
         self.D = self.u - self.v
         self.Sig = self.u + self.v
         self.Prod = self.u * self.v
-        self.x = self.embed(MultiPoly.var("x"))
+        self.x, self.y, self.t = (self.embed(MultiPoly.var(name)) for name in ("x", "y", "t"))
         self._S: List[Any] = [self.one]
-        self._powers: Dict[Any, List[Any]] = {}
+        self._powers: Dict[MultiPoly, List[Any]] = {}
         self._memo: Dict[Tuple[Callable, int], Any] = {}
 
     # -- embedding -------------------------------------------------------
 
-    def embed(self, value):
-        """Lift a polynomial or scalar into the context ring."""
-        if self.pair is None:
-            return LetterElem.of(value)
-        if isinstance(value, QuadExtElem):
-            return value
-        if not isinstance(value, MultiPoly):
-            value = MultiPoly.constant(value)
-        return QuadExtElem(value, MultiPoly.constant(0), self.pair.disc)
+    def embed(self, value) -> LetterElem:
+        """Lift a printed form (a polynomial, or a + b*sqrt(d) in a root
+        ring) or a scalar into the context ring."""
+        return LetterElem.of(value, self.chart)
 
     # -- letters and their symmetric functions ---------------------------
 
@@ -274,15 +403,12 @@ class Context:
     def power(self, base, e: int):
         """base^e, cached per base by value and built up incrementally,
         so two equal bases built separately share one list of powers.  A
-        letter element is keyed by its polynomial in Sig and D, which is
-        as canonical as the element and hashes without converting."""
+        base is keyed by its polynomial in the ring's coordinates, which
+        is as canonical as the element and hashes without converting."""
         if e < 0:
             raise ValueError("negative power")
-        key = base
-        if self.pair is None:
-            base = LetterElem.of(base)
-            key = base.poly
-        powers = self._powers.setdefault(key, [self.one])
+        base = self.embed(base)
+        powers = self._powers.setdefault(base.poly, [self.one])
         while len(powers) <= e:
             powers.append(powers[-1] * base)
         return powers[e]
@@ -312,10 +438,10 @@ class Context:
         return self.family
 
     @property
-    def delta(self) -> QuadExtElem:
-        """sqrt(d) itself, available in root contexts."""
+    def delta(self) -> LetterElem:
+        """sqrt(d) = D/c itself, available in root contexts."""
         self._require_family()
-        return QuadExtElem(MultiPoly.constant(0), MultiPoly.constant(1), self.pair.disc)
+        return self.D / self.pair.diff_scale
 
     def seq(self, kind: str, j: int):
         """Embedded bivariate sequence value, with negative index -> 0."""
@@ -381,10 +507,8 @@ def eval_convolution_sum(
             low, high = ctx.pair_product(term_low, term_high, k, j)
             yield scalar, low, high
 
-    if ctx.pair is None:
-        return LetterElem(MultiPoly.sum_of_products(
-            (s, low.poly, high.poly) for s, low, high in summands()))
-    return QuadExtElem.sum_of_products(summands(), ctx.pair.disc)
+    return LetterElem(MultiPoly.sum_of_products(
+        (s, low.poly, high.poly) for s, low, high in summands()), ctx.chart)
 
 
 class IdentityVerdict(Fields):

@@ -3,9 +3,14 @@
 An as-printed record *is* its ``anchor``: the equation exactly as the
 source catalog states it.  :class:`IdentityRecord` reads its anchor on
 first use into its statement, the two cleared side trees, and compiles
-each tree to nested closures ``side(ctx, n)``, so the equation a report
-quotes is the equation the checker evaluates.  Equal trees compile to
-one callable.  This module is the one that knows the tree format, and
+each tree to nested closures ``side(ctx, n)``, so for a record read from
+its anchor the equation a report quotes is the equation the checker
+evaluates.  The twelve records that carry a rewritten statement (the
+corrected T3.3, T3.5b, T3.6a, T3.6b and their eight corollaries) check
+the rewritten tree and quote a hand-simplified anchor; a test reads each
+such anchor as a statement and checks it, side by side with the rewritten
+tree, at every n of the record's range.  Equal trees compile to one
+callable.  This module is the one that knows the tree format, and
 this docstring is the one statement of the notation and of the
 conventions that turn a printed statement into a checkable record.
 
@@ -94,7 +99,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import Rational
-from ..arith import MultiPoly, binomial
+from ..arith import binomial
 from ..quadext import FAMILIES
 from ..sequences import bernoulli_number, euler_number, genocchi_number
 from ..symfun import sym_ehp
@@ -128,8 +133,6 @@ _TOKEN = re.compile(
 # tokens that end a product
 _STOP = {"+", "-", "=", ")", ",", "[", "]", "/", "^", ""}
 
-_Y = MultiPoly.var("y")
-_T = MultiPoly.var("t")
 # each symbol as a compiled node: ev(ctx, n, k)
 _SYMBOLS = {
     "u": lambda ctx, n, k: ctx.u,
@@ -142,8 +145,8 @@ _SYMBOLS = {
     "e2": lambda ctx, n, k: ctx.Prod,
     "d": lambda ctx, n, k: ctx.delta,
     "x": lambda ctx, n, k: ctx.x,
-    "y": lambda ctx, n, k: ctx.embed(_Y),
-    "t": lambda ctx, n, k: ctx.embed(_T),
+    "y": lambda ctx, n, k: ctx.y,
+    "t": lambda ctx, n, k: ctx.t,
 }
 _SEQUENCES = {
     "S_": Context.S,

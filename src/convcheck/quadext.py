@@ -10,6 +10,16 @@ between root powers decidable part-by-part.
 A :class:`RootPair` packages the two conjugate roots of a quadratic
 X^2 - trace*X + norm together with the scale c relating their difference
 to sqrt(d):  lam1 - lam2 = c * sqrt(d).
+
+Both discriminants are linear in t with a constant coefficient,
+d = alpha*t + r(y).  So the extension of Q[x, y, t] by sqrt(d) is itself
+a polynomial ring: sending D to c*sqrt(d) maps Q[x, y, D] onto it, and
+t -> (D^2/c^2 - r)/alpha, sqrt(d) -> D/c is the inverse map, which
+respects sqrt(d)^2 = d.  The checker's root rings compute there
+(:class:`convcheck.identities.core.LetterElem`), where a product needs
+no fold of sqrt(d)^2 into d and the zero test is still exact, as the
+maps are ring isomorphisms.  A QuadExtElem is the printed form of such
+an element and the image of its substitution at a point.
 """
 
 from __future__ import annotations

@@ -2,9 +2,10 @@
 
 The two letters a, b may come from any ring whose elements support +,
 -, * and **, which in practice means :class:`~convcheck.arith.MultiPoly`
-(letters x1, x2), the generic context's
-:class:`~convcheck.identities.core.LetterElem` (letters u, v) and
-:class:`~convcheck.quadext.QuadExtElem` (letters lam1, lam2).
+(letters x1, x2), a context's
+:class:`~convcheck.identities.core.LetterElem` (letters u, v, or lam1,
+lam2 in a root ring) and :class:`~convcheck.quadext.QuadExtElem` (a
+root pair's lam1, lam2).
 
 sym_ehp('e'|'h'|'p', k, a, b) gives the elementary, complete
 homogeneous, and power-sum bases at the two letters: e_k vanishes for

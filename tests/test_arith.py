@@ -459,3 +459,17 @@ def test_equal_values_hash_equal():
     y = MultiPoly.var("y")
     assert len({ctx.embed(y), y}) == 1
     assert ctx.power(ctx.embed(y), 3) is ctx.power(y, 3)
+
+
+@pytest.mark.parametrize("name", VARIABLES)
+def test_even_and_odd_halves_rebuild_the_polynomial(name):
+    v = MultiPoly.var(name)
+    for p in POLYS + [p * v ** 3 + v ** 4 for p in POLYS]:
+        even, odd = p.even_odd(name)
+        square = {name: v * v}
+        assert even.substitute(square) + v * odd.substitute(square) == p
+        assert even.degree_in(name) <= p.degree_in(name) // 2
+        assert p.degree_in(name) == max((exp[VARIABLES.index(name)] for exp in p.terms), default=0)
+    with pytest.raises(ValueError):
+        x.even_odd("z")
+

@@ -1,9 +1,12 @@
-"""The generic ring's elements, held in Sig = u + v and D = u - v.
+"""The rings' elements, held in Sig = u + v and D = u - v.
 
-A :class:`LetterElem` stands for a polynomial in the letters x1 = u and
-x2 = v.  Every operation on it must give the element of that polynomial's
-result, and everything read out of it (equality with a polynomial, hash,
-string, terms, substitution) must be the polynomial's own.
+A generic :class:`LetterElem` stands for a polynomial in the letters
+x1 = u and x2 = v.  Every operation on it must give the element of that
+polynomial's result, and everything read out of it (equality with a
+polynomial, hash, string, terms, substitution) must be the polynomial's
+own.  A root-ring element stands for a + b*sqrt(d), a QuadExtElem, and
+is held as a polynomial in x, y and D; the same holds of it, with
+QuadExtElem's own arithmetic as the reference.
 """
 
 import random
@@ -11,11 +14,21 @@ from fractions import Fraction
 
 import pytest
 
-from convcheck.arith import MultiPoly, ProductSum
-from convcheck.identities import Context, get_record, run_record, substitute_value
+from convcheck.arith import MultiPoly, ProductSum, binomial
+from convcheck.identities import (
+    Context,
+    eval_convolution_sum,
+    get_record,
+    run_record,
+    substitute_value,
+)
+from convcheck.identities.catalog import register_catalog
 from convcheck.identities.core import LetterElem
+from convcheck.quadext import QuadExtElem
 
 X1, X2, X = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("x")
+Y, T = MultiPoly.var("y"), MultiPoly.var("t")
+ROOT_RINGS = ("fibonacci-roots", "balancing-roots")
 
 
 def random_poly(rng):
@@ -131,4 +144,134 @@ def test_t4_to_32_forms_few_coefficient_products(monkeypatch):
     ctx = Context("indeterminate")
     for key in ("T4.1:as_printed", "T4.2:as_printed", "T4.3:as_printed"):
         assert all(v.passed for v in run_record(get_record(key), (0, 32), ctx))
+    assert 0 < products <= 100_000
+
+
+# ---------------------------------------------------------------------------
+# the root rings: Q[x, y, t][sqrt(d)] held as Q[x, y, D]
+# ---------------------------------------------------------------------------
+
+
+def random_part(rng):
+    """A polynomial in x, y and t with up to four rational terms."""
+    terms = {}
+    for _ in range(rng.randint(0, 4)):
+        exp = (0, 0, rng.randint(0, 2), rng.randint(0, 3), rng.randint(0, 3))
+        terms[exp] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return MultiPoly(terms)
+
+
+def random_roots(ring, count=40):
+    """Seeded elements a + b*sqrt(d) of a root ring, zero parts included."""
+    ctx = Context(ring)
+    rng = random.Random(ring)
+    for _ in range(count):
+        yield ctx, QuadExtElem(random_part(rng), random_part(rng), ctx.pair.disc), rng
+
+
+def seen(elem, q):
+    """elem is a root-ring element printing as the QuadExtElem q."""
+    assert type(elem) is LetterElem and "x1" not in str(elem.poly)
+    view = elem.as_poly()
+    assert type(view) is QuadExtElem and view == q and str(view) == str(q)
+    assert elem == q and q == elem and str(elem) == str(q) and hash(elem) == hash(q)
+    return True
+
+
+@pytest.mark.parametrize("ring", ROOT_RINGS)
+def test_the_chart_pins_d_in_slot_x2(ring):
+    # D = lam1 - lam2 = c*sqrt(d) is the variable x2; Sig is the trace,
+    # and t is read off d, linear in t
+    ctx = Context(ring)
+    pair, c = ctx.pair, ctx.pair.diff_scale
+    assert ctx.D.poly == X2 and ctx.embed(pair.lam1 - pair.lam2).poly == X2
+    assert ctx.delta.poly == X2 / c and ctx.delta * c == ctx.D
+    assert ctx.Sig.poly == pair.trace and ctx.Prod.poly == ctx.embed(pair.norm).poly
+    assert ctx.embed(pair.disc.poly).poly == X2 * X2 / (c * c)
+    assert seen(ctx.D, pair.lam1 - pair.lam2) and seen(ctx.t, QuadExtElem(T, 0, pair.disc))
+    assert seen(ctx.delta, QuadExtElem(0, 1, pair.disc))
+    assert len(ctx.power(ctx.D, 9).poly.terms) == 1
+
+
+@pytest.mark.parametrize("ring", ROOT_RINGS)
+def test_the_chart_is_a_ring_isomorphism(ring):
+    previous = None
+    for ctx, q, rng in random_roots(ring):
+        elem = ctx.embed(q)
+        assert seen(elem, q) and bool(elem) == bool(q) and elem.is_zero() == q.is_zero()
+        assert "t" not in {name for exp in elem.terms for name, e in zip("12xyt", exp) if e}
+        if previous is not None:
+            p, other = previous
+            assert seen(elem + other, q + p) and seen(elem - other, q - p)
+            assert seen(elem * other, q * p) and seen(p - elem, p - q)
+            assert (elem == other) == (q == p)
+        s = Fraction(rng.choice([-3, 2, 5]), rng.randint(1, 4))
+        assert seen(s * elem, s * q) and seen(elem / s, q * (1 / s)) and seen(-elem, -q)
+        assert seen(elem ** 3, q ** 3) and seen(elem * q.a, q * q.a)
+        previous = q, elem
+
+
+@pytest.mark.parametrize("ring", ROOT_RINGS)
+def test_a_root_ring_convolution_sum_matches_the_extension_ring(ring):
+    elems = list(random_roots(ring, 9))
+    ctx = elems[0][0]
+    low = [ctx.embed(q) for _, q, _ in elems]
+    high = [ctx.embed(q) for _, q, _ in reversed(elems)]
+    for n in range(9):
+        for parity in (False, True):
+            weight = lambda n, k: Fraction(k + 1, n + 2) if k % 3 else 0  # noqa: E731
+            got = eval_convolution_sum(ctx, n, low.__getitem__, high.__getitem__,
+                                       weight=weight, parity=parity)
+            want = QuadExtElem.sum_of_products(
+                ((binomial(n, k) * weight(n, k), low[k].as_poly(), high[n - k].as_poly())
+                 for k in range(n + 1) if weight(n, k) and not (parity and (n - k) % 2)),
+                ctx.pair.disc)
+            assert seen(got, want)
+
+
+@pytest.mark.parametrize("ring", ROOT_RINGS)
+def test_a_root_ring_substitution_is_the_printed_forms(ring):
+    points = [{"t": 1}, {"y": 1, "t": 1}, {"y": Fraction(2, 3), "t": Fraction(-5, 7)},
+              {"y": -3, "t": Fraction(1, 4), "x": Fraction(1, 2)}, {"x": Fraction(-2, 9)},
+              {"y": T + 1, "t": Y}, {"x1": 5, "x2": 7, "t": 2}]
+    for ctx, q, _ in random_roots(ring, 25):
+        elem = ctx.embed(q)
+        for bindings in points:
+            got = elem.substitute(bindings)
+            want = q.substitute(bindings)
+            assert type(got) is QuadExtElem and got == want and str(got) == str(want)
+            assert got.disc == want.disc and substitute_value(elem, bindings) == want
+
+
+def test_elements_of_two_rings_do_not_mix():
+    generic, fib, bal = (Context(ring) for ring in ("indeterminate",) + ROOT_RINGS)
+    ops = (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b)
+    for op in ops:
+        for a, b in ((fib.u, bal.v), (bal.D, fib.Sig)):
+            with pytest.raises(ValueError):
+                op(a, b)
+        for a, b in ((generic.u, fib.u), (bal.v, generic.D), (generic.x, bal.x)):
+            with pytest.raises(TypeError):
+                op(a, b)
+    assert fib.x != bal.x and generic.one != fib.one
+
+
+def test_root_ring_c4_forms_few_coefficient_products(monkeypatch):
+    # in x, y and D the factor D^(n-k) is one term; as a + b*sqrt(d) it
+    # was dense in y and t, and these checks formed 221,379 products
+    products = 0
+    add = ProductSum.add
+
+    def counted(self, num, den, p, q):
+        nonlocal products
+        if num:
+            products += len(p.terms) * len(q.terms)
+        add(self, num, den, p, q)
+
+    monkeypatch.setattr(ProductSum, "add", counted)
+    contexts = {}
+    for rec in register_catalog():
+        if rec.ident.startswith("C4."):
+            run_record(rec, None, contexts.setdefault(rec.ring, Context(rec.ring)))
+    assert sorted(contexts) == sorted(ROOT_RINGS)
     assert 0 < products <= 100_000
