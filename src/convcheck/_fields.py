@@ -25,8 +25,9 @@ class Fields:
         return tuple(getattr(self, name) for name in self._fields)
 
     def __eq__(self, other):
-        # ring arithmetic compares each operand's discriminant, nearly
-        # always with itself, so that case builds no field tuples
+        # a discriminant is nearly always compared with itself (a root
+        # chart checks each element it lifts), so that case builds no
+        # field tuples
         if other is self:
             return True
         if other.__class__ is not self.__class__:

@@ -32,9 +32,10 @@ are equal.
 Every polynomial product is formed by :class:`ProductSum`: a sum of
 products Σ s·p·q goes into one integer accumulator, with no
 intermediate polynomial per product (the same idea as the one-pass
-division f − Σ q·g of Monagan & Pearce), and ``p * q`` is the sum of
-the one product p·q, so every product passes the one degree guard
-above, in :meth:`ProductSum.add`.
+division f − Σ q·g of Monagan & Pearce).  ``p * q`` is the sum of the
+one product p·q, and a substitution adds each term's product with its
+polynomial bindings' powers, so every product passes the one degree
+guard above, in :meth:`ProductSum.add`.
 
 Conventions baked in here and relied on everywhere above:
 
@@ -373,7 +374,10 @@ class MultiPoly:
 
         Unbound variables are left alone.  The pass is simultaneous: a
         binding's value is never re-substituted, so binding x to x+1 is
-        well-defined.
+        well-defined.  Scalar bindings are applied term by term; a term
+        that reads a polynomial-bound variable is the product of its
+        remaining monomial and its bindings' powers, formed, as every
+        product is, by :meth:`ProductSum.add`.
         """
         # a scalar binding, or one to a constant polynomial, is read as
         # its num/den; the others are polynomial bindings
@@ -406,14 +410,13 @@ class MultiPoly:
             row = _power_row(num_i, den_i, top)
             rows.append((_SHIFTS[i], _VAR_KEYS[i], row))
             den *= row[0]
-        # one integer accumulator: a term's scalar image goes straight in,
-        # times the power product of its polynomial bindings, whose
-        # denominator rescales the accumulator when it does not divide the
-        # running one, as in ProductSum.add
+        # a term that reads no polynomial-bound variable goes straight
+        # into the integer numerators over den; the accumulator then
+        # starts from those, so each product added to it may rescale them
         out: Dict[int, int] = {}
         get = out.get
         pow_cache: Dict[Tuple[int, int], MultiPoly] = {}
-        poly_den = 1
+        products = []
         deg = 0
         for key, c in self._terms.items():
             for shift, unit, row in rows:
@@ -434,32 +437,15 @@ class MultiPoly:
                     factor = piece if factor is None else factor * piece
             rdeg = key >> _DEG_SHIFT
             if factor is None:
-                out[key] = get(key, 0) + c * poly_den
+                out[key] = get(key, 0) + c
                 if rdeg > deg:
                     deg = rdeg
-                continue
-            if not factor._terms:
-                continue
-            fdeg = factor._deg
-            if rdeg + fdeg > MAX_EXP:
-                fdeg = factor.total_degree()
-                if rdeg + fdeg > MAX_EXP:
-                    raise _overflow(rdeg + fdeg)
-            if rdeg + fdeg > deg:
-                deg = rdeg + fdeg
-            d = factor._den
-            if poly_den % d:
-                grow = d // _gcd(poly_den, d)
-                for k in out:
-                    out[k] *= grow
-                poly_den *= grow
-            c *= poly_den // d
-            for k, fc in factor._terms.items():
-                k += key
-                out[k] = get(k, 0) + c * fc
-        if 0 in out.values():
-            out = {k: c for k, c in out.items() if c}
-        return MultiPoly._reduced(out, den * poly_den, deg)
+            else:
+                products.append((c, MultiPoly._raw({key: 1}, 1, rdeg), factor))
+        acc = ProductSum(out, den, deg)
+        for c, monomial, factor in products:
+            acc.add(c, den, monomial, factor)
+        return acc.value()
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -486,18 +472,21 @@ class ProductSum:
     it, with no intermediate polynomial; the numerators are rescaled only
     when a product's denominator does not divide the common one, and the
     gcd is divided out once, by :meth:`value`.  ``MultiPoly.__mul__`` is
-    one :meth:`add` and one :meth:`value`, so this is the package's one
-    polynomial product.  :meth:`add` applies the O(1) degree guard of the
-    module docstring before any key is formed, so no packed key can carry
-    into its neighbour field.
+    one :meth:`add` and one :meth:`value`, and ``MultiPoly.substitute``
+    adds each term's image times its polynomial bindings' powers, so
+    :meth:`add` forms every polynomial product in the package.  It
+    applies the O(1) degree guard of the module docstring before any key
+    is formed, so no packed key can carry into its neighbour field.
     """
 
     __slots__ = ("_terms", "_den", "_deg")
 
-    def __init__(self):
-        self._terms: Dict[int, int] = {}
-        self._den = 1
-        self._deg = 0
+    def __init__(self, terms: Dict[int, int] | None = None, den: int = 1, deg: int = 0):
+        # the sum starts at terms/den, integer numerators over a positive
+        # denominator of total degree at most deg; it takes the dict over
+        self._terms = {} if terms is None else terms
+        self._den = den
+        self._deg = deg
 
     def add(self, num: int, den: int, p: MultiPoly, q: MultiPoly) -> None:
         """Add (num/den)·p·q, for integers num and den > 0."""

@@ -16,8 +16,11 @@ t, so Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,y,D] (see
 :class:`_RootChart`).  The letters x1 = u, x2 = v of the generic ring and
 the form a + b*sqrt(d) of a root ring are printed forms only.
 Because both sides are written against the context interface, the same
-record can be evaluated in any ring -- that is what turns a verified
-generic identity into a family-specific one by pure substitution.
+record can be evaluated in any ring -- that is how a generic identity
+yields its family-specific corollary.  Each ring's evaluation is
+checked on its own; that the root-ring sides are the images of the
+generic ones under the substitution of the roots for the letters is
+not checked yet.
 
 A check never approximates: for each n the difference of the two sides
 is computed as a canonical element, and the verdict is pass iff it is
@@ -485,10 +488,11 @@ def eval_convolution_sum(
     ``term_high(j)`` is its second operand at j = n-k.  ``weight`` is an
     optional exact scalar factor and may signal a skipped term by
     returning 0.  With ``parity=True`` the sum runs only
-    over k with n - k even.  The summands stream into the ring's
-    ``sum_of_products``, which forms the whole sum in one exact
-    accumulator rather than one polynomial per summand; in the generic
-    ring that is one ``ProductSum`` over the polynomials in Sig and D.
+    over k with n - k even.  The summands stream into
+    ``MultiPoly.sum_of_products``, which forms the whole sum in one
+    exact accumulator, a ``ProductSum``, rather than one polynomial per
+    summand: every ring holds its elements as polynomials, in Sig and D
+    or in x, y and D.
     """
 
     def summands():

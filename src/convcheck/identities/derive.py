@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..quadext import FAMILIES
+from .corollaries import THEOREM_TO_COROLLARY
 from .notation import (
     IdentityRecord,
     difference,
@@ -139,51 +140,6 @@ def corrected_theorem_records(theorems: List[IdentityRecord]) -> List[IdentityRe
     )
     return [t35b, t33, t36a, t36b]
 
-
-# --------------------------------------------------------------------------
-# theorem -> corollary naming, per recurrence family
-# --------------------------------------------------------------------------
-
-THEOREM_TO_COROLLARY: Dict[Tuple[str, str], str] = {
-    ("T2.1a", "fibonacci"): "C2.1.1",
-    ("T2.1b", "fibonacci"): "C2.1.2",
-    ("T2.1c", "fibonacci"): "C2.1.3",
-    ("T2.2b", "fibonacci"): "C2.2.1",
-    ("T2.2a", "fibonacci"): "C2.2.2",
-    ("T2.2c", "fibonacci"): "C2.2.3",
-    ("T2.1a", "balancing"): "C2.3.1",
-    ("T2.1b", "balancing"): "C2.3.2",
-    ("T2.1c", "balancing"): "C2.3.3",
-    ("T2.2b", "balancing"): "C2.4.1",
-    ("T2.2a", "balancing"): "C2.4.2",
-    ("T2.2c", "balancing"): "C2.4.3",
-    ("T3.1", "fibonacci"): "C3.1",
-    ("T3.2", "fibonacci"): "C3.2",
-    ("T3.3", "fibonacci"): "C3.3",
-    ("T3.4a", "fibonacci"): "C3.4a",
-    ("T3.4b", "fibonacci"): "C3.4b",
-    ("T3.5a", "fibonacci"): "C3.5a",
-    ("T3.5b", "fibonacci"): "C3.5b",
-    ("T3.6a", "fibonacci"): "C3.6a",
-    ("T3.6b", "fibonacci"): "C3.6b",
-    ("T3.7", "fibonacci"): "C3.7",
-    ("T3.1", "balancing"): "C3.8",
-    ("T3.2", "balancing"): "C3.9",
-    ("T3.3", "balancing"): "C3.10",
-    ("T3.4a", "balancing"): "C3.11a",
-    ("T3.4b", "balancing"): "C3.11b",
-    ("T3.5a", "balancing"): "C3.12a",
-    ("T3.5b", "balancing"): "C3.12b",
-    ("T3.6a", "balancing"): "C3.13a",
-    ("T3.6b", "balancing"): "C3.13b",
-    ("T3.7", "balancing"): "C3.14",
-    ("T4.1", "fibonacci"): "C4.1",
-    ("T4.2", "fibonacci"): "C4.2",
-    ("T4.3", "fibonacci"): "C4.3",
-    ("T4.1", "balancing"): "C4.4",
-    ("T4.2", "balancing"): "C4.5",
-    ("T4.3", "balancing"): "C4.6",
-}
 
 COROLLARY_TO_THEOREM: Dict[str, Tuple[str, str]] = {
     cid: pair for pair, cid in THEOREM_TO_COROLLARY.items()

@@ -375,6 +375,26 @@ def test_product_sum_rescales_only_to_the_common_denominator():
     assert acc.value() == 0
 
 
+def test_substitution_forms_its_products_in_the_product_sum(monkeypatch):
+    # every coefficient product of a substitution, the powers of a binding
+    # and each term's image times them, is counted in ProductSum.add
+    counted = []
+    add = ProductSum.add
+
+    def counting_add(self, num, den, p, q):
+        counted.append(len(p.terms) * len(q.terms))
+        return add(self, num, den, p, q)
+
+    monkeypatch.setattr(ProductSum, "add", counting_add)
+    p = x1 ** 2 * y + 3 * x1 * t + y + Rational(1, 2)
+    counted.clear()
+    got = p.substitute({"x1": x + t, "y": 2})
+    # (x+t)^2: 2·2 for the square and 1·3 for 1·square; (x+t)^1: 1·2;
+    # then 2·(x+t)^2 and 3t·(x+t): 1·3 and 1·2
+    assert sorted(counted) == [2, 2, 3, 3, 4]
+    assert got == 2 * (x + t) ** 2 + 3 * t * (x + t) + Rational(5, 2)
+
+
 # -- packed exponent bound ----------------------------------------------------
 
 def test_monomial_at_the_bound():
