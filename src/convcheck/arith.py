@@ -355,18 +355,6 @@ class MultiPoly:
                 base = base * base
         return result
 
-    @staticmethod
-    def sum_of_products(triples) -> "MultiPoly":
-        """Σ s·p·q over an iterable of triples (s, p, q) of a scalar s and
-        polynomials p and q, formed in one :class:`ProductSum`.  The
-        triples are consumed as they come, so a generator's summands are
-        never all held at once."""
-        acc = ProductSum()
-        for s, p, q in triples:
-            num, den = num_den(s)
-            acc.add(num, den, p, q)
-        return acc.value()
-
     # -- substitution and printing --------------------------------------
 
     def substitute(self, bindings: Mapping[str, "MultiPoly | Scalar"]) -> "MultiPoly":

@@ -1,6 +1,6 @@
 """Identity catalog, evaluation engine, and mechanical derivations."""
 
-from .catalog import STATIC_ERRATA, check_identity, get_record, register_catalog
+from .catalog import STATIC_ERRATA, get_record, register_catalog
 from .core import (
     Context,
     IdentityVerdict,
@@ -32,7 +32,6 @@ __all__ = [
     "RINGS",
     "STATIC_ERRATA",
     "THEOREM_TO_COROLLARY",
-    "check_identity",
     "convert_genocchi_to_bernoulli",
     "derive_corollary",
     "eval_convolution_sum",

@@ -19,9 +19,8 @@ everything checkable is reported from verdicts instead.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from .core import IdentityVerdict, run_record
 from .corollaries import corollary_records
 from .derive import corrected_theorem_records, derived_corollary_records
 from .notation import IdentityRecord
@@ -29,7 +28,6 @@ from .theorems import binet_records, lemma_records, theorem_records
 
 __all__ = [
     "STATIC_ERRATA",
-    "check_identity",
     "get_record",
     "register_catalog",
 ]
@@ -123,12 +121,3 @@ def get_record(identifier: str) -> IdentityRecord:
         )
     return recs[0]
 
-
-def check_identity(
-    identifier: str, n_range: Optional[Tuple[int, int]] = None
-) -> List[IdentityVerdict]:
-    """Run one identity (all of its variants for a bare id) over a range."""
-    out: List[IdentityVerdict] = []
-    for rec in _lookup(identifier):
-        out.extend(run_record(rec, n_range))
-    return out

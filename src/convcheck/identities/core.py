@@ -30,12 +30,13 @@ literally zero.
 from __future__ import annotations
 
 import functools
+import math
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
-from ..arith import MultiPoly, binomial
+from ..arith import MultiPoly, ProductSum
 from ..quadext import QuadExtElem, RootPair, make_root_pair
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
@@ -418,9 +419,9 @@ class Context:
 
     def memo(self, fn: Callable[["Context", int], Any], i: int):
         """fn(self, i), computed once per (fn, i) in this ring.  It keeps
-        each record side at its n, each sum's factor of the summation
-        index k alone (a bracket, the same at every n; factors of n-k are
-        not kept) and each embedded sequence value."""
+        each record side at its n, each sum's operand of the summation
+        index k at k and its operand and weight of n-k at j = n-k (each
+        the same at every n), and each embedded sequence value."""
         key = (fn, i)
         got = self._memo.get(key)
         if got is None:
@@ -484,35 +485,29 @@ def eval_convolution_sum(
 ):
     """sum over k of C(n,k) * weight(n,k) * term_low(k) * term_high(n-k).
 
-    ``term_low(k)`` is the summand's first operand at k and may read n;
-    ``term_high(j)`` is its second operand at j = n-k.  ``weight`` is an
-    optional exact scalar factor and may signal a skipped term by
-    returning 0.  With ``parity=True`` the sum runs only
-    over k with n - k even.  The summands stream into
-    ``MultiPoly.sum_of_products``, which forms the whole sum in one
-    exact accumulator, a ``ProductSum``, rather than one polynomial per
-    summand: every ring holds its elements as polynomials, in Sig and D
-    or in x, y and D.
+    ``term_low(k)`` is the summand's operand of k and ``term_high(j)``
+    its operand of j = n-k, each an element; a summand from the notation
+    takes both from ``Context.memo``, so the sum of every n reuses them.
+    ``weight`` is an optional exact scalar factor and may signal a
+    skipped term by returning 0; it is read before the operands.  With
+    ``parity=True`` the sum runs only over k with n - k even.  Each
+    summand is multiplied straight into one exact accumulator, a
+    ``ProductSum``, with no polynomial per summand: every ring holds its
+    elements as polynomials, in Sig and D or in x, y and D.
     """
-
-    def summands():
-        for k in range(n + 1):
-            j = n - k
-            if parity and j % 2:
+    acc = ProductSum()
+    for k in range(n % 2, n + 1, 2) if parity else range(n + 1):
+        num = den = 1
+        if weight is not None:
+            w = weight(n, k)
+            if not w:
                 continue
-            scalar = binomial(n, k) if use_binomial else 1
-            if weight is not None:
-                w = weight(n, k)
-                if not w:
-                    continue
-                scalar = scalar * w
-            if not scalar:
-                continue
-            low, high = ctx.pair_product(term_low, term_high, k, j)
-            yield scalar, low, high
-
-    return LetterElem(MultiPoly.sum_of_products(
-        (s, low.poly, high.poly) for s, low, high in summands()), ctx.chart)
+            num, den = w.numerator, w.denominator
+        if use_binomial:
+            num *= math.comb(n, k)
+        low, high = ctx.pair_product(term_low, term_high, k, n - k)
+        acc.add(num, den, low.poly, high.poly)
+    return LetterElem(acc.value(), ctx.chart)
 
 
 class IdentityVerdict(Fields):

@@ -42,19 +42,19 @@ Reading
 
 Sums
   ``sum`` runs over k = 0..n and ``sum[n=k(2)]`` only over k = n (mod 2).
-  A factor ``C(n,k)`` makes the sum binomial.  Each summand splits into
-  its scalar factors (the weight) and two ring operands, which
-  ``eval_convolution_sum`` multiplies into one accumulator.  The split
-  is by the variables a factor reads.  The factors *in x alone* (``x``,
-  ``B_j(x) E_j(x) G_j(x)``) form the second operand; every other ring
-  factor reads the letters (or ``y``, ``t``) and goes into the first:
-  its factor of k alone, memoized per k, times its factors of n-k.
-  Those letter factors share variables, so their product collapses to
-  at most n+1 terms before the x factors, which share none with them,
-  multiply it.  A summand with no factor in x alone keeps the split
-  factor of k | factor of n-k.  A parity restricted record may carry a
-  *companion*: the closed form of the same sum without ``[n=k(2)]``,
-  written as one side in this notation.
+  A factor ``C(n,k)`` makes the sum binomial.  Every other factor of a
+  summand reads k alone, reads n-k alone, or reads no index, where an
+  index expression reads k as ``k + c`` and n-k as ``n - k + c``:
+  * the factors of k form the first operand, memoized per k;
+  * the ring factors of n-k, and those reading no index, form the
+    second operand, memoized per j = n-k; its scalar factors, and
+    those reading no index, form the weight, memoized per j too;
+  * a factor that reads n other than as n-k (``2^n``, ``C(n+2,k)``),
+    or reads both k and n-k, is refused when the side is compiled.
+  ``eval_convolution_sum`` adds each summand, C(n,k) times the weight
+  times the two operands, straight into one accumulator.  A parity
+  restricted record may carry a *companion*: the closed form of the
+  same sum without ``[n=k(2)]``, written as one side in this notation.
 
 Clearing: how a printed statement becomes a cleared record
   * A denominator holding a ring element (``D^2``, ``y^2+4t``,
@@ -356,21 +356,6 @@ def _reads(node, index: str) -> bool:
     return any(isinstance(c, tuple) and _reads(c, index) for c in node)
 
 
-def _in_x_alone(node) -> bool:
-    """Whether the ring factor node reads no variable but x: it is built
-    from ``x``, ``B_j(x) E_j(x) G_j(x)`` and scalars.  Every other ring
-    symbol (``u v D Sig d S_ phi_ F_ L_ B*_ C_ h_ p_ y t``) reads the
-    letters."""
-    tag = node[0]
-    if tag == "sym":
-        return node[1] == "x"
-    if tag == "seq":
-        return node[1] not in _SEQUENCES
-    if tag in ("ehp", "sum"):
-        return False
-    return all(_in_x_alone(c) for c in node if isinstance(c, tuple))
-
-
 def _linear(node) -> Optional[Tuple[int, int, int]]:
     """(a, b, c) when node is the index a n + b k + c, else None."""
     if node[0] == "num":
@@ -387,6 +372,15 @@ def _linear(node) -> Optional[Tuple[int, int, int]]:
         s = 1 if sign == "+" else -1
         total = tuple(t + s * x for t, x in zip(total, lin))
     return total
+
+
+def _index_reads(node) -> set:
+    """The (a, b) of each index expression a n + b k + c in node that
+    reads an index; empty for a node that reads none."""
+    lin = _linear(node) if node[0] in ("idx", "add") else None
+    if lin is not None:
+        return {lin[:2]} if lin[:2] != (0, 0) else set()
+    return set().union(*(_index_reads(c) for c in node if isinstance(c, tuple)))
 
 
 def _factors(node) -> List[Any]:
@@ -457,51 +451,57 @@ def _product(factors) -> Eval:
     return ev
 
 
+def _one(ctx, n, k):
+    return ctx.one
+
+
 @functools.lru_cache(maxsize=None)
 def _factor_of_k(factors: tuple) -> Callable[[Context, int], Any]:
-    """fn(ctx, k), the product of a summand's ring factors of k alone, for
-    ``Context.memo``.  Equal products share one callable, so equal
-    brackets of different records share their memo entries."""
-    ev = _product(factors) if factors else (lambda ctx, n, k: ctx.one)
-    return lambda ctx, k: ev(ctx, 0, k)
+    """fn(ctx, k), the product of a summand's factors of k as an
+    element, for ``Context.memo``.  Equal products share one callable,
+    so equal factors of different records share their memo entries."""
+    ev = _product(factors) if factors else _one
+    return lambda ctx, k: ctx.embed(ev(ctx, 0, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_of_j(factors: tuple) -> Callable[[Context, int], Any]:
+    """fn(ctx, j), the product of a summand's factors of n-k at
+    j = n-k, for ``Context.memo``: its ring factors (an element) or its
+    scalar factors (the weight).  Equal products share one callable."""
+    ev = _product(factors) if factors else _one
+    return lambda ctx, j: ev(ctx, j, 0)
+
+
+_OF_K, _OF_N_MINUS_K = (0, 1), (1, -1)
 
 
 def _sum(parity: bool, summand) -> Eval:
     use_binomial = False
-    scalars, low, high, in_x = [], [], [], []
+    of_k, of_j, weights = [], [], []
     for f in _factors(summand):
         if f == _BINOMIAL_NK:
             use_binomial = True
-        elif not _is_ring(f):
-            scalars.append(f)
-        elif _in_x_alone(f):
-            in_x.append(f)
+            continue
+        reads = _index_reads(f)
+        if reads == {_OF_K}:
+            of_k.append(f)
+        elif reads <= {_OF_N_MINUS_K}:
+            (of_j if _is_ring(f) else weights).append(f)
         else:
-            (high if _reads(f, "n") else low).append(f)
-    weight = _product(scalars) if scalars else None
-    low_fn = _factor_of_k(tuple(low))
-    high_ev = _product(high) if high else (lambda ctx, n, k: ctx.one)
-
-    def low_ev(ctx, n, k):
-        return ctx.memo(low_fn, k)
-
-    # the two operands of the summand at (n, k)
-    if not in_x:
-        first, second = low_ev, high_ev
-    else:
-        # the letters' factors collapse into one product of at most n+1
-        # terms; the factors in x alone share no variable with them, so
-        # they are multiplied in last, by the accumulator
-        first = lambda ctx, n, k: low_ev(ctx, n, k) * high_ev(ctx, n, k)
-        second = _product(in_x)
+            raise ValueError(f"a summand factor must read k alone or n-k alone: {f}")
+    low_fn = _factor_of_k(tuple(of_k))
+    high_fn = _factor_of_j(tuple(of_j))
+    weight_fn = _factor_of_j(tuple(weights)) if weights else None
 
     def ev(ctx, n, k):
+        memo = ctx.memo
         return eval_convolution_sum(
             ctx, n,
-            lambda k_: first(ctx, n, k_),
-            lambda j: second(ctx, n, n - j),
+            functools.partial(memo, low_fn),
+            functools.partial(memo, high_fn),
             use_binomial=use_binomial,
-            weight=None if weight is None else (lambda n_, k_: weight(ctx, n_, k_)),
+            weight=None if weight_fn is None else (lambda n_, k_: memo(weight_fn, n_ - k_)),
             parity=parity,
         )
 

@@ -45,6 +45,8 @@ def test_tracer_installs_runs_one_record_and_restores():
 @pytest.mark.parametrize("key, conv_sums, pair_products", [
     # n = 0..3: one sum per n and every binomial summand formed
     ("C2.1.3:as_printed", 4, 1 + 2 + 3 + 4),
+    # both operands come from the memo, still through the hook
+    ("T4.1:as_printed", 4, 1 + 2 + 3 + 4),
     # the parity skip and the zero G_0 weight come before any product
     ("C3.1:as_printed", 4, 2),
 ])

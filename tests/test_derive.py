@@ -194,4 +194,8 @@ def test_derive_corollary_shares_the_catalog_records_sides_and_memo():
         assert got.lhs is rec.lhs and got.rhs is rec.rhs
         run_record(got, (0, 8), ctx)
         sizes.append(len(ctx._memo))
-    assert sizes == [25, 25, 25]
+    # n = 0..8: the two sides at each n (18); the left sum's weight
+    # (n-k-1)(1-2^(n-k)) B_(n-k) at each j = n-k = 0..8 (9); its operand
+    # of n-k, D^j, at the j where the weight is not 0, j = 2, 4, 6, 8
+    # (4); and its operand of k at k = n-j, so k = 0..6 (7)
+    assert sizes == [38, 38, 38]

@@ -16,7 +16,6 @@ from convcheck.identities import (
     RINGS,
     Context,
     PrintedFormUndefined,
-    check_identity,
     core,
     get_context,
     get_record,
@@ -55,7 +54,7 @@ def test_lookup_and_errors():
     rec = get_record("T2.1a:as_printed")
     assert rec.ident == "T2.1a"
     with pytest.raises(KeyError, match="unknown identity: NOPE"):
-        check_identity("NOPE")
+        get_record("NOPE")
     with pytest.raises(KeyError):
         get_record("L1.2S")  # ambiguous: two variants
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from convcheck.arith import VARIABLES
+from convcheck.arith import VARIABLES, ProductSum
 from convcheck.identities import (
     Context,
     PrintedFormUndefined,
@@ -274,15 +274,68 @@ def variables(value):
     return names | ({"sqrt"} if isinstance(value, QuadExtElem) and value.b else set())
 
 
-@pytest.mark.parametrize("key", ["T4.1:as_printed", "C4.1:as_printed", "C4.4:as_printed"])
-def test_the_factors_in_x_alone_are_the_second_operand(key):
-    operands = summand_operands(key, (6, 6))
-    assert sorted(operands) == [(6, k) for k in range(7)]
-    for first, second in operands.values():
-        assert variables(second) <= {"x"}
+@pytest.mark.parametrize(
+    "key", ["T4.1:as_printed", "C4.1:as_printed", "C4.4:as_printed", "T3.1:as_printed"])
+def test_a_summand_is_a_factor_of_k_times_a_factor_of_n_minus_k(key):
+    # each operand is memoized per index: the one of k is one object at
+    # every n, the one of n-k one object at (n, k) and at (n+1, k+1)
+    operands = summand_operands(key, (4, 7))
+    assert len(operands) >= 10
+    for (n, k), (first, second) in operands.items():
+        for m in range(4, 8):
+            if (m, k) in operands:
+                assert operands[m, k][0] is first
+            if (m, k + m - n) in operands:
+                assert operands[m, k + m - n][1] is second
+        # the factors in x, G_j(x) of T4/C4, are in the operand of n-k
         assert "x" not in variables(first)
-    # G_0(x) = 0 and G_1(x) = 1 read no variable; the others read x
-    assert variables(operands[6, 0][1]) == {"x"}
+    if key != "T3.1:as_printed":
+        assert sorted(operands) == [(n, k) for n in range(4, 8) for k in range(n + 1)]
+        # G_0(x) = 0 and G_1(x) = 1 read no variable; the others read x
+        assert "x" in variables(operands[6, 0][1])
+
+
+def test_memoized_operands_form_fewer_products(monkeypatch):
+    # T4.1-T4.3 to n = 32: the operand of n-k, D^j G_j(x), is formed once
+    # per j, not once per (n, k) times its factor of k
+    counted = [0, 0]
+    add = ProductSum.add
+
+    def counting_add(self, num, den, p, q):
+        counted[0] += len(p.terms) * len(q.terms) if num else 0
+        counted[1] += 1
+        return add(self, num, den, p, q)
+
+    monkeypatch.setattr(ProductSum, "add", counting_add)
+    ctx = Context("indeterminate")
+    for key in ("T4.1:as_printed", "T4.2:as_printed", "T4.3:as_printed"):
+        run_record(get_record(key), (0, 32), ctx)
+    products, calls = counted
+    assert products <= 85_000 and calls <= 2_500
+
+
+@pytest.mark.parametrize("anchor", [
+    "sum C(n,k) 2^n phi_k = 2^n phi_n",
+    "sum C(n,k) C(n+2,k) S_k = S_n",
+    "sum C(n,k) C(n-k,k) S_k = S_n",
+])
+def test_a_summand_factor_must_read_k_alone_or_n_minus_k_alone(anchor):
+    # 2^n reads n, and so does C(n+2,k); C(n-k,k) reads both k and n-k
+    ctx = get_context("indeterminate")
+    with pytest.raises(ValueError) as info:
+        rec = read_anchor(anchor, "indeterminate", 0)
+        rec.lhs(ctx, 2)
+    message = str(info.value)
+    assert "\n" not in message and "k alone or n-k alone" in message
+
+
+@pytest.mark.parametrize("anchor", [
+    "sum C(n,k) k = n 2^(n-1)",
+    "sum C(n,k) 2^k phi_(n-k) = (2+u)^n + (2+v)^n",
+])
+def test_a_scalar_factor_of_k_is_part_of_the_operand_of_k(anchor):
+    rec = read_anchor(anchor, "indeterminate", 0)
+    assert all(v.passed for v in run_record(rec, (0, 6), Context("indeterminate")))
 
 
 def test_a_summand_without_factors_in_x_keeps_its_memoized_factor_of_k():
