@@ -7,12 +7,15 @@ each tree to nested closures ``side(ctx, n)``, so for a record read from
 its anchor the equation a report quotes is the equation the checker
 evaluates.  The twelve records that carry a rewritten statement (the
 corrected T3.3, T3.5b, T3.6a, T3.6b and their eight corollaries) check
-the rewritten tree and quote a hand-simplified anchor; a test reads each
-such anchor as a statement and checks it, side by side with the rewritten
-tree, at every n of the record's range.  Equal trees compile to one
-callable.  This module is the one that knows the tree format, and
-this docstring is the one statement of the notation and of the
-conventions that turn a printed statement into a checkable record.
+the rewritten tree and quote a hand-simplified anchor.  Such a record
+reads its quoted anchor too, when its sides are first compiled, so a
+quotation that does not read, or whose annotations do not fit the
+record, is refused; a test checks each quotation as a statement, side
+by side with the rewritten tree, at every n of the record's range.
+Equal trees compile to one callable.  This module is the one that
+knows the tree format, and this docstring is the one statement of the
+notation and of the conventions that turn a printed statement into a
+checkable record.
 
 Symbols
   ``u v lam1 lam2``      the two letters (``lam1 lam2`` in the root rings)
@@ -50,7 +53,8 @@ Sums
     second operand, memoized per j = n-k; its scalar factors, and
     those reading no index, form the weight, memoized per j too;
   * a factor that reads n other than as n-k (``2^n``, ``C(n+2,k)``),
-    or reads both k and n-k, is refused when the side is compiled.
+    or reads both k and n-k, is refused where the anchor is read (in a
+    rewritten tree, when the side is compiled).
   ``eval_convolution_sum`` adds each summand, C(n,k) times the weight
   times the two operands, straight into one accumulator.  A parity
   restricted record may carry a *companion*: the closed form of the
@@ -179,11 +183,10 @@ class _Reader:
     ("mul", factors), ("add", ((sign, term), ...)), ("sum", parity, summand).
     """
 
-    def __init__(self, anchor: str, start: int = 0):
+    def __init__(self, anchor: str):
         self.anchor = anchor
-        self.start = start
-        # (leading space, token, a character that starts no token) from start
-        self.toks = _TOKEN.findall(anchor, start)
+        # (leading space, token, a character that starts no token)
+        self.toks = _TOKEN.findall(anchor)
         # closed by empty end tokens, so the parser may look two past the last
         self.texts = [tok[1] for tok in self.toks] + ["", "", ""]
         if "" in self.texts[:-3]:
@@ -193,7 +196,7 @@ class _Reader:
 
     def position(self, i: int) -> int:
         """Where token i starts in the anchor (its end, past the last)."""
-        before = self.start + sum(len("".join(tok)) for tok in self.toks[:i])
+        before = sum(len("".join(tok)) for tok in self.toks[:i])
         return before + len(self.toks[i][0]) if i < len(self.toks) else before
 
     def peek(self) -> str:
@@ -242,7 +245,13 @@ class _Reader:
         parity = self.peek() == "["
         if parity:
             self.expect("[ n|m = k ( 2 ) ]")
-        return ("sum", parity, self.term())
+        at = self.i
+        summand = self.term()
+        try:
+            _split(summand)
+        except ValueError as err:
+            raise self.error(str(err), at) from None
+        return ("sum", parity, summand)
 
     def expr(self):
         sign = self.take("-") if self.texts[self.i] == "-" else "+"
@@ -349,13 +358,6 @@ def _is_ring(node) -> bool:
     return False
 
 
-def _reads(node, index: str) -> bool:
-    """Whether the index "n" or "k" occurs in node."""
-    if node == ("idx", index):
-        return True
-    return any(isinstance(c, tuple) and _reads(c, index) for c in node)
-
-
 def _linear(node) -> Optional[Tuple[int, int, int]]:
     """(a, b, c) when node is the index a n + b k + c, else None."""
     if node[0] == "num":
@@ -397,9 +399,7 @@ def _clear(side):
         factors = _factors(side[2])
         for i, f in enumerate(factors):
             lin = _linear(f[2]) if f[0] == "pow" else None
-            if lin and lin[:2] == (1, -1) and lin[2] < 0 and not (
-                _reads(f[1], "n") or _reads(f[1], "k")
-            ):
+            if lin and lin[:2] == (1, -1) and lin[2] < 0 and not _index_reads(f[1]):
                 factors[i] = ("pow", f[1], _N_MINUS_K)
                 return ("sum", side[1], ("mul", tuple(factors))), ("pow", f[1], ("num", -lin[2]))
         return side, None
@@ -476,7 +476,11 @@ def _factor_of_j(factors: tuple) -> Callable[[Context, int], Any]:
 _OF_K, _OF_N_MINUS_K = (0, 1), (1, -1)
 
 
-def _sum(parity: bool, summand) -> Eval:
+@functools.lru_cache(maxsize=None)
+def _split(summand):
+    """(binomial, of_k, of_j, weights): a summand's factors sorted as
+    the Sums section says; raises ValueError on a factor it refuses.
+    Cached, as a summand is sorted when read and again when compiled."""
     use_binomial = False
     of_k, of_j, weights = [], [], []
     for f in _factors(summand):
@@ -489,10 +493,15 @@ def _sum(parity: bool, summand) -> Eval:
         elif reads <= {_OF_N_MINUS_K}:
             (of_j if _is_ring(f) else weights).append(f)
         else:
-            raise ValueError(f"a summand factor must read k alone or n-k alone: {f}")
-    low_fn = _factor_of_k(tuple(of_k))
-    high_fn = _factor_of_j(tuple(of_j))
-    weight_fn = _factor_of_j(tuple(weights)) if weights else None
+            raise ValueError("a summand factor must read k alone or n-k alone")
+    return use_binomial, tuple(of_k), tuple(of_j), tuple(weights)
+
+
+def _sum(parity: bool, summand) -> Eval:
+    use_binomial, of_k, of_j, weights = _split(summand)
+    low_fn = _factor_of_k(of_k)
+    high_fn = _factor_of_j(of_j)
+    weight_fn = _factor_of_j(weights) if weights else None
 
     def ev(ctx, n, k):
         memo = ctx.memo
@@ -617,21 +626,6 @@ def _check(anchor: str, note, ring: str, lo: int) -> None:
             raise _error(anchor, at, f"the radicand is not d^2 in ring {ring}")
 
 
-# where the annotations ending an anchor begin (compiled on first use,
-# as no start-up reads a rewritten record's sides)
-_NOTES = r"\(\s*n\s+positive\b|\[\s*(?:letters\b|d\s*=)"
-
-
-def _check_notes(anchor: str, ring: str, lo: int) -> None:
-    """Check the annotations ending ``anchor`` against ``ring`` and
-    ``lo``, reading them alone: the anchor of a rewritten statement is
-    a quotation, and its statement is never read."""
-    found = re.search(_NOTES, anchor)
-    if found is not None:
-        for note in _Reader(anchor, found.start()).notes():
-            _check(anchor, note, ring, lo)
-
-
 @functools.lru_cache(maxsize=None)
 def _read(anchor: str, ring: str, lo: int, companion: Optional[str]):
     """(statement, statement of the companion or None, cleared) of an
@@ -670,8 +664,8 @@ class IdentityRecord(Fields):
     ``unrestricted_rhs`` of the companion), each ``side(ctx, n)`` for a
     context's ring at index n.  Reading the anchor checks its
     annotations against the record's ring and lo, and raises any error
-    of the anchor; a rewritten record checks the annotations ending its
-    anchor when its sides are first compiled.  A side passed to
+    of the anchor; a rewritten record reads its quoted anchor so when
+    its sides are first compiled.  A side passed to
     :meth:`replace` takes the place of its view.
     """
 
@@ -731,10 +725,10 @@ class IdentityRecord(Fields):
 
     @functools.cached_property
     def _checked(self) -> Statement:
-        # the statement, once a rewritten record's annotations hold; a
-        # read anchor's were checked when it was read
+        # the statement, once a rewritten record's quoted anchor reads
+        # and its annotations hold; a read anchor's were checked when read
         if self.rewritten is not None:
-            _check_notes(self.anchor, self.ring, self.lo)
+            _read(self.anchor, self.ring, self.lo, None)
         return self.statement
 
     @functools.cached_property
@@ -784,9 +778,10 @@ def read_anchor(
     """A record stating ``anchor`` in ``ring`` from n = ``lo``, read now.
 
     Raises ValueError naming the anchor and the position of the first
-    thing that cannot be read or that an annotation rules out.  (A ring
+    thing that cannot be read, a summand with a factor that reads n
+    other than as n-k, or an annotation the record rules out.  (A ring
     denominator inside a term, which no clearing rule removes, is
-    refused when the side is first read.)
+    refused when the side is first compiled.)
     """
     _read(anchor, ring, lo, companion)
     return IdentityRecord("", "as_printed", ring, lo, lo, anchor, companion=companion)

@@ -2,7 +2,10 @@
 
 The primary definitions are integer recurrences and Appell sums; the
 EGF realizations in :mod:`convcheck.egf` remain the independent oracle
-the tests compare against.
+the tests compare against.  Each number and Appell polynomial is a
+``functools.cache`` function of its index, and each bivariate family is
+one list of its values so far, extended on demand; a negative index is
+refused with a one-line ValueError and never cached.
 
 * Tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...) and secant numbers
   S_0, S_1, ... (1, 1, 5, 61, ...) come from the in-place integer
@@ -26,15 +29,14 @@ the tests compare against.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+import functools
+from typing import Callable, Dict, List, Tuple
 
 from ._scalar import Rational
 from .arith import MultiPoly, binomial
 
 __all__ = [
     "BIVARIATE_KINDS",
-    "NumberFamily",
-    "PolyFamily",
     "bernoulli_number",
     "bivariate_sequence",
     "euler_number",
@@ -78,24 +80,14 @@ _TANGENT = _ZigzagList(2)  # entry i is T_(i+1)
 _SECANT = _ZigzagList(1)  # entry i is S_i
 
 
-class NumberFamily:
-    """Exact rational values by index, each derived once and cached."""
-
-    def __init__(self, name: str, derive: Callable[[int], Rational]):
-        self.name = name
-        self._derive = derive
-        self._values: Dict[int, Rational] = {}
-
-    def value(self, n: int) -> Rational:
-        if n < 0:
-            raise ValueError(f"{self.name}: index must be non-negative, got {n}")
-        value = self._values.get(n)
-        if value is None:
-            value = self._values[n] = self._derive(n)
-        return value
+def _check_index(name: str, n: int) -> None:
+    if n < 0:
+        raise ValueError(f"{name}: index must be non-negative, got {n}")
 
 
-def _bernoulli(n: int) -> Rational:
+@functools.cache
+def bernoulli_number(n: int) -> Rational:
+    _check_index("bernoulli", n)
     if n < 2:
         return Rational(1) if n == 0 else Rational(-1, 2)
     if n % 2:
@@ -105,59 +97,35 @@ def _bernoulli(n: int) -> Rational:
     return Rational((-1) ** (m - 1) * n * _TANGENT.get(m - 1), four_m * (four_m - 1))
 
 
-def _euler(n: int) -> Rational:
+@functools.cache
+def euler_number(n: int) -> Rational:
+    _check_index("euler", n)
     if n % 2:
         return Rational(0)
     m = n // 2
     return Rational((-1) ** m * _SECANT.get(m))
 
 
-def _genocchi(n: int) -> Rational:
+@functools.cache
+def genocchi_number(n: int) -> Rational:
+    _check_index("genocchi", n)
     return 2 * (1 - 2 ** n) * bernoulli_number(n)
 
 
-_BERNOULLI = NumberFamily("bernoulli", _bernoulli)
-_EULER = NumberFamily("euler", _euler)
-_GENOCCHI = NumberFamily("genocchi", _genocchi)
-
-
-def bernoulli_number(n: int) -> Rational:
-    return _BERNOULLI.value(n)
-
-
-def euler_number(n: int) -> Rational:
-    return _EULER.value(n)
-
-
-def genocchi_number(n: int) -> Rational:
-    return _GENOCCHI.value(n)
-
-
-class PolyFamily:
-    """Appell polynomials P_n(x) = sum_k C(n,k) a_k x^(n-k), cached by n."""
-
-    def __init__(self, which: str, weight: Callable[[int], Rational]):
-        self.which = which
-        self._weight = weight
-        self._values: Dict[int, MultiPoly] = {}
-
-    def value(self, n: int) -> MultiPoly:
-        if n < 0:
-            raise ValueError(f"{self.which}: index must be non-negative, got {n}")
-        poly = self._values.get(n)
-        if poly is None:
-            # x is the third variable of the ambient ring
-            poly = self._values[n] = MultiPoly(
-                {(0, 0, n - k, 0, 0): binomial(n, k) * self._weight(k) for k in range(n + 1)}
-            )
-        return poly
-
-
-_POLY_FAMILIES = {
-    "bernoulli_poly": PolyFamily("bernoulli_poly", bernoulli_number),
-    "euler_poly": PolyFamily("euler_poly", lambda k: genocchi_number(k + 1) / (k + 1)),
-    "genocchi_poly": PolyFamily("genocchi_poly", genocchi_number),
+# the weight a_k of each Appell family; perfbench's tracer, which rebinds
+# the number functions, rebinds the entries of this dict too
+_WEIGHTS: Dict[str, Callable[[int], Rational]] = {
+    "bernoulli_poly": bernoulli_number,
+    "euler_poly": lambda k: genocchi_number(k + 1) / (k + 1),
+    "genocchi_poly": genocchi_number,
 }
+
+
+@functools.cache
+def _appell(which: str, n: int) -> MultiPoly:
+    weight = _WEIGHTS[which]
+    # x is the third variable of the ambient ring
+    return MultiPoly({(0, 0, n - k, 0, 0): binomial(n, k) * weight(k) for k in range(n + 1)})
 
 
 def number_polynomial(kind: str, n: int) -> MultiPoly:
@@ -167,50 +135,36 @@ def number_polynomial(kind: str, n: int) -> MultiPoly:
     suffix is accepted too).
     """
     which = kind if kind.endswith("_poly") else f"{kind}_poly"
-    family = _POLY_FAMILIES.get(which)
-    if family is None:
+    if which not in _WEIGHTS:
         raise ValueError(f"unknown polynomial family {kind!r}")
-    return family.value(n)
+    _check_index(which, n)
+    return _appell(which, n)
 
 
-class _BivariateFamily:
-    """u_n = p * u_{n-1} + q * u_{n-2} over Q[y, t], extended on demand."""
-
-    def __init__(self, name: str, seed0: MultiPoly, seed1: MultiPoly, p: MultiPoly, q: MultiPoly):
-        self.name = name
-        self._p = p
-        self._q = q
-        self._values = [seed0, seed1]
-
-    def value(self, n: int) -> MultiPoly:
-        if n < 0:
-            raise ValueError(f"{self.name}: index must be non-negative, got {n}")
-        while len(self._values) <= n:
-            u1, u2 = self._values[-1], self._values[-2]
-            self._values.append(self._p * u1 + self._q * u2)
-        return self._values[n]
-
-
-def _make_bivariate() -> Dict[str, _BivariateFamily]:
+def _bivariate_table() -> Dict[str, Tuple[List[MultiPoly], MultiPoly, MultiPoly]]:
+    """kind -> (the values u_0, u_1, ... so far, p, q)."""
     y = MultiPoly.var("y")
     t = MultiPoly.var("t")
     one = MultiPoly.constant(1)
     zero = MultiPoly.constant(0)
     return {
-        "fibonacci": _BivariateFamily("fibonacci", zero, one, y, t),
-        "lucas": _BivariateFamily("lucas", 2 * one, y, y, t),
-        "balancing": _BivariateFamily("balancing", zero, one, 6 * y, -t),
-        "lucas_balancing": _BivariateFamily("lucas_balancing", one, 3 * y, 6 * y, -t),
+        "fibonacci": ([zero, one], y, t),
+        "lucas": ([2 * one, y], y, t),
+        "balancing": ([zero, one], 6 * y, -t),
+        "lucas_balancing": ([one, 3 * y], 6 * y, -t),
     }
 
 
-_BIVARIATE = _make_bivariate()
+_BIVARIATE = _bivariate_table()
 BIVARIATE_KINDS = tuple(_BIVARIATE)
 
 
 def bivariate_sequence(kind: str, n: int) -> MultiPoly:
     """n-th element of one of the bivariate families over Q[y, t]."""
-    family = _BIVARIATE.get(kind)
-    if family is None:
+    if kind not in _BIVARIATE:
         raise ValueError(f"unknown bivariate family {kind!r}; choose from {BIVARIATE_KINDS}")
-    return family.value(n)
+    _check_index(kind, n)
+    values, p, q = _BIVARIATE[kind]
+    while len(values) <= n:
+        values.append(p * values[-1] + q * values[-2])
+    return values[n]

@@ -50,7 +50,7 @@ def test_reindexed_lhs_recovers_source_sum():
     # of the transform; checking it against the records certifies that the
     # shifted form was produced mechanically and not hand-tuned.
     src = printed_theorems()["T3.2"]
-    shifted = reindex_shift_two(src, "X", anchor="scratch")
+    shifted = reindex_shift_two(src, "X", anchor=get_record("T3.3:corrected").anchor)
     ctx = get_context(src.ring)
     for m in range(0, 8):
         lhs_shift = shifted.lhs(ctx, m)
@@ -62,6 +62,16 @@ def test_reindexed_lhs_recovers_source_sum():
         # the difference is exactly the two boundary summands k=m+1, m+2
         delta = source_total - recovered
         assert delta == src.rhs(ctx, m + 2) - (m + 1) * (m + 2) * rhs_shift
+
+
+def test_a_rewritten_record_reads_its_quoted_anchor():
+    # the quoted form is read when the sides are first compiled, so a
+    # quotation that does not read is refused
+    shifted = reindex_shift_two(printed_theorems()["T3.2"], "X", anchor="scratch")
+    with pytest.raises(ValueError) as info:
+        shifted.lhs
+    message = str(info.value)
+    assert "\n" not in message and "'scratch'" in message
 
 
 def test_reindex_requires_shape():
@@ -88,7 +98,7 @@ def test_conversion_refuses_a_sum_without_a_genocchi_factor():
 
 def test_conversion_halves_right_side():
     src = printed_theorems()["T3.2"]
-    conv = convert_genocchi_to_bernoulli(src, "X", anchor="scratch")
+    conv = convert_genocchi_to_bernoulli(src, "X", anchor=get_record("T3.5b:corrected").anchor)
     ctx = get_context(src.ring)
     for n in range(0, 8):
         assert conv.rhs(ctx, n) == Rational(1, 2) * src.rhs(ctx, n)

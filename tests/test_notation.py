@@ -329,6 +329,14 @@ def test_a_summand_factor_must_read_k_alone_or_n_minus_k_alone(anchor):
     assert "\n" not in message and "k alone or n-k alone" in message
 
 
+def test_a_bad_summand_is_refused_where_the_anchor_is_read():
+    anchor = "sum C(n,k) 2^n phi_k = 2^n phi_n"
+    with pytest.raises(ValueError) as info:
+        read_anchor(anchor, "indeterminate", 0)
+    assert str(info.value) == (
+        f"anchor {anchor!r} at position 4: a summand factor must read k alone or n-k alone")
+
+
 @pytest.mark.parametrize("anchor", [
     "sum C(n,k) k = n 2^(n-1)",
     "sum C(n,k) 2^k phi_(n-k) = (2+u)^n + (2+v)^n",
@@ -336,11 +344,3 @@ def test_a_summand_factor_must_read_k_alone_or_n_minus_k_alone(anchor):
 def test_a_scalar_factor_of_k_is_part_of_the_operand_of_k(anchor):
     rec = read_anchor(anchor, "indeterminate", 0)
     assert all(v.passed for v in run_record(rec, (0, 6), Context("indeterminate")))
-
-
-def test_a_summand_without_factors_in_x_keeps_its_memoized_factor_of_k():
-    # T3.1 weights its sum by Genocchi numbers: no factor is in x alone
-    # (at k = n the weight G_0 = 0 skips the summand)
-    operands = summand_operands("T3.1:as_printed", (4, 6))
-    for k in (0, 2):
-        assert operands[6, k][0] is operands[4, k][0]

@@ -1,5 +1,6 @@
 """Number and polynomial sequences against their EGF oracles."""
 
+import functools
 import math
 
 import pytest
@@ -118,6 +119,23 @@ def test_kind_and_index_validation():
         bernoulli_number(-1)
     with pytest.raises(ValueError):
         number_polynomial("tangent", 2)
+
+
+REFUSALS = (
+    [("bernoulli", bernoulli_number), ("euler", euler_number), ("genocchi", genocchi_number)]
+    + [(f"{kind}_poly", functools.partial(number_polynomial, kind))
+       for kind in ("bernoulli", "euler", "genocchi")]
+    + [(kind, functools.partial(bivariate_sequence, kind))
+       for kind in ("fibonacci", "lucas", "balancing", "lucas_balancing")]
+)
+
+
+@pytest.mark.parametrize("name, value", REFUSALS, ids=[name for name, _ in REFUSALS])
+def test_a_negative_index_is_refused_in_one_line(name, value):
+    # twice: a refusal is not cached
+    for _ in range(2):
+        with pytest.raises(ValueError, match=rf"^{name}: index must be non-negative, got -1$"):
+            value(-1)
 
 
 # -- the integer recurrences against independent references ----------------
