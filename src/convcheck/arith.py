@@ -50,7 +50,7 @@ import functools
 import math
 import operator
 from collections.abc import Mapping
-from typing import Dict, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ._scalar import BACKEND, Rational, as_rational, is_scalar, num_den
 
@@ -365,7 +365,9 @@ class MultiPoly:
         well-defined.  Scalar bindings are applied term by term; a term
         that reads a polynomial-bound variable is the product of its
         remaining monomial and its bindings' powers, formed, as every
-        product is, by :meth:`ProductSum.add`.
+        product is, by :meth:`ProductSum.add`.  A binding's powers are
+        shared by every call that binds an equal polynomial (a bounded
+        cache), so each is formed once, from the one below it.
         """
         # a scalar binding, or one to a constant polynomial, is read as
         # its num/den; the others are polynomial bindings
@@ -403,7 +405,6 @@ class MultiPoly:
         # starts from those, so each product added to it may rescale them
         out: Dict[int, int] = {}
         get = out.get
-        pow_cache: Dict[Tuple[int, int], MultiPoly] = {}
         products = []
         deg = 0
         for key, c in self._terms.items():
@@ -419,9 +420,7 @@ class MultiPoly:
                 e = (key >> shift) & MAX_EXP
                 if e:
                     key -= e * unit
-                    piece = pow_cache.get((shift, e))
-                    if piece is None:
-                        piece = pow_cache[(shift, e)] = value ** e
+                    piece = _power(value, e)
                     factor = piece if factor is None else factor * piece
             rdeg = key >> _DEG_SHIFT
             if factor is None:
@@ -450,6 +449,28 @@ def _power_row(num: int, den: int, top: int) -> Tuple[int, ...]:
     for _ in range(top):
         row.append(row[-1] // den * num)
     return tuple(row)
+
+
+@functools.lru_cache(maxsize=256)
+def _powers(value: MultiPoly) -> List[MultiPoly]:
+    """[1, value, value^2, ...]: the powers of a polynomial binding formed
+    so far.  Every substitution by an equal value shares the list, which
+    :func:`_power` extends, so a root chart's lift of each embedded value
+    reuses the powers of its image of t."""
+    return [MultiPoly.constant(1), value]
+
+
+def _power(value: MultiPoly, e: int) -> MultiPoly:
+    """value^e, e >= 1, from the shared list of its powers, extended one
+    product at a time; a power past the degree bound is refused before
+    any is formed."""
+    powers = _powers(value)
+    if len(powers) <= e:
+        if e * value._deg > MAX_EXP and e * value.total_degree() > MAX_EXP:
+            raise _overflow(e * value.total_degree())
+        while len(powers) <= e:
+            powers.append(powers[-1] * value)
+    return powers[e]
 
 
 class ProductSum:

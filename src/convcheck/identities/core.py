@@ -15,6 +15,13 @@ root ring's are x, y and D, since there D = c*sqrt(d) and d is linear in
 t, so Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,y,D] (see
 :class:`_RootChart`).  The letters x1 = u, x2 = v of the generic ring and
 the form a + b*sqrt(d) of a root ring are printed forms only.
+Sig and D are one term each in every chart, so the letters' powers u^j
+and v^j and their symmetric functions S_j = h_j(u, v) and
+phi_j = u^j + v^j are closed binomial sums in Sig and D, built term by
+term with no product (:meth:`Context.power`, :meth:`Context.S`,
+:meth:`Context.phi`).  R1.1 and R1.2 check S_j and phi_j against h_j
+and p_j formed by products (:mod:`convcheck.symfun`), and BINET checks
+the letters' powers against the embedded sequence values.
 Because both sides are written against the context interface, the same
 record can be evaluated in any ring -- that is how a generic identity
 yields its family-specific corollary.  Each ring's evaluation is
@@ -36,7 +43,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
-from ..arith import MultiPoly, ProductSum
+from ..arith import MAX_EXP, MultiPoly, ProductSum, _overflow
 from ..quadext import QuadExtElem, RootPair, make_root_pair
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
@@ -352,6 +359,25 @@ _SEQ = {kind: (lambda ctx, j, kind=kind: ctx.embed(bivariate_sequence(kind, j)))
         for kind in BIVARIATE_KINDS}
 
 
+# Context.memo keys of the letters' symmetric functions, closed forms
+def _closed_S(ctx: "Context", j: int) -> LetterElem:
+    return ctx._binomial_sum(j, ((i, math.comb(j + 1, i + 1)) for i in range(0, j + 1, 2)), 2 ** j)
+
+
+def _closed_phi(ctx: "Context", j: int) -> LetterElem:
+    return ctx._binomial_sum(j, ((i, 2 * math.comb(j, i)) for i in range(0, j + 1, 2)), 2 ** j)
+
+
+def _one_term(name: str, elem: LetterElem) -> Tuple[int, int, int, int]:
+    """(key, numerator, denominator, degree) of an element that is one
+    term in its ring's coordinates, as Sig and D are in every chart."""
+    poly = elem.poly
+    if len(poly._terms) != 1:
+        raise ValueError(f"{name} = {poly} is not one term in the ring's coordinates")
+    (key, num), = poly._terms.items()
+    return key, num, poly._den, poly.total_degree()
+
+
 class Context:
     """Ring adapter: letters and cached building blocks.
 
@@ -376,7 +402,11 @@ class Context:
         self.Sig = self.u + self.v
         self.Prod = self.u * self.v
         self.x, self.y, self.t = (self.embed(MultiPoly.var(name)) for name in ("x", "y", "t"))
-        self._S: List[Any] = [self.one]
+        self._sig_d = (_one_term("Sig", self.Sig), _one_term("D", self.D))
+        if self._sig_d[0][0] == self._sig_d[1][0]:
+            raise ValueError(f"Sig = {self.Sig.poly} and D = {self.D.poly} are one monomial in ring {ring}")
+        # the sign of D in each letter, whose powers are closed forms
+        self._letter_sign = {self.u.poly: 1, self.v.poly: -1}
         self._powers: Dict[MultiPoly, List[Any]] = {}
         self._memo: Dict[Tuple[Callable, int], Any] = {}
 
@@ -389,39 +419,67 @@ class Context:
 
     # -- letters and their symmetric functions ---------------------------
 
+    def _binomial_sum(self, j: int, weights, den: int) -> LetterElem:
+        """The sum of w Sig^(j-i) D^i / den over the (i, w) of
+        ``weights``, built term by term: Sig and D are one term each, so
+        Sig^(j-i) D^i is the one term of key (j-i) key(Sig) + i key(D).
+        The degree bound of the arith module is checked first."""
+        (ks, sn, sd, sdeg), (kd, dn, dd, ddeg) = self._sig_d
+        deg = j * max(sdeg, ddeg)
+        if deg > MAX_EXP:
+            raise _overflow(deg)
+        terms = {ks * (j - i) + kd * i: w * (sn * dd) ** (j - i) * (dn * sd) ** i
+                 for i, w in weights}
+        return LetterElem(MultiPoly._reduced(terms, den * (sd * dd) ** j, deg), self.chart)
+
     def S(self, j: int):
-        """Complete homogeneous sum of degree j in the letters; 0 for j < 0."""
+        """Complete homogeneous sum h_j(u, v) of degree j in the letters;
+        0 for j < 0.  The closed form
+        S_j = 2^(-j) sum over even i of C(j+1, i+1) Sig^(j-i) D^i,
+        built with no product and kept per j; R1.1 checks it against
+        h_j(u, v) formed by products."""
         if j < 0:
             return self.zero
-        while len(self._S) <= j:
-            k = len(self._S)
-            self._S.append(self.u * self._S[-1] + self.power(self.v, k))
-        return self._S[j]
+        return self.memo(_closed_S, j)
 
     def phi(self, j: int):
-        """Power sum u^j + v^j (so phi(0) = 2)."""
+        """Power sum u^j + v^j (so phi(0) = 2).  The closed form
+        phi_j = 2^(1-j) sum over even i of C(j, i) Sig^(j-i) D^i, built
+        with no product and kept per j; R1.2 checks it against
+        p_j(u, v) formed by products."""
         if j < 0:
             raise ValueError("negative power-sum index")
-        return self.power(self.u, j) + self.power(self.v, j)
+        return self.memo(_closed_phi, j)
 
     def power(self, base, e: int):
         """base^e, cached per base by value and built up incrementally,
         so two equal bases built separately share one list of powers.  A
         base is keyed by its polynomial in the ring's coordinates, which
-        is as canonical as the element and hashes without converting."""
+        is as canonical as the element and hashes without converting.
+        The powers of a letter are closed forms,
+        u^j = 2^(-j) sum over i of C(j, i) Sig^(j-i) D^i and v^j the same
+        with (-1)^i, built with no product; BINET checks them against
+        the embedded sequence values."""
         if e < 0:
             raise ValueError("negative power")
         base = self.embed(base)
         powers = self._powers.setdefault(base.poly, [self.one])
+        sign = self._letter_sign.get(base.poly)
         while len(powers) <= e:
-            powers.append(powers[-1] * base)
+            j = len(powers)
+            if sign is None:
+                powers.append(powers[-1] * base)
+            else:
+                powers.append(self._binomial_sum(
+                    j, ((i, math.comb(j, i) * sign ** i) for i in range(j + 1)), 2 ** j))
         return powers[e]
 
     def memo(self, fn: Callable[["Context", int], Any], i: int):
         """fn(self, i), computed once per (fn, i) in this ring.  It keeps
         each record side at its n, each sum's operand of the summation
         index k at k and its operand and weight of n-k at j = n-k (each
-        the same at every n), and each embedded sequence value."""
+        the same at every n), each embedded sequence value, S_j and
+        phi_j, and R1's h_j(a, b) and p_j(a, b) at each j."""
         key = (fn, i)
         got = self._memo.get(key)
         if got is None:

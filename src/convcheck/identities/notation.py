@@ -29,7 +29,8 @@ Symbols
                          index); ``B_j(x)`` etc. their polynomials, written
                          with no space before ``(x)``
   ``C(a,b)``             the binomial coefficient
-  ``h_j(a, b) p_j(a, b)``  complete homogeneous / power-sum basis at two letters
+  ``h_j(a, b) p_j(a, b)``  complete homogeneous / power-sum basis at two letters,
+                         which read no index (one memo step per j)
   A subscript is one symbol or a parenthesized index: ``S_(n-k-1)``.
 
 Reading
@@ -106,7 +107,7 @@ from .._scalar import Rational
 from ..arith import binomial
 from ..quadext import FAMILIES
 from ..sequences import bernoulli_number, euler_number, genocchi_number
-from ..symfun import sym_ehp
+from ..symfun import ehp_step
 from .core import (
     Context,
     SideFn,
@@ -315,7 +316,14 @@ class _Reader:
                 return ("npoly", text, sub)
             return ("seq", text, sub)
         if text in ("h_", "p_"):
-            return ("ehp", text[0], self.primary(), *self.pair())
+            sub = self.primary()
+            at = self.i
+            a, b = self.pair()
+            try:
+                _letters(a, b)
+            except ValueError as err:
+                raise self.error(str(err), at) from None
+            return ("ehp", text[0], sub, a, b)
         raise self.error(f"unexpected {text or 'end'!r}", at)
 
     def annotation(self):
@@ -497,6 +505,28 @@ def _split(summand):
     return use_binomial, tuple(of_k), tuple(of_j), tuple(weights)
 
 
+def _letters(a, b):
+    """The letters (a, b) of h_j(a, b) or p_j(a, b); raises ValueError
+    on a letter that reads an index."""
+    if _index_reads(a) or _index_reads(b):
+        raise ValueError("the letters of h_j(a, b) and p_j(a, b) must read no index")
+    return a, b
+
+
+@functools.lru_cache(maxsize=None)
+def _ehp(kind: str, a, b) -> Callable[[Context, int], Any]:
+    """fn(ctx, j), the state of h_j(a, b) or p_j(a, b) (see
+    :func:`~convcheck.symfun.ehp_step`) for ``Context.memo``: one step
+    from the memo's state at j-1.  Equal nodes share one callable."""
+    a, b = _compile(a), _compile(b)
+
+    def state(ctx, j):
+        prev = ctx.memo(state, j - 1) if j else None
+        return ehp_step(kind, a(ctx, 0, 0), b(ctx, 0, 0), prev)
+
+    return state
+
+
 def _sum(parity: bool, summand) -> Eval:
     use_binomial, of_k, of_j, weights = _split(summand)
     low_fn = _factor_of_k(of_k)
@@ -544,9 +574,19 @@ def _compile(node) -> Eval:
 
         return ev_number
     if tag == "ehp":
-        kind = node[1]
-        sub, a, b = (_compile(c) for c in node[2:])
-        return lambda ctx, n, k: sym_ehp(kind, sub(ctx, n, k), a(ctx, n, k), b(ctx, n, k))
+        sub, state = _compile(node[2]), _ehp(node[1], *_letters(node[3], node[4]))
+
+        def ev_ehp(ctx, n, k):
+            j = sub(ctx, n, k)
+            if j < 0:
+                raise ValueError(f"h_j/p_j: index must be non-negative, got {j}")
+            # filled from below, each state finds the one before it in
+            # the memo, so no call recurses more than one step
+            for i in range(j + 1):
+                got = ctx.memo(state, i)
+            return got[0]
+
+        return ev_ehp
     if tag == "binom":
         a, b = _compile(node[1]), _compile(node[2])
         return lambda ctx, n, k: binomial(a(ctx, n, k), b(ctx, n, k))

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from convcheck import arith
 from convcheck._scalar import Rational, as_rational
 from convcheck.arith import (
     MAX_EXP, MultiPoly, ProductSum, VARIABLES, ZERO_EXP, binomial, format_poly, variable,
@@ -396,12 +397,17 @@ def test_substitution_forms_its_products_in_the_product_sum(monkeypatch):
 
     monkeypatch.setattr(ProductSum, "add", counting_add)
     p = x1 ** 2 * y + 3 * x1 * t + y + Rational(1, 2)
+    arith._powers.cache_clear()
     counted.clear()
     got = p.substitute({"x1": x + t, "y": 2})
-    # (x+t)^2: 2·2 for the square and 1·3 for 1·square; (x+t)^1: 1·2;
+    # (x+t)^1 is the binding itself and (x+t)^2 = (x+t)^1·(x+t): 2·2;
     # then 2·(x+t)^2 and 3t·(x+t): 1·3 and 1·2
-    assert sorted(counted) == [2, 2, 3, 3, 4]
+    assert sorted(counted) == [2, 3, 4]
     assert got == 2 * (x + t) ** 2 + 3 * t * (x + t) + Rational(5, 2)
+    # a second substitution by x + t reuses its powers: 1·3 and 1·2 alone
+    counted.clear()
+    assert p.substitute({"x1": x + t, "y": 2}) == got
+    assert sorted(counted) == [2, 3]
 
 
 # -- packed exponent bound ----------------------------------------------------

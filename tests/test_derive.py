@@ -207,5 +207,6 @@ def test_derive_corollary_shares_the_catalog_records_sides_and_memo():
     # n = 0..8: the two sides at each n (18); the left sum's weight
     # (n-k-1)(1-2^(n-k)) B_(n-k) at each j = n-k = 0..8 (9); its operand
     # of n-k, D^j, at the j where the weight is not 0, j = 2, 4, 6, 8
-    # (4); and its operand of k at k = n-j, so k = 0..6 (7)
-    assert sizes == [38, 38, 38]
+    # (4); its operand of k at k = n-j, so k = 0..6 (7); and phi_k,
+    # which the context keeps per k, at those k (7)
+    assert sizes == [45, 45, 45]

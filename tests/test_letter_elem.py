@@ -14,9 +14,11 @@ from fractions import Fraction
 
 import pytest
 
+from convcheck import arith
 from convcheck.arith import MultiPoly, ProductSum, binomial
 from convcheck.identities import (
     Context,
+    core,
     eval_convolution_sum,
     get_record,
     run_record,
@@ -25,6 +27,8 @@ from convcheck.identities import (
 from convcheck.identities.catalog import register_catalog
 from convcheck.identities.core import LetterElem
 from convcheck.quadext import QuadExtElem
+from convcheck.report import run_records
+from convcheck.symfun import sym_ehp
 
 X1, X2, X = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("x")
 Y, T = MultiPoly.var("y"), MultiPoly.var("t")
@@ -128,23 +132,88 @@ def test_embedding_reads_a_polynomial_in_the_letters():
         ctx.u / ctx.v
 
 
-def test_t4_to_32_forms_few_coefficient_products(monkeypatch):
-    # in Sig and D the factor D^(n-k) is one term and (Sig + xD)^(n-1)
-    # n terms; over the letters x1, x2 these sums formed 540,578 products
-    products = 0
+@pytest.fixture
+def products(monkeypatch):
+    """A count of the coefficient products ProductSum.add forms from
+    here on, with no binding's powers kept from earlier substitutions."""
+    count = [0]
     add = ProductSum.add
 
     def counted(self, num, den, p, q):
-        nonlocal products
         if num:
-            products += len(p.terms) * len(q.terms)
+            count[0] += len(p.terms) * len(q.terms)
         add(self, num, den, p, q)
 
     monkeypatch.setattr(ProductSum, "add", counted)
+    arith._powers.cache_clear()
+    return count
+
+
+def test_t4_to_32_forms_few_coefficient_products(products):
+    # in Sig and D the factor D^(n-k) is one term and (Sig + xD)^(n-1)
+    # n terms; over the letters x1, x2 these sums formed 540,578 products
     ctx = Context("indeterminate")
     for key in ("T4.1:as_printed", "T4.2:as_printed", "T4.3:as_printed"):
         assert all(v.passed for v in run_record(get_record(key), (0, 32), ctx))
-    assert 0 < products <= 100_000
+    assert 0 < products[0] <= 100_000
+
+
+@pytest.mark.parametrize("ring", ("indeterminate",) + ROOT_RINGS)
+def test_the_closed_forms_match_the_products(ring):
+    # u^j, v^j, phi_j and S_j are built with no product, from Sig and D
+    ctx = Context(ring)
+    for j in range(41):
+        assert ctx.power(ctx.u, j) == ctx.u ** j and ctx.power(ctx.v, j) == ctx.v ** j
+        assert ctx.phi(j) == ctx.u ** j + ctx.v ** j
+        assert ctx.S(j) == sym_ehp("h", j, ctx.u, ctx.v)
+    assert ctx.power(ctx.u, 7) is ctx.power(ctx.u + 0, 7)
+    assert ctx.S(-1) == 0
+
+
+@pytest.mark.parametrize("letters, refused", [
+    ((X1, X2 + 1), r"Sig = x1 \+ 1 is not one term"),
+    ((X1 + X, X2 - X), r"D = x2 \+ 2\*x is not one term"),
+    ((X1 + X2, 0), "Sig = x1 and D = x1 are one monomial"),
+], ids=["sig", "d", "one-monomial"])
+def test_a_chart_whose_sig_or_d_is_not_one_term_is_refused(monkeypatch, letters, refused):
+    # the closed forms need Sig = u + v and D = u - v to be one term
+    # each, in two monomials
+    chart = type(core._LETTERS)()
+    chart.letters = letters
+    monkeypatch.setattr(core, "_chart", lambda ring: chart)
+    with pytest.raises(ValueError, match=refused):
+        Context("indeterminate")
+
+
+def test_r1_forms_few_coefficient_products(products):
+    # h_j and p_j take one step of products per j, and S_j and phi_j none;
+    # building h_n(u, v) and p_n(u, v) anew at each n, and S_j and phi_j
+    # from dense letter powers, formed about 61,500 products
+    ctx = Context("indeterminate")
+    for rec in register_catalog():
+        if rec.ident.startswith("R1."):
+            run_record(rec, (0, 40), ctx)
+    assert 0 < products[0] <= 8_000
+
+
+def test_binet_forms_few_coefficient_products(products):
+    # the letters' powers are closed forms, and the root chart's lift of
+    # each F_j, L_j, B*_j and C_j reuses the powers of its image of t;
+    # building both by products formed about 39,350
+    contexts = {}
+    for rec in register_catalog():
+        if rec.ident.startswith("BINET."):
+            run_record(rec, (0, 30), contexts.setdefault(rec.ring, Context(rec.ring)))
+    assert 0 < products[0] <= 12_000
+
+
+def test_verify_all_forms_few_coefficient_products(products, monkeypatch):
+    # the whole catalog as verify --all runs it, in fresh contexts;
+    # 381,150 in a fresh process before the closed forms and the shared
+    # binding powers
+    monkeypatch.setattr(core, "_CONTEXTS", {})
+    run_records(register_catalog())
+    assert 0 < products[0] <= 300_000
 
 
 # ---------------------------------------------------------------------------
@@ -256,22 +325,12 @@ def test_elements_of_two_rings_do_not_mix():
     assert fib.x != bal.x and generic.one != fib.one
 
 
-def test_root_ring_c4_forms_few_coefficient_products(monkeypatch):
+def test_root_ring_c4_forms_few_coefficient_products(products):
     # in x, y and D the factor D^(n-k) is one term; as a + b*sqrt(d) it
     # was dense in y and t, and these checks formed 221,379 products
-    products = 0
-    add = ProductSum.add
-
-    def counted(self, num, den, p, q):
-        nonlocal products
-        if num:
-            products += len(p.terms) * len(q.terms)
-        add(self, num, den, p, q)
-
-    monkeypatch.setattr(ProductSum, "add", counted)
     contexts = {}
     for rec in register_catalog():
         if rec.ident.startswith("C4."):
             run_record(rec, None, contexts.setdefault(rec.ring, Context(rec.ring)))
     assert sorted(contexts) == sorted(ROOT_RINGS)
-    assert 0 < products <= 100_000
+    assert 0 < products[0] <= 100_000

@@ -337,6 +337,30 @@ def test_a_bad_summand_is_refused_where_the_anchor_is_read():
         f"anchor {anchor!r} at position 4: a summand factor must read k alone or n-k alone")
 
 
+@pytest.mark.parametrize("anchor, at", [
+    ("S_n = h_n(u, k)", 9),
+    ("phi_n = p_n(n u, v)", 11),
+    ("S_n = h_(n-1)(u + v^(n-1), v)", 13),
+])
+def test_the_letters_of_a_basis_must_read_no_index(anchor, at):
+    # h_j(a, b) and p_j(a, b) keep one state per j, the same at every n;
+    # the refusal points at the letters' parenthesis
+    with pytest.raises(ValueError) as info:
+        read_anchor(anchor, "indeterminate", 0)
+    assert str(info.value) == (
+        f"anchor {anchor!r} at position {at}: "
+        "the letters of h_j(a, b) and p_j(a, b) must read no index")
+
+
+def test_a_basis_at_a_negative_index_is_refused():
+    rec = read_anchor("S_(n-1) = h_(n-1)(u, v)", "indeterminate", 0)
+    ctx = Context("indeterminate")
+    assert rec.lhs(ctx, 0) == 0
+    with pytest.raises(ValueError, match=r"^h_j/p_j: index must be non-negative, got -1$"):
+        rec.rhs(ctx, 0)
+    assert rec.rhs(ctx, 3) == ctx.S(2)
+
+
 @pytest.mark.parametrize("anchor", [
     "sum C(n,k) k = n 2^(n-1)",
     "sum C(n,k) 2^k phi_(n-k) = (2+u)^n + (2+v)^n",

@@ -114,10 +114,6 @@ def test_kind_and_index_validation():
     with pytest.raises(ValueError):
         bivariate_sequence("pell", 3)
     with pytest.raises(ValueError):
-        bivariate_sequence("fibonacci", -1)
-    with pytest.raises(ValueError):
-        bernoulli_number(-1)
-    with pytest.raises(ValueError):
         number_polynomial("tangent", 2)
 
 
