@@ -16,12 +16,14 @@ for the ``*_poly`` kinds, ``y`` and ``t`` for ``biv_*``), an ``--id``
 that the ``--variant`` filter leaves without a record, a ``--max-n``
 below the first index of every selected record, or an ``--out`` file
 that cannot be written.  A record whose capped range holds no index is
-reported as skipped, never as a pass.
+reported as skipped, never as a pass.  ``compute`` and ``series`` print
+every value whole, however many digits it has.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from typing import List, Optional
@@ -88,6 +90,25 @@ def _emit(doc: str, out: Optional[str]) -> bool:
         print(f"cannot write {out}: {exc.strerror}", file=sys.stderr)
         return False
     return True
+
+
+@contextlib.contextmanager
+def _all_digits():
+    """Format integers of any length inside the block.  Python limits
+    int -> str conversion to 4,300 digits by default, a guard against
+    parsing untrusted text; for a value convcheck computed it would only
+    stop the value from being printed (E_2000 has 5,344 digits).  The
+    process's limit is restored after the block."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:  # a Python without the limit
+        yield
+        return
+    limit = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _check_and_emit(args: argparse.Namespace, ids: Optional[List[str]]) -> int:
@@ -165,7 +186,9 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    print(value)
+    with _all_digits():
+        text = str(value)
+    print(text)
     return 0
 
 
@@ -174,8 +197,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
         print(f"order must be non-negative, got {args.order}", file=sys.stderr)
         return 2
     series = egf_special(args.which, args.order)
-    for n, coeff in enumerate(series.coeffs):
-        print(f"{n}: {coeff}")
+    with _all_digits():
+        text = "".join(f"{n}: {coeff}\n" for n, coeff in enumerate(series.coeffs))
+    sys.stdout.write(text)
     return 0
 
 

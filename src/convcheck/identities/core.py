@@ -23,11 +23,18 @@ term with no product (:meth:`Context.power`, :meth:`Context.S`,
 and p_j formed by products (:mod:`convcheck.symfun`), and BINET checks
 the letters' powers against the embedded sequence values.
 Because both sides are written against the context interface, the same
-record can be evaluated in any ring -- that is how a generic identity
-yields its family-specific corollary.  Each ring's evaluation is
-checked on its own; that the root-ring sides are the images of the
-generic ones under the substitution of the roots for the letters is
-not checked yet.
+record can be evaluated in any ring.  A generic identity yields its
+family-specific corollary by the ring map φ that puts the roots in
+place of the letters: it sends the generic Sig (slot x1) to the root
+ring's Sig, y or 6y, fixes D and x, and relabels each term with no
+product (:meth:`Context.from_generic`).  In the shared context of a
+root ring (:func:`get_context`), a side whose tree reads no root-only
+symbol is φ of its generic value where the shared generic context
+already holds that value, so a derived corollary's sides are φ of its
+theorem's.  Since x1 -> c*y is injective, such a
+corollary passes at n exactly when its theorem does; its value as a
+check is the cross-check of the root charts, which a test runs by
+comparing φ with direct root-ring evaluation of every derived side.
 
 A check never approximates: for each n the difference of the two sides
 is computed as a canonical element, and the verdict is pass iff it is
@@ -43,7 +50,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
-from ..arith import MAX_EXP, MultiPoly, ProductSum, _overflow
+from ..arith import MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _index, _overflow
 from ..quadext import QuadExtElem, RootPair, make_root_pair
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
@@ -206,6 +213,12 @@ def _form_bindings(chart: _RootChart, point: tuple) -> Dict[str, MultiPoly]:
 
 
 _LETTERS = _LetterChart()
+# the generic ring's Sig as a packed key (slot x1) and the shift of its
+# exponent field; the variables that Context.from_generic does not fix,
+# and their exponent fields
+_SIG_KEY, _SIG_SHIFT = _VAR_KEYS[_index("x1")], _SHIFTS[_index("x1")]
+NOT_FIXED_BY_PHI = ("y", "t")
+_NOT_FIXED_FIELDS = sum(MAX_EXP << _SHIFTS[_index(name)] for name in NOT_FIXED_BY_PHI)
 
 
 @functools.lru_cache(maxsize=None)
@@ -368,14 +381,17 @@ def _closed_phi(ctx: "Context", j: int) -> LetterElem:
     return ctx._binomial_sum(j, ((i, 2 * math.comb(j, i)) for i in range(0, j + 1, 2)), 2 ** j)
 
 
-def _one_term(name: str, elem: LetterElem) -> Tuple[int, int, int, int]:
-    """(key, numerator, denominator, degree) of an element that is one
-    term in its ring's coordinates, as Sig and D are in every chart."""
+def _one_term(name: str, elem: LetterElem) -> Tuple[int, int, int]:
+    """(key, coefficient, degree) of an element that is one term with an
+    integer coefficient in its ring's coordinates, as Sig and D are in
+    every chart."""
     poly = elem.poly
     if len(poly._terms) != 1:
         raise ValueError(f"{name} = {poly} is not one term in the ring's coordinates")
+    if poly._den != 1:
+        raise ValueError(f"{name} = {poly} has a denominator in the ring's coordinates")
     (key, num), = poly._terms.items()
-    return key, num, poly._den, poly.total_degree()
+    return key, num, poly.total_degree()
 
 
 class Context:
@@ -421,16 +437,43 @@ class Context:
 
     def _binomial_sum(self, j: int, weights, den: int) -> LetterElem:
         """The sum of w Sig^(j-i) D^i / den over the (i, w) of
-        ``weights``, built term by term: Sig and D are one term each, so
-        Sig^(j-i) D^i is the one term of key (j-i) key(Sig) + i key(D).
+        ``weights``, built term by term: Sig and D are one term each, with
+        an integer coefficient, so Sig^(j-i) D^i is the one term of key
+        (j-i) key(Sig) + i key(D).
         The degree bound of the arith module is checked first."""
-        (ks, sn, sd, sdeg), (kd, dn, dd, ddeg) = self._sig_d
+        (ks, sn, sdeg), (kd, dn, ddeg) = self._sig_d
         deg = j * max(sdeg, ddeg)
         if deg > MAX_EXP:
             raise _overflow(deg)
-        terms = {ks * (j - i) + kd * i: w * (sn * dd) ** (j - i) * (dn * sd) ** i
-                 for i, w in weights}
-        return LetterElem(MultiPoly._reduced(terms, den * (sd * dd) ** j, deg), self.chart)
+        terms = {ks * (j - i) + kd * i: w * sn ** (j - i) * dn ** i for i, w in weights}
+        return LetterElem(MultiPoly._reduced(terms, den, deg), self.chart)
+
+    def from_generic(self, value):
+        """φ(value), for φ: Q[Sig, D, x] -> this ring the ring map
+        that sends the generic ring's Sig (slot x1) to this ring's Sig,
+        and fixes D (slot x2 in every chart), x and the scalars.
+
+        Like :meth:`_binomial_sum`, it is built term by term with no
+        product: this ring's Sig is an integer times one variable (y or
+        6y in a root ring) and its D is x2, so Sig^e1 D^e2 x^e is the one
+        term of key e1 key(Sig) + e2 key(D) + e key(x), of the same
+        degree, scaled by coeff(Sig)^e1.  No chart is otherwise, and the
+        test that compares φ with direct root-ring evaluation of every
+        derived side would fail on one that was.  A scalar is its own
+        image.  The generic value of a tree reading y or t is not in φ's
+        domain, and such a value raises ValueError."""
+        if type(value) is not LetterElem:
+            return value
+        (ks, sn, _), _ = self._sig_d
+        poly = value.poly
+        relabel = ks - _SIG_KEY
+        terms = {}
+        for key, c in poly._terms.items():
+            if key & _NOT_FIXED_FIELDS:
+                raise ValueError(f"{value} reads y or t, which φ does not fix")
+            e1 = (key >> _SIG_SHIFT) & MAX_EXP
+            terms[key + e1 * relabel] = c * sn ** e1
+        return LetterElem(MultiPoly._reduced(terms, poly._den, poly._deg), self.chart)
 
     def S(self, j: int):
         """Complete homogeneous sum h_j(u, v) of degree j in the letters;

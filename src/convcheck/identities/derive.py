@@ -16,10 +16,17 @@ printed one:
   ``C(m,k) X(m+2,k)/(m-k+2)`` for k <= m, and the two boundary summands
   k = m+1, m+2 move to the right side.
 
-* :func:`derive_corollary` -- evaluate a generic-ring entry with the
+* :func:`derive_corollary` -- state a generic-ring entry with the
   letters bound to the conjugate roots of a recurrence family.  The
-  entry's side callables are ring-generic, so the "substitution" is
-  nothing more than running them in the root context.
+  entry shares its theorem's side callables, and in the root ring each
+  side is φ of the theorem's generic value, φ being the ring map
+  that puts the roots in place of the letters
+  (:meth:`~convcheck.identities.core.Context.from_generic`); a side is
+  evaluated directly only when the theorem's value is not at hand.  As
+  φ is injective, a derived corollary passes at n exactly when its
+  theorem does: it restates the theorem in root coordinates, and its
+  value as a check is the cross-check of the root charts, run by a
+  test that compares φ with direct root-ring evaluation.
 
 The corrected variants of the false printed statements are assembled
 here from the true entries they should have followed from.
@@ -162,8 +169,7 @@ def _corollary_from(src: IdentityRecord, family: str) -> IdentityRecord:
 
 
 def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
-    """Family form of a generic catalog entry, by evaluation over the
-    root letters.
+    """Family form of a generic catalog entry, over the root letters.
 
     The returned entry states its source's statement in the family's
     root ring, where ``u``/``v`` are the conjugate roots, ``D`` their
@@ -185,7 +191,7 @@ def derive_corollary(theorem_ident: str, family: str) -> IdentityRecord:
 def derived_corollary_records(
     theorems: List[IdentityRecord], corrected: List[IdentityRecord]
 ) -> List[IdentityRecord]:
-    """Every theorem evaluated over both root families, in catalog order,
+    """Every theorem stated over both root families, in catalog order,
     each from the ``corrected`` variant of its source in ``theorems``
     where one exists."""
     sources = {r.ident: r for r in theorems + corrected}

@@ -108,6 +108,7 @@ from ..arith import binomial
 from ..quadext import FAMILIES
 from ..sequences import bernoulli_number, euler_number, genocchi_number
 from ..symfun import ehp_step
+from . import core
 from .core import (
     Context,
     SideFn,
@@ -624,12 +625,47 @@ def _compile(node) -> Eval:
     return _sum(node[1], node[2])
 
 
+# symbols whose generic value is not carried to a root ring by the map
+# of Context.from_generic: the variables it does not fix (y and t), and
+# d and the family sequences, which the generic ring does not have
+_ROOT_ONLY_SYMBOLS = core.NOT_FIXED_BY_PHI + ("d",)
+_ROOT_ONLY_SEQUENCES = ("F_", "L_", "B*_", "C_")
+
+
+def _reads_root_only(node) -> bool:
+    if node[0] == "sym":
+        return node[1] in _ROOT_ONLY_SYMBOLS
+    if node[0] == "seq" and node[1] in _ROOT_ONLY_SEQUENCES:
+        return True
+    return any(_reads_root_only(c) for c in node if isinstance(c, tuple))
+
+
 @functools.lru_cache(maxsize=None)
 def _side(node) -> SideFn:
     """side(ctx, n) of a side tree.  Equal trees share one callable, and
-    so one ``Context.memo`` entry per n, whichever records state them."""
+    so one ``Context.memo`` entry per n, whichever records state them.
+
+    In the shared context of a root ring (:func:`get_context`), a tree
+    that reads no root-only symbol (y, t, d, ``F_``, ``L_``, ``B*_``,
+    ``C_``) takes its value at n from the shared generic context's memo,
+    through the ring map :meth:`Context.from_generic`, when that memo
+    holds it; it is evaluated directly otherwise, and always in a
+    context a caller made itself.  The map sends the letters to the
+    roots and every symbol such a tree reads to its root-ring value, so
+    both routes give one element.  A derived corollary states its
+    theorem's trees, so it takes its sides from the theorem's run."""
     ev = _compile(node)
-    return lambda ctx, n: ev(ctx, n, 0)
+    transported = not _reads_root_only(node)
+
+    def side(ctx, n):
+        if transported and ctx.family is not None and core._CONTEXTS.get(ctx.ring) is ctx:
+            generic = core._CONTEXTS.get("indeterminate")
+            value = None if generic is None else generic._memo.get((side, n))
+            if value is not None:
+                return ctx.from_generic(value)
+        return ev(ctx, n, 0)
+
+    return side
 
 
 Statement = Tuple[Any, Any]  # the two side trees of an equation

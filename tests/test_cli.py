@@ -112,6 +112,25 @@ def test_compute_at_point():
     assert (result.returncode, result.stdout.strip()) == (0, "2")
 
 
+def test_compute_prints_a_value_past_the_int_string_limit(capsys):
+    # E_2000 has 5,344 digits, more than Python's default limit of 4,300
+    # on int -> str conversion; the value is printed whole, exit 0, and
+    # the process's limit is left as it was
+    from convcheck.sequences import euler_number
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    assert cli.main(["compute", "euler", "2000"]) == 0
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    text = capsys.readouterr().out.strip()
+    assert len(text) == 5344 and text.isdigit()
+    # read back in chunks that each stay under the limit
+    value = 0
+    for i in range(0, len(text), 1000):
+        chunk = text[i:i + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == euler_number(2000)
+
+
 def test_compute_negative_index_exits_2():
     result = run_cli("compute", "bernoulli", "-1")
     assert result.returncode == 2

@@ -10,6 +10,7 @@ from convcheck.identities import (
     THEOREM_TO_COROLLARY,
     Context,
     convert_genocchi_to_bernoulli,
+    core,
     derive_corollary,
     get_context,
     get_record,
@@ -17,7 +18,11 @@ from convcheck.identities import (
     reindex_shift_two,
     run_record,
 )
+from convcheck.identities import notation
 from convcheck.identities.theorems import theorem_records
+from convcheck.report import run_records
+
+ROOT_RINGS = ("fibonacci-roots", "balancing-roots")
 
 
 def printed_theorems():
@@ -193,20 +198,95 @@ def test_corollaries_share_the_sides_of_the_catalog_records_they_descend_from():
             assert getattr(rec, name) is getattr(src, name), (cid, name)
 
 
-def test_derive_corollary_shares_the_catalog_records_sides_and_memo():
+def test_derive_corollary_shares_the_catalog_records_sides_and_memo(monkeypatch):
     # derive_corollary descends from the catalog's own records, so each
-    # call gives the catalog corollary's sides and no new memo entry
+    # call gives the catalog corollary's sides and no new memo entry;
+    # with no shared generic context the sides are evaluated directly
+    monkeypatch.setattr(core, "_CONTEXTS", {})
     rec = get_record("C3.5b:corrected")
-    ctx = Context(rec.ring)
-    sizes = []
-    for got in (rec, derive_corollary("T3.5b", "fibonacci"), derive_corollary("T3.5b", "fibonacci")):
-        assert got == rec
-        assert got.lhs is rec.lhs and got.rhs is rec.rhs
-        run_record(got, (0, 8), ctx)
-        sizes.append(len(ctx._memo))
+
+    def memo_sizes():
+        ctx = get_context(rec.ring)
+        sizes = []
+        for got in (rec, derive_corollary("T3.5b", "fibonacci"), derive_corollary("T3.5b", "fibonacci")):
+            assert got == rec
+            assert got.lhs is rec.lhs and got.rhs is rec.rhs
+            run_record(got, (0, 8), ctx)
+            sizes.append(len(ctx._memo))
+        return sizes
+
     # n = 0..8: the two sides at each n (18); the left sum's weight
     # (n-k-1)(1-2^(n-k)) B_(n-k) at each j = n-k = 0..8 (9); its operand
     # of n-k, D^j, at the j where the weight is not 0, j = 2, 4, 6, 8
     # (4); its operand of k at k = n-j, so k = 0..6 (7); and phi_k,
     # which the context keeps per k, at those k (7)
-    assert sizes == [45, 45, 45]
+    assert memo_sizes() == [45, 45, 45]
+    # once the theorem ran in the shared generic context, each side of a
+    # fresh shared root context is the image of its generic memo entry,
+    # and nothing else is kept
+    monkeypatch.setattr(core, "_CONTEXTS", {})
+    run_record(get_record("T3.5b:corrected"), (0, 8))
+    assert memo_sizes() == [18, 18, 18]
+    # a context a caller made itself evaluates its sides directly
+    ctx = Context(rec.ring)
+    run_record(rec, (0, 8), ctx)
+    assert len(ctx._memo) == 45
+
+
+# ---------------------------------------------------------------------------
+# a derived corollary's sides are the images of its theorem's
+# ---------------------------------------------------------------------------
+
+
+def derived_records():
+    """The 38 derived corollaries, as the catalog states them."""
+    return [r for r in register_catalog()
+            if r.variant == "corrected" and r.ident in COROLLARY_TO_THEOREM]
+
+
+def test_the_map_from_the_generic_ring_is_direct_root_ring_evaluation():
+    # phi(generic side) against the side evaluated in the root ring, for
+    # both sides of the 38 derived corollaries over their full ranges;
+    # every context is fresh, so the two routes share no memo entry
+    generic = Context("indeterminate")
+    roots = {ring: (Context(ring), Context(ring)) for ring in ROOT_RINGS}
+    checked, wrong = 0, set()
+    for rec in derived_records():
+        image_ctx, direct_ctx = roots[rec.ring]
+        for tree in rec.statement:
+            ev = notation._compile(tree)
+            for n in range(rec.lo, rec.hi + 1):
+                image = image_ctx.from_generic(ev(generic, n, 0))
+                if image != ev(direct_ctx, n, 0):
+                    wrong.add(rec.key)
+                checked += 1
+    assert checked == 1596
+    assert not wrong, sorted(wrong)
+
+
+def test_the_map_refuses_a_value_that_reads_y_or_t():
+    generic, fib = Context("indeterminate"), Context("fibonacci-roots")
+    for value in (generic.y, generic.Sig * generic.t):
+        with pytest.raises(ValueError, match="reads y or t"):
+            fib.from_generic(value)
+    assert fib.from_generic(Rational(2, 3)) == Rational(2, 3)
+    assert fib.from_generic(generic.u * generic.v) == fib.Prod
+
+
+def test_a_catalog_run_takes_every_derived_side_from_its_theorem(monkeypatch):
+    # verify --all runs each theorem before its corollaries, so all 1,596
+    # derived side values are images of generic memo entries
+    monkeypatch.setattr(core, "_CONTEXTS", {})
+    images = []
+    from_generic = Context.from_generic
+
+    def counted(ctx, value):
+        images.append(ctx.ring)
+        return from_generic(ctx, value)
+
+    monkeypatch.setattr(Context, "from_generic", counted)
+    rows = run_records(register_catalog())
+    assert len(images) == 1596
+    assert sorted(set(images)) == sorted(ROOT_RINGS)
+    derived = {rec.key for rec in derived_records()}
+    assert all(row.status == "pass" for row in rows if row.record.key in derived)

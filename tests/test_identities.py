@@ -26,6 +26,7 @@ from convcheck.identities import (
     run_record_substituted,
     substitute_value,
 )
+from convcheck.identities.notation import read_anchor
 from convcheck.sequences import bivariate_sequence, number_polynomial
 
 # ---------------------------------------------------------------------------
@@ -202,6 +203,31 @@ def test_parity_restriction_equivalence_for_parity_records():
         assert rec.parity
         verdicts = parity_restriction_equivalence(rec, (0, 12))
         assert all(v.passed for v in verdicts), ident
+
+
+PARITY_RECORDS = [r for r in register_catalog() if r.companion is not None]
+
+
+def test_the_catalog_has_twelve_parity_records():
+    assert len(PARITY_RECORDS) == 12 and all(rec.parity for rec in PARITY_RECORDS)
+
+
+@pytest.mark.parametrize("rec", PARITY_RECORDS, ids=lambda rec: rec.key)
+def test_a_wrong_companion_fails_the_parity_check(rec):
+    # the companion's first term with its sign flipped is not the closed
+    # form of the full sum, so the check must fail at some n
+    wrong = rec.replace(companion="-" + rec.companion)
+    verdicts = parity_restriction_equivalence(wrong, (0, 8))
+    assert not all(v.passed for v in verdicts), rec.key
+
+
+@pytest.mark.parametrize("rec", PARITY_RECORDS, ids=lambda rec: rec.key)
+def test_the_unrestricted_left_side_is_the_full_sum(rec):
+    # the record's own sum over every k, read from its anchor, not the
+    # companion's closed form; equal trees share one callable
+    full = read_anchor(rec.anchor.replace("sum[n=k(2)]", "sum", 1), rec.ring, rec.lo)
+    assert not full.parity
+    assert rec.unrestricted_lhs is full.lhs is not rec.unrestricted_rhs
 
 
 def test_parity_equivalence_skips_records_without_companion():

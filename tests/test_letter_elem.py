@@ -11,6 +11,7 @@ QuadExtElem's own arithmetic as the reference.
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -174,10 +175,12 @@ def test_the_closed_forms_match_the_products(ring):
     ((X1, X2 + 1), r"Sig = x1 \+ 1 is not one term"),
     ((X1 + X, X2 - X), r"D = x2 \+ 2\*x is not one term"),
     ((X1 + X2, 0), "Sig = x1 and D = x1 are one monomial"),
-], ids=["sig", "d", "one-monomial"])
+    ((X1 / 2, X2 / 2), r"Sig = 1/2\*x1 has a denominator"),
+], ids=["sig", "d", "one-monomial", "denominator"])
 def test_a_chart_whose_sig_or_d_is_not_one_term_is_refused(monkeypatch, letters, refused):
-    # the closed forms need Sig = u + v and D = u - v to be one term
-    # each, in two monomials
+    # the closed forms and the map from the generic ring need Sig = u + v
+    # and D = u - v to be one term each, in two monomials, with an
+    # integer coefficient
     chart = type(core._LETTERS)()
     chart.letters = letters
     monkeypatch.setattr(core, "_chart", lambda ring: chart)
@@ -260,6 +263,16 @@ def test_the_chart_pins_d_in_slot_x2(ring):
     assert seen(ctx.D, pair.lam1 - pair.lam2) and seen(ctx.t, QuadExtElem(T, 0, pair.disc))
     assert seen(ctx.delta, QuadExtElem(0, 1, pair.disc))
     assert len(ctx.power(ctx.D, 9).poly.terms) == 1
+
+
+@pytest.mark.parametrize("disc", [Y * Y + 4 * T + T * T, Y * Y, X1 + 4 * T],
+                         ids=["quadratic-in-t", "no-t", "reads-x1"])
+def test_a_discriminant_not_linear_in_t_is_refused(disc):
+    # t is read off d = alpha*t + r(y) only where alpha is a nonzero
+    # constant and r reads no t, x1 or x2
+    pair = SimpleNamespace(disc=SimpleNamespace(poly=disc), diff_scale=1, family="made-up")
+    with pytest.raises(ValueError, match=r"is not alpha\*t \+ r\(x, y\)"):
+        core._RootChart(pair)
 
 
 @pytest.mark.parametrize("ring", ROOT_RINGS)
