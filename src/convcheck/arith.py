@@ -33,9 +33,9 @@ Every polynomial product is formed by :class:`ProductSum`: a sum of
 products Σ s·p·q goes into one integer accumulator, with no
 intermediate polynomial per product (the same idea as the one-pass
 division f − Σ q·g of Monagan & Pearce).  ``p * q`` is the sum of the
-one product p·q, and a substitution adds each term's product with its
-polynomial bindings' powers, so every product passes the one degree
-guard above, in :meth:`ProductSum.add`.
+one product p·q, and a substitution adds the terms that share their
+bound variables' exponents times those bindings' powers, so every
+product passes the one degree guard above, in :meth:`ProductSum.add`.
 
 Conventions baked in here and relied on everywhere above:
 
@@ -228,24 +228,6 @@ class MultiPoly:
         shift = _SHIFTS[_index(name)]
         return max(((k >> shift) & MAX_EXP for k in self._terms), default=0)
 
-    def even_odd(self, name: str) -> Tuple["MultiPoly", "MultiPoly"]:
-        """(E, O) with self = E(v^2) + v*O(v^2) for the variable v =
-        ``name``: E and O are written with v standing for v^2."""
-        i = _index(name)
-        shift, unit = _SHIFTS[i], _VAR_KEYS[i]
-        even: Dict[int, int] = {}
-        odd: Dict[int, int] = {}
-        for key, c in self._terms.items():
-            # v^e becomes v^(e//2); the key's degree field follows, as
-            # every unit key carries one degree
-            e = (key >> shift) & MAX_EXP
-            if e & 1:
-                odd[key - ((e + 1) >> 1) * unit] = c
-            else:
-                even[key - (e >> 1) * unit] = c
-        return (MultiPoly._reduced(even, self._den, self._deg),
-                MultiPoly._reduced(odd, self._den, self._deg))
-
     # -- arithmetic ------------------------------------------------------
 
     def __bool__(self) -> bool:
@@ -362,83 +344,145 @@ class MultiPoly:
 
         Unbound variables are left alone.  The pass is simultaneous: a
         binding's value is never re-substituted, so binding x to x+1 is
-        well-defined.  Scalar bindings are applied term by term; a term
-        that reads a polynomial-bound variable is the product of its
-        remaining monomial and its bindings' powers, formed, as every
-        product is, by :meth:`ProductSum.add`.  A binding's powers are
-        shared by every call that binds an equal polynomial (a bounded
-        cache), so each is formed once, from the one below it.
+        well-defined.  The terms with the same exponents of the bound
+        variables share one scalar factor and one product of polynomial
+        bindings' powers, worked out once; the terms whose product is
+        not 1 are multiplied by it, as every product is, by
+        :meth:`ProductSum.add`.  A binding's powers are shared by every
+        call that binds an equal polynomial (a bounded cache), so each is
+        formed once, from the one below it.
         """
-        # a scalar binding, or one to a constant polynomial, is read as
-        # its num/den; the others are polynomial bindings
-        scalars, polys = [], []
-        for name, value in bindings.items():
-            i = _VAR_INDEX.get(name)
-            if i is None:
-                raise ValueError(f"unknown variable {name!r} in substitution")
-            if not isinstance(value, MultiPoly):
-                scalars.append((i, *num_den(value)))
-            elif value.is_constant():
-                scalars.append((i, value._terms.get(0, 0), value._den))
-            else:
-                polys.append((_SHIFTS[i], _VAR_KEYS[i], value))
+        scalars, polys = _bind(bindings)
         if not bindings or not self._terms:
             return self
-        # a variable bound to num/den multiplies a term of exponent e by
-        # num^e·den^(top-e), which puts every term over the common
-        # denominator ∏ den^top, where top bounds the variable's own
-        # exponents: the smaller of the total degree (the largest key's
-        # top field) and the variable's field of all keys OR'd together,
-        # which is 0 for a variable the polynomial does not read
-        if scalars:
-            total = max(self._terms) >> _DEG_SHIFT
-            seen = functools.reduce(operator.or_, self._terms)
-        rows = []
-        den = self._den
-        for i, num_i, den_i in scalars:
-            top = min(total, (seen >> _SHIFTS[i]) & MAX_EXP)
-            row = _power_row(num_i, den_i, top)
-            rows.append((_SHIFTS[i], _VAR_KEYS[i], row))
-            den *= row[0]
-        # a term that reads no polynomial-bound variable goes straight
-        # into the integer numerators over den; the accumulator then
-        # starts from those, so each product added to it may rescale them
-        out: Dict[int, int] = {}
-        get = out.get
-        products = []
-        deg = 0
-        for key, c in self._terms.items():
-            for shift, unit, row in rows:
-                e = (key >> shift) & MAX_EXP
-                if e:
-                    key -= e * unit
-                c *= row[e]
-            if not c:
-                continue
-            factor = None
-            for shift, unit, value in polys:
-                e = (key >> shift) & MAX_EXP
-                if e:
-                    key -= e * unit
-                    piece = _power(value, e)
-                    factor = piece if factor is None else factor * piece
-            rdeg = key >> _DEG_SHIFT
-            if factor is None:
-                out[key] = get(key, 0) + c
-                if rdeg > deg:
-                    deg = rdeg
-            else:
-                products.append((c, MultiPoly._raw({key: 1}, 1, rdeg), factor))
-        acc = ProductSum(out, den, deg)
-        for c, monomial, factor in products:
-            acc.add(c, den, monomial, factor)
-        return acc.value()
+        return _substitute(self, scalars, polys)[0]
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"MultiPoly({format_poly(self)})"
+
+
+def _bind(bindings: Mapping[str, "MultiPoly | Scalar"]) -> Tuple[list, list]:
+    """The bindings of a substitution, read once: (index, num, den) for a
+    variable bound to a scalar or a constant polynomial, (index, value)
+    for one bound to any other polynomial."""
+    scalars, polys = [], []
+    for name, value in bindings.items():
+        i = _VAR_INDEX.get(name)
+        if i is None:
+            raise ValueError(f"unknown variable {name!r} in substitution")
+        if not isinstance(value, MultiPoly):
+            scalars.append((i, *num_den(value)))
+        elif value.is_constant():
+            scalars.append((i, value._terms.get(0, 0), value._den))
+        else:
+            polys.append((i, value))
+    return scalars, polys
+
+
+def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List[MultiPoly]:
+    """poly with the bindings read by :func:`_bind`, in one pass over its
+    terms: [the image].  With ``split`` = (i, square, scale), square a
+    polynomial and scale a scalar, the variable v of index i is bound
+    through its square and its exponent e routes each term: v^e becomes
+    square^(e // 2) and the term goes to half e % 2, so the result is
+    [E, scale*O] with poly = E + v*O at v^2 = square.
+
+    A term's image is c * factor * x^(key - sub) * pfactor, where the
+    integer factor, the key ``sub`` of the bound variables and the
+    product ``pfactor`` of their polynomial bindings' powers depend only
+    on the bound variables' exponents, the term's *pattern*.  So they
+    are worked out once per pattern, and each term costs one lookup.
+    The terms of a pattern with a polynomial factor are gathered into
+    one polynomial, which one :meth:`ProductSum.add` multiplies by it.
+    """
+    terms = poly._terms
+    halves = 1 if split is None else 2
+    if not terms:
+        return [poly] * halves
+    # each bound variable the polynomial reads has a row, the integer
+    # factor of a term of exponent e at index e, and leaves the key.  A
+    # variable bound to num/den multiplies the term by num^e·den^(top-e),
+    # which puts every term over the common denominator ∏ den^top, where
+    # top bounds the variable's own exponents: the smaller of the total
+    # degree (the largest key's top field) and the variable's field of
+    # all keys OR'd together, which is 0 for a variable the polynomial
+    # does not read.  A variable bound to a polynomial has a row of 1s
+    # and a power of its value for the polynomial factor; the split
+    # variable's row is read through its square (see _split_row).
+    total = max(terms) >> _DEG_SHIFT
+    seen = functools.reduce(operator.or_, terms)
+    den = poly._den
+    mask = 0
+    rows = []
+    products = []
+    for i, num, den_i in scalars:
+        top = min(total, (seen >> _SHIFTS[i]) & MAX_EXP)
+        if top:
+            row = _power_row(num, den_i, top)
+            rows.append((_SHIFTS[i], _VAR_KEYS[i], row))
+            mask |= MAX_EXP << _SHIFTS[i]
+            den *= row[0]
+    for i, value in polys:
+        rows.append((_SHIFTS[i], _VAR_KEYS[i], _power_row(1, 1, total)))
+        products.append((_SHIFTS[i], value, 0))
+        mask |= MAX_EXP << _SHIFTS[i]
+    half_shift = half_mask = 0
+    odd_den = 1
+    if split is not None:
+        i, square, scale = split
+        half_shift, half_mask = _SHIFTS[i], 1
+        odd_den = scale.denominator
+        top = min(total, (seen >> half_shift) & MAX_EXP)
+        if square.is_constant():
+            row = _split_row(square._terms.get(0, 0), square._den, top, scale.numerator)
+            den *= row[0]
+        else:
+            row = _split_row(1, 1, top, scale.numerator)
+            products.append((half_shift, square, 1))
+        rows.append((half_shift, _VAR_KEYS[i], row))
+        mask |= MAX_EXP << half_shift
+    # a term of a pattern with no polynomial factor goes straight into
+    # its half's integer numerators over den; its half's accumulator
+    # then starts from those, so each product added to it may rescale
+    # them.  The total degree bounds every term's image but a product.
+    outs: List[Dict[int, int]] = [{}, {}]
+    gathered: List[list] = [[], []]
+    table: Dict[int, tuple] = {}
+    for key, c in terms.items():
+        pattern = key & mask
+        entry = table.get(pattern)
+        if entry is None:
+            factor, sub, pfactor = 1, 0, None
+            for shift, unit, row in rows:
+                e = (pattern >> shift) & MAX_EXP
+                factor *= row[e]
+                sub += e * unit
+            for shift, value, step in products:
+                e = ((pattern >> shift) & MAX_EXP) >> step
+                if e:
+                    piece = _power(value, e)
+                    pfactor = piece if pfactor is None else pfactor * piece
+            half = (pattern >> half_shift) & half_mask
+            if pfactor is None:
+                out = outs[half]
+            else:
+                out = {}
+                gathered[half].append((out, pfactor))
+            entry = table[pattern] = (factor, sub, out)
+        factor, sub, out = entry
+        key -= sub
+        out[key] = out.get(key, 0) + c * factor
+    images = []
+    for half in range(halves):
+        den_h = den * odd_den if half else den
+        acc = ProductSum(outs[half], den_h, total)
+        for part, pfactor in gathered[half]:
+            acc.add(1, den_h, MultiPoly._raw(part, 1, total), pfactor)
+        images.append(acc.value())
+    return images
 
 
 @functools.lru_cache(maxsize=512)
@@ -449,6 +493,14 @@ def _power_row(num: int, den: int, top: int) -> Tuple[int, ...]:
     for _ in range(top):
         row.append(row[-1] // den * num)
     return tuple(row)
+
+
+@functools.lru_cache(maxsize=256)
+def _split_row(num: int, den: int, top: int, odd: int) -> Tuple[int, ...]:
+    """The factors of v^e, e = 0..top, for v^2 bound to num/den: those of
+    (v^2)^(e // 2) over den^(top // 2), times odd for an odd e."""
+    row = _power_row(num, den, top >> 1)
+    return tuple(row[e >> 1] * odd if e & 1 else row[e >> 1] for e in range(top + 1))
 
 
 @functools.lru_cache(maxsize=256)

@@ -25,7 +25,6 @@ __all__ = [
     "egf_invert",
     "egf_mul",
     "egf_mul_by_z",
-    "egf_scale_arg",
     "egf_special",
 ]
 
@@ -114,18 +113,6 @@ def egf_mul_by_z(u: EgfSeries) -> EgfSeries:
     out = [_ZERO]
     for n in range(1, u.order + 1):
         out.append(n * u.coeffs[n - 1])
-    return EgfSeries(out)
-
-
-def egf_scale_arg(u: EgfSeries, c) -> EgfSeries:
-    """Substitute z -> c*z, scaling coefficient n by c^n."""
-    base = _as_coeff(c)
-    out = []
-    power = _ONE
-    for n, a in enumerate(u.coeffs):
-        if n:
-            power = power * base
-        out.append(a * power)
     return EgfSeries(out)
 
 

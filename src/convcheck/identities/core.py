@@ -50,8 +50,9 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
-from ..arith import MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _index, _overflow
-from ..quadext import QuadExtElem, RootPair, make_root_pair
+from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _bind, _index,
+                     _overflow, _substitute)
+from ..quadext import Discriminant, QuadExtElem, RootPair, make_root_pair
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
 if TYPE_CHECKING:
@@ -96,6 +97,8 @@ def printed_ratio(num, den: int):
 
 
 _X1, _X2, _T = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("t")
+# D's slot in every chart
+_D_INDEX = _index("x2")
 # a generic element's polynomial holds Sig in the x1 slot and D in the
 # x2 slot; these bindings take it to the letters x1 = u, x2 = v and back
 _TO_LETTERS = {"x1": _X1 + _X2, "x2": _X1 - _X2}
@@ -117,15 +120,16 @@ class _LetterChart:
             return value.substitute(_FROM_LETTERS)
         return MultiPoly.constant(value) if is_scalar(value) else None
 
-    def form(self, poly: MultiPoly) -> MultiPoly:
-        """What an element keeps to print and substitute: its printed form."""
-        return poly.substitute(_TO_LETTERS)
-
-    def printed(self, form: MultiPoly) -> MultiPoly:
+    def printed(self, elem: "LetterElem") -> MultiPoly:
+        """The polynomial in the letters, formed once per element and
+        kept, to print, hash and substitute."""
+        form = elem._form
+        if form is None:
+            form = elem._form = elem.poly.substitute(_TO_LETTERS)
         return form
 
-    def substitute(self, form: MultiPoly, bindings) -> MultiPoly:
-        return form.substitute(bindings)
+    def substitute(self, elem: "LetterElem", bindings) -> MultiPoly:
+        return self.printed(elem).substitute(bindings)
 
     def terms(self, elem: "LetterElem"):
         return elem.as_poly().terms
@@ -145,9 +149,13 @@ class _RootChart:
     discriminant and ``diff_scale`` c.
 
     A polynomial P = E(D^2) + D*O(D^2) prints as a + b*sqrt(d) with
-    a = E(c^2 d) and b = c*O(c^2 d).  An element keeps the halves E and
-    c*O, written with x2 standing for D^2 and held as a QuadExtElem, so
-    a substitution at a point binds x2 to c^2 d(point) and reads no t.
+    a = E(c^2 d) and b = c*O(c^2 d).  Its image at a point, and its
+    printed form, the image at no point, is one pass over P
+    (:meth:`image`): each term takes the point's values of x and y and
+    delta^(e // 2) for D^e, delta = c^2 d(point), and goes to a if e is
+    even and to b, times c, if it is odd.  What depends on the point
+    alone (its bindings, delta and d(point)) is made once per point
+    (:func:`_point`).  No t is read and no printed form is kept.
     """
 
     def __init__(self, pair: RootPair):
@@ -180,36 +188,33 @@ class _RootChart:
             return value.substitute(self._t)
         return MultiPoly.constant(value) if is_scalar(value) else None
 
-    def form(self, poly: MultiPoly) -> QuadExtElem:
-        even, odd = poly.even_odd("x2")
-        return QuadExtElem(even, odd * self.scale, self.disc)
+    def printed(self, elem: "LetterElem") -> QuadExtElem:
+        return self.image(elem.poly, ())
 
-    def printed(self, form: QuadExtElem) -> QuadExtElem:
-        # the image at no point: x2 bound to c^2 d alone
-        return self.substitute(form, {})
+    def substitute(self, elem: "LetterElem", bindings) -> QuadExtElem:
+        return self.image(elem.poly, tuple(sorted(bindings.items())))
 
-    def substitute(self, form: QuadExtElem, bindings) -> QuadExtElem:
-        # the image is formed by QuadExtElem.substitute, which also
-        # substitutes the discriminant
-        return QuadExtElem.substitute(form, _form_bindings(self, tuple(sorted(bindings.items()))))
+    def image(self, poly: MultiPoly, point: tuple) -> QuadExtElem:
+        """a + b*sqrt(d) at ``point``, a sorted tuple of (name, value)
+        bindings, for the polynomial ``poly`` in x, y and D."""
+        scalars, polys, split, disc = _point(self, point)
+        return QuadExtElem(*_substitute(poly, scalars, polys, split), disc)
 
     def terms(self, elem: "LetterElem"):
         return elem.poly.terms
 
 
 @functools.lru_cache(maxsize=64)
-def _form_bindings(chart: _RootChart, point: tuple) -> Dict[str, MultiPoly]:
-    """The bindings that take a root-ring element's halves to its printed
-    form at ``point``: x2, standing for D^2, to c^2 d(point), and every
-    other bound variable but x1 and x2, which no root-ring element reads,
-    to its value as a polynomial, whose hash is kept.  Made once per
-    point, so substituting many elements there formats, hashes and
-    substitutes each binding once; every caller shares the dict and
-    only reads it."""
-    images = {name: value if isinstance(value, MultiPoly) else MultiPoly.constant(value)
-              for name, value in point if name not in ("x1", "x2")}
-    images["x2"] = chart._c2 * chart.disc.poly.substitute(dict(point))
-    return images
+def _point(chart: _RootChart, point: tuple):
+    """What the images at ``point`` share, made once per point: its
+    bindings read by ``arith._bind``, but for x1 and x2, which no
+    root-ring element reads; the split of D (slot x2) with
+    D^2 = delta = c^2 d(point); and the discriminant d(point) of the
+    image.  Every caller only reads it."""
+    d = chart.disc.poly.substitute(dict(point))
+    scalars, polys = _bind({name: value for name, value in point if name not in ("x1", "x2")})
+    split = (_D_INDEX, chart._c2 * d, chart.scale)
+    return scalars, polys, split, Discriminant(chart.disc.name, d)
 
 
 _LETTERS = _LetterChart()
@@ -245,11 +250,14 @@ class LetterElem:
     A value leaving the ring -- in ``==`` against a polynomial or a
     QuadExtElem, ``hash``, ``str`` and ``substitute`` -- is its printed
     form: the polynomial in the letters x1 = u and x2 = v in the generic
-    ring, a + b*sqrt(d) (a :class:`QuadExtElem`) in a root ring.  What
-    it needs is computed once per element.  ``terms`` are the printed
-    form's in the generic ring and the polynomial's in x, y and D in a
-    root ring.  An operand from another ring raises, a root ring's
-    ValueError for two discriminants, TypeError otherwise.
+    ring, a + b*sqrt(d) (a :class:`QuadExtElem`) in a root ring.  A
+    generic element forms its printed form once and keeps it; a root-ring
+    element keeps none, as its printed form and its image at a point are
+    each one pass over its polynomial (:meth:`_RootChart.image`).
+    ``terms`` are the printed form's in the generic ring and the
+    polynomial's in x, y and D in a root ring.  An operand from another
+    ring raises, a root ring's ValueError for two discriminants,
+    TypeError otherwise.
     """
 
     __slots__ = ("poly", "chart", "_form")
@@ -283,16 +291,10 @@ class LetterElem:
             return other
         return self.chart.lift(other)
 
-    def _get_form(self):
-        form = self._form
-        if form is None:
-            form = self._form = self.chart.form(self.poly)
-        return form
-
     def as_poly(self):
         """The printed form: the polynomial in x1 = u, x2 = v in the
         generic ring, a + b*sqrt(d) in a root ring."""
-        return self.chart.printed(self._get_form())
+        return self.chart.printed(self)
 
     # -- ring operations ---------------------------------------------------
 
@@ -352,9 +354,10 @@ class LetterElem:
         return self.chart.terms(self)
 
     def substitute(self, bindings):
-        """The printed form with variables substituted (see
-        :meth:`MultiPoly.substitute` and :meth:`QuadExtElem.substitute`)."""
-        return self.chart.substitute(self._get_form(), bindings)
+        """The printed form with variables substituted: the letters'
+        polynomial's :meth:`MultiPoly.substitute` in the generic ring,
+        :meth:`_RootChart.image` at the point in a root ring."""
+        return self.chart.substitute(self, bindings)
 
     def __str__(self) -> str:
         return str(self.as_poly())

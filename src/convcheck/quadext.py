@@ -19,7 +19,10 @@ respects sqrt(d)^2 = d.  The checker's root rings compute there
 (:class:`convcheck.identities.core.LetterElem`), where a product needs
 no fold of sqrt(d)^2 into d and the zero test is still exact, as the
 maps are ring isomorphisms.  A QuadExtElem is the printed form of such
-an element and the image of its substitution at a point.
+an element and the image of its substitution at a point, each formed
+in one pass over the element's polynomial in x, y and D, with no
+printed form kept (:meth:`convcheck.identities.core._RootChart.image`);
+:meth:`QuadExtElem.substitute` substitutes a QuadExtElem itself.
 """
 
 from __future__ import annotations
@@ -149,18 +152,6 @@ class QuadExtElem:
         return QuadExtElem(a1 * a2 + b1 * b2 * self.disc.poly, a1 * b2 + b1 * a2, self.disc)
 
     __rmul__ = __mul__
-
-    @staticmethod
-    def sum_of_products(triples, disc: Discriminant) -> "QuadExtElem":
-        """Σ s·p·q over an iterable of (scalar s, element p, element q) of
-        the extension by sqrt(d), d = ``disc.poly``, folded with ``*`` and
-        ``+``, whose coercions reject an element of another discriminant.
-        The root rings compute in x, y and D instead (see the module
-        docstring); their tests take this as the reference."""
-        total = QuadExtElem(0, 0, disc)
-        for s, p, q in triples:
-            total = total + p * q * s
-        return total
 
     def __pow__(self, exponent: int) -> "QuadExtElem":
         if not isinstance(exponent, int) or exponent < 0:

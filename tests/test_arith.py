@@ -442,6 +442,39 @@ def test_crossing_the_bound_raises():
         assert "\n" not in str(err.value) and str(MAX_EXP) in str(err.value)
 
 
+def test_a_substitution_result_bounds_its_degree():
+    # the guard reads a result's degree bound, so a bound below the true
+    # degree would let a later product carry into a neighbour field
+    rng = random.Random(20261020)
+    points = [{"y": Rational(-2, 3)}, {"x1": 1, "t": Rational(5, 7)}, {"x": x2 - 1},
+              {"y": t * t, "x1": Rational(1, 2)}, {"x2": 0}]
+    for p in POLYS + [MultiPoly(_random_terms(rng, max_terms=6, max_deg=7)) for _ in range(20)]:
+        for bindings in points:
+            got = p.substitute(bindings)
+            assert got._deg >= got.total_degree(), (p, bindings)
+    high = (x ** 40000 * y).substitute({"y": 1})
+    assert high._deg >= 40000
+    with pytest.raises(OverflowError):
+        high * x ** 30000
+    # a binding's power past the bound is refused before any is formed
+    square = x * x
+    formed = len(arith._powers(square))
+    with pytest.raises(OverflowError):
+        (x ** 40000).substitute({"x": square})
+    assert len(arith._powers(square)) == formed
+
+
+def test_dividing_by_what_is_not_a_scalar_is_refused():
+    # a polynomial divides only by a non-zero scalar; anything else is
+    # left to the other operand, and then refused
+    for other in ("2", x, None, [1]):
+        with pytest.raises(TypeError):
+            x1 / other
+        assert x1.__truediv__(other) is NotImplemented
+    with pytest.raises(ZeroDivisionError):
+        x1 / 0
+
+
 def test_total_degree_exact_after_cancellation():
     assert (x1 ** 3 - x1 ** 3 + y).total_degree() == 1
     assert (x1 ** 3 + y - x1 ** 3).total_degree() == 1
@@ -498,13 +531,27 @@ def test_equal_values_hash_equal():
 
 @pytest.mark.parametrize("name", VARIABLES)
 def test_even_and_odd_halves_rebuild_the_polynomial(name):
+    # a substitution split by the parity of v's exponent, with v^2 bound
+    # to v itself, gives the halves E, O of p = E(v^2) + v*O(v^2)
     v = MultiPoly.var(name)
+    i = VARIABLES.index(name)
+    others = [n for n in VARIABLES if n != name]
+    bindings = {others[0]: Rational(-2, 3), others[1]: v + x1 * 2, others[2]: MultiPoly.constant(3)}
     for p in POLYS + [p * v ** 3 + v ** 4 for p in POLYS]:
-        even, odd = p.even_odd(name)
+        even, odd = arith._substitute(p, [], [], (i, v, 1))
         square = {name: v * v}
         assert even.substitute(square) + v * odd.substitute(square) == p
         assert even.degree_in(name) <= p.degree_in(name) // 2
         assert p.degree_in(name) == max((exp[VARIABLES.index(name)] for exp in p.terms), default=0)
+        # v^2 bound to a scalar or a polynomial, with other bindings in
+        # the same pass: the halves with everything substituted at once
+        for sq in (MultiPoly.constant(Rational(-5, 4)), MultiPoly.constant(0), y * t - 1):
+            for bound in ({}, bindings):
+                got = arith._substitute(p, *arith._bind(bound), (i, sq, Rational(-3, 2)))
+                want = [even.substitute({**bound, name: sq}),
+                        odd.substitute({**bound, name: sq}) * Rational(-3, 2)]
+                assert got == want
+                assert all(half._deg >= half.total_degree() for half in got)
     with pytest.raises(ValueError):
-        x.even_odd("z")
+        x.substitute({"z": x})
 

@@ -81,10 +81,19 @@ def test_traced_run_records_checks_a_failing_record_only_to_its_first_failure():
     assert [n for _, _, _, n in tracer.checks] == [0, 1, 2, 3]
 
 
-def test_traced_substituted_check_substitutes_equal_sides_once():
-    # the sides of a passing record are equal at every n, so each n
-    # substitutes one root-ring element, not two
-    rec = get_record("C2.1.1:corrected")
+def _images_of_a_traced_substituted_check(monkeypatch, key):
+    """The verdicts of ``key`` at a point for n = 0..3 with the tracer
+    installed, and the number of root-ring images formed: calls of
+    ``_RootChart.image``, the one route from an element to its image."""
+    calls = []
+    image = core._RootChart.image
+
+    def counted(chart, poly, point):
+        calls.append(point)
+        return image(chart, poly, point)
+
+    monkeypatch.setattr(core._RootChart, "image", counted)
+    rec = get_record(key)
     tracer = _load_tracer_module().Tracer()
     try:
         tracer.install()
@@ -92,6 +101,20 @@ def test_traced_substituted_check_substitutes_equal_sides_once():
             rec, {"y": Fraction(2, 3), "t": Fraction(-1, 2)}, (0, 3), core.Context(rec.ring))
     finally:
         tracer.restore()
+    return verdicts, len(calls)
+
+
+def test_traced_substituted_check_substitutes_equal_sides_once(monkeypatch):
+    # the sides of a passing record are equal at every n, so each n
+    # substitutes one root-ring element, not two
+    verdicts, images = _images_of_a_traced_substituted_check(monkeypatch, "C2.1.1:corrected")
     assert [(v.n, v.passed) for v in verdicts] == [(n, True) for n in range(4)]
-    substitute = tracer.names.index("quadext.substitute")
-    assert list(tracer.name).count(substitute) == 4
+    assert images == 4
+
+
+def test_traced_substituted_check_substitutes_differing_sides_each(monkeypatch):
+    # the as-printed C2.1.2 has two different sides at every n = 0..3, and
+    # each is substituted on its own
+    verdicts, images = _images_of_a_traced_substituted_check(monkeypatch, "C2.1.2:as_printed")
+    assert [(v.n, v.passed) for v in verdicts] == [(n, False) for n in range(4)]
+    assert images == 8

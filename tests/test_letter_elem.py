@@ -9,8 +9,10 @@ is held as a polynomial in x, y and D; the same holds of it, with
 QuadExtElem's own arithmetic as the reference.
 """
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -30,6 +32,7 @@ from convcheck.identities.core import LetterElem
 from convcheck.quadext import QuadExtElem
 from convcheck.report import run_records
 from convcheck.symfun import sym_ehp
+from test_quadext import sum_of_products
 
 X1, X2, X = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("x")
 Y, T = MultiPoly.var("y"), MultiPoly.var("t")
@@ -304,7 +307,7 @@ def test_a_root_ring_convolution_sum_matches_the_extension_ring(ring):
             weight = lambda n, k: Fraction(k + 1, n + 2) if k % 3 else 0  # noqa: E731
             got = eval_convolution_sum(ctx, n, low.__getitem__, high.__getitem__,
                                        weight=weight, parity=parity)
-            want = QuadExtElem.sum_of_products(
+            want = sum_of_products(
                 ((binomial(n, k) * weight(n, k), low[k].as_poly(), high[n - k].as_poly())
                  for k in range(n + 1) if weight(n, k) and not (parity and (n - k) % 2)),
                 ctx.pair.disc)
@@ -323,6 +326,51 @@ def test_a_root_ring_substitution_is_the_printed_forms(ring):
             want = q.substitute(bindings)
             assert type(got) is QuadExtElem and got == want and str(got) == str(want)
             assert got.disc == want.disc and substitute_value(elem, bindings) == want
+
+
+def printed_by_halves(elem):
+    """A root-ring element's a + b*sqrt(d), built apart from its chart:
+    the even and odd halves of its polynomial in D (slot x2), written
+    with x2 standing for D^2, then x2 -> c^2 d and b scaled by c."""
+    pair = elem.chart.pair
+    c = pair.diff_scale
+    halves = ({}, {})
+    for (e1, e2, ex, ey, et), coeff in elem.poly.terms.items():
+        halves[e2 % 2][(e1, e2 // 2, ex, ey, et)] = coeff
+    square = {"x2": c * c * pair.disc.poly}
+    even, odd = (MultiPoly(half).substitute(square) for half in halves)
+    return QuadExtElem(even, odd * c, pair.disc)
+
+
+GOLDEN_ROOTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
+                          .read_text())["roots_subst"]["records"]
+
+
+def test_a_root_ring_image_is_the_printed_form_substituted():
+    # every root-ring side of the benchmark's substituted records, at
+    # three seeded points, at the partial points of criterion 3 and at
+    # no point, against QuadExtElem.substitute of its printed form
+    rng = random.Random(20261019)
+    points = [{}, {"t": 1}, {"y": 1, "t": 1}]
+    while len(points) < 6:
+        y_, t_ = (Fraction(rng.choice([-5, -3, -1, 2, 4, 7]), rng.randint(1, 6)) for _ in "yt")
+        if y_ * y_ + 4 * t_ and 9 * y_ * y_ - t_:
+            points.append({"y": y_, "t": t_})
+    sides = []
+    for key, lo, hi in GOLDEN_ROOTS:
+        rec = get_record(key)
+        run_record(rec, (lo, hi))
+        memo = core.get_context(rec.ring)._memo
+        sides += [memo[(side, n)] for side in (rec.lhs, rec.rhs) for n in range(lo, hi + 1)
+                  if (side, n) in memo]
+    elems = {id(elem): elem for elem in sides if type(elem) is LetterElem}
+    assert len(elems) > 1000
+    for elem in elems.values():
+        printed = printed_by_halves(elem)
+        assert elem.as_poly() == printed
+        for point in points:
+            got = elem.substitute(point)
+            assert type(got) is QuadExtElem and got == printed.substitute(point)
 
 
 def test_elements_of_two_rings_do_not_mix():

@@ -46,6 +46,9 @@ TARGETS = (
     "src/convcheck/identities/notation.py",
     "src/convcheck/identities/core.py:Context.from_generic",
     "src/convcheck/identities/notation.py:_side",
+    "src/convcheck/arith.py:_substitute",
+    "src/convcheck/arith.py:_split_row",
+    "src/convcheck/identities/core.py:_point",
 )
 PER_TARGET = 8
 SEED = 3
