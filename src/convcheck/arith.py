@@ -397,6 +397,8 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
     are worked out once per pattern, and each term costs one lookup.
     The terms of a pattern with a polynomial factor are gathered into
     one polynomial, which one :meth:`ProductSum.add` multiplies by it.
+    A binding of a variable the polynomial does not read is dropped, and
+    a polynomial that reads no bound variable is its own image.
     """
     terms = poly._terms
     halves = 1 if split is None else 2
@@ -409,8 +411,8 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
     # top bounds the variable's own exponents: the smaller of the total
     # degree (the largest key's top field) and the variable's field of
     # all keys OR'd together, which is 0 for a variable the polynomial
-    # does not read.  A variable bound to a polynomial has a row of 1s
-    # and a power of its value for the polynomial factor; the split
+    # does not read.  A variable it reads bound to a polynomial has a row
+    # of 1s and a power of its value for the polynomial factor; the split
     # variable's row is read through its square (see _split_row).
     total = max(terms) >> _DEG_SHIFT
     seen = functools.reduce(operator.or_, terms)
@@ -426,6 +428,8 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
             mask |= MAX_EXP << _SHIFTS[i]
             den *= row[0]
     for i, value in polys:
+        if not (seen >> _SHIFTS[i]) & MAX_EXP:
+            continue
         rows.append((_SHIFTS[i], _VAR_KEYS[i], _power_row(1, 1, total)))
         products.append((_SHIFTS[i], value, 0))
         mask |= MAX_EXP << _SHIFTS[i]
@@ -444,6 +448,8 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
             products.append((half_shift, square, 1))
         rows.append((half_shift, _VAR_KEYS[i], row))
         mask |= MAX_EXP << half_shift
+    if not seen & mask:
+        return [poly] if split is None else [poly, MultiPoly()]
     # a term of a pattern with no polynomial factor goes straight into
     # its half's integer numerators over den; its half's accumulator
     # then starts from those, so each product added to it may rescale

@@ -12,7 +12,8 @@ corrected-variant check (or an as-printed check with no corrected
 sibling) fails, 2 for usage errors such as an unknown identity id, a
 malformed ``--at`` point, an ``--at`` point given for a number kind,
 binding a variable twice or binding one outside the kind's own (``x``
-for the ``*_poly`` kinds, ``y`` and ``t`` for ``biv_*``), an ``--id``
+for the ``*_poly`` kinds, ``y`` and ``t`` for ``biv_*``), a ``compute``
+index whose value's total degree passes ``arith.MAX_EXP``, an ``--id``
 that the ``--variant`` filter leaves without a record, a ``--max-n``
 below the first index of every selected record, or an ``--out`` file
 that cannot be written.  A record whose capped range holds no index is
@@ -29,6 +30,7 @@ import time
 from typing import List, Optional
 
 from ._scalar import as_rational
+from .arith import MAX_EXP
 from .report import (
     build_payload,
     exit_code_for,
@@ -58,6 +60,8 @@ _NUMBER_FNS = {
 _POLY_KINDS = ("bernoulli_poly", "euler_poly", "genocchi_poly")
 _BIV_NAMES = tuple(f"biv_{kind}" for kind in BIVARIATE_KINDS)
 COMPUTE_KINDS = tuple(_NUMBER_FNS) + _POLY_KINDS + _BIV_NAMES
+# a polynomial kind's value at n has total degree n, less this lag
+_DEGREE_LAG = {"biv_fibonacci": 1, "biv_balancing": 1}
 
 
 def _parse_point(text: str) -> dict:
@@ -165,6 +169,11 @@ def _cmd_compute(args: argparse.Namespace) -> int:
         return 2
     if args.at is not None and args.what in _NUMBER_FNS:
         print(f"--at applies to polynomial kinds; {args.what} is a number", file=sys.stderr)
+        return 2
+    degree = args.n - _DEGREE_LAG.get(args.what, 0)
+    if args.what not in _NUMBER_FNS and degree > MAX_EXP:
+        print(f"{args.what} {args.n} has total degree {degree}, past the largest a polynomial "
+              f"may have, {MAX_EXP}", file=sys.stderr)
         return 2
     try:
         if args.what in _NUMBER_FNS:

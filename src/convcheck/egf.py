@@ -8,7 +8,9 @@ Bernoulli/Euler/Genocchi polynomial families) come for free.
 
 The product rule is the binomial convolution
 (u*v)_n = sum_k C(n,k) u_k v_(n-k); inversion solves that triangular
-system when u_0 is an invertible constant.
+system when u_0 is an invertible constant.  Each coefficient is one
+exact accumulator, a :class:`~convcheck.arith.ProductSum`, that every
+product of its sum is multiplied straight into.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from ._scalar import Rational, as_rational, is_scalar
-from .arith import MultiPoly, binomial
+from .arith import MultiPoly, ProductSum
 
 __all__ = [
     "EgfSeries",
@@ -65,16 +67,24 @@ class EgfSeries:
         return f"EgfSeries([{head}{', ...' if self.order > 4 else ''}] order={self.order})"
 
 
+def _binomial_row(n: int):
+    """C(n, 0), ..., C(n, n), each from the one before it."""
+    c = 1
+    for k in range(n + 1):
+        yield c
+        c = c * (n - k) // (k + 1)
+
+
 def egf_mul(u: EgfSeries, v: EgfSeries) -> EgfSeries:
     """Product series, truncated to the smaller order."""
     order = min(u.order, v.order)
     uc, vc = u.coeffs, v.coeffs
     out = []
     for n in range(order + 1):
-        acc = _ZERO
-        for k in range(n + 1):
-            acc = acc + binomial(n, k) * (uc[k] * vc[n - k])
-        out.append(acc)
+        acc = ProductSum()
+        for k, c in enumerate(_binomial_row(n)):
+            acc.add(c, 1, uc[k], vc[n - k])
+        out.append(acc.value())
     return EgfSeries(out)
 
 
@@ -89,13 +99,16 @@ def egf_invert(u: EgfSeries) -> EgfSeries:
     if not u0.is_constant() or u0.is_zero():
         raise ValueError(f"cannot invert series with constant term {u0}")
     inv0 = 1 / u0.constant_value()
+    # out_n = -inv0 * sum over k >= 1 of C(n,k) u_k out_(n-k)
+    num, den = -inv0.numerator, inv0.denominator
     out = [MultiPoly.constant(inv0)]
     uc = u.coeffs
     for n in range(1, u.order + 1):
-        acc = _ZERO
-        for k in range(1, n + 1):
-            acc = acc + binomial(n, k) * (uc[k] * out[n - k])
-        out.append(acc * (-inv0))
+        acc = ProductSum()
+        for k, c in enumerate(_binomial_row(n)):
+            if k:
+                acc.add(num * c, den, uc[k], out[n - k])
+        out.append(acc.value())
     return EgfSeries(out)
 
 

@@ -7,7 +7,10 @@ statement it stores) whose two sides are callables
 the record's plain fields.  The *context* supplies the
 ring: the generic two-letter ring Q[u,v,x,y,t], or one of the two root
 rings, where the letters are the conjugate roots of a recurrence family
-and live in the quadratic extension Q[x,y,t][sqrt(d)].  Every ring holds
+and live in the quadratic extension Q[x,y,t][sqrt(d)].  A family is one
+row of constants, its Sig, the scale c and the discriminant d with
+D = c*sqrt(d) (``_ROOT_FAMILIES``), and every ring's letters are
+u, v = (Sig +- D)/2.  Every ring holds
 its elements as one class, :class:`LetterElem`: a polynomial in the sum
 Sig = u + v and the difference D = u - v of the letters, in the
 coordinates of the ring's chart.  The generic ring's are Sig and D; a
@@ -52,7 +55,7 @@ from .._fields import Fields
 from .._scalar import as_rational, is_scalar
 from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _bind, _index,
                      _overflow, _substitute)
-from ..quadext import Discriminant, QuadExtElem, RootPair, make_root_pair
+from ..quadext import Discriminant, QuadExtElem
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
 if TYPE_CHECKING:
@@ -60,6 +63,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Context",
+    "FAMILIES",
     "IdentityVerdict",
     "LetterElem",
     "PrintedFormUndefined",
@@ -96,7 +100,7 @@ def printed_ratio(num, den: int):
     return q / den
 
 
-_X1, _X2, _T = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("t")
+_X1, _X2, _Y, _T = (MultiPoly.var(name) for name in ("x1", "x2", "y", "t"))
 # D's slot in every chart
 _D_INDEX = _index("x2")
 # a generic element's polynomial holds Sig in the x1 slot and D in the
@@ -104,14 +108,26 @@ _D_INDEX = _index("x2")
 _TO_LETTERS = {"x1": _X1 + _X2, "x2": _X1 - _X2}
 _FROM_LETTERS = {"x1": (_X1 + _X2) / 2, "x2": (_X1 - _X2) / 2}
 
+# The one statement of each root family: its letters' sum Sig, the
+# scale c and the discriminant d with D = u - v = c*sqrt(d).  The
+# letters are the roots (Sig +- D)/2 of X^2 - Sig*X + (Sig^2 - D^2)/4:
+#   fibonacci  X^2 - y*X - t,   (y +- sqrt(y^2 + 4t))/2
+#   balancing  X^2 - 6y*X + t,  3y +- sqrt(9y^2 - t)
+# sequences.py states the same families by their recurrences, and the
+# BINET records check the two against each other.
+_ROOT_FAMILIES = {
+    "fibonacci": (_Y, 1, _Y * _Y + 4 * _T),
+    "balancing": (6 * _Y, 2, 9 * _Y * _Y - _T),
+}
+FAMILIES = tuple(_ROOT_FAMILIES)
+
 
 class _LetterChart:
     """The generic ring's chart: a polynomial in Sig (slot x1) and D
     (slot x2), printed as the polynomial in the letters x1 = u, x2 = v."""
 
-    pair = None
     family = None
-    letters = (_X1, _X2)
+    sig = _X1
 
     def lift(self, value) -> Optional[MultiPoly]:
         """A polynomial in the letters, or a scalar, in Sig and D; None
@@ -137,7 +153,8 @@ class _LetterChart:
 
 class _RootChart:
     """A root ring's chart: Q[x, y, t][sqrt(d)] is the polynomial ring
-    Q[x, y, D], with D = lam1 - lam2 = c*sqrt(d) in slot x2.
+    Q[x, y, D], with D = c*sqrt(d) in slot x2 and Sig, y or 6y, read off
+    the family's row of ``_ROOT_FAMILIES``.
 
     The discriminant is linear in t with a constant coefficient,
     d = alpha*t + r(y) (y^2 + 4t and 9y^2 - t), so t = (D^2/c^2 - r)/alpha.
@@ -145,8 +162,7 @@ class _RootChart:
     is a ring homomorphism; sending t to that expression and sqrt(d) to
     D/c respects sqrt(d)^2 = d and inverts it.  So it is an isomorphism,
     and an element is zero iff its polynomial in x, y and D is: the zero
-    test stays exact.  The chart is read off the root pair's
-    discriminant and ``diff_scale`` c.
+    test stays exact.
 
     A polynomial P = E(D^2) + D*O(D^2) prints as a + b*sqrt(d) with
     a = E(c^2 d) and b = c*O(c^2 d).  Its image at a point, and its
@@ -158,16 +174,14 @@ class _RootChart:
     (:func:`_point`).  No t is read and no printed form is kept.
     """
 
-    def __init__(self, pair: RootPair):
-        d, c = pair.disc.poly, pair.diff_scale
+    def __init__(self, family: str, sig: MultiPoly, c, d: MultiPoly):
         alpha = d.coeff((0, 0, 0, 0, 1))
         rest = d - alpha * _T
         if not alpha or any(rest.degree_in(name) for name in ("x1", "x2", "t")):
             raise ValueError(f"discriminant {d} is not alpha*t + r(x, y)")
-        self.pair = pair
-        self.family = pair.family
-        self.letters = (pair.lam1, pair.lam2)
-        self.disc = pair.disc
+        self.family = family
+        self.sig = sig
+        self.disc = Discriminant(family, d)
         self.scale = c
         self._c2 = c * c
         self._t = {"t": (_X2 * _X2 / self._c2 - rest) / alpha}
@@ -230,7 +244,8 @@ _NOT_FIXED_FIELDS = sum(MAX_EXP << _SHIFTS[_index(name)] for name in NOT_FIXED_B
 def _chart(ring: str):
     if ring == "indeterminate":
         return _LETTERS
-    return _RootChart(make_root_pair(ring.removesuffix("-roots")))
+    family = ring.removesuffix("-roots")
+    return _RootChart(family, *_ROOT_FAMILIES[family])
 
 
 class LetterElem:
@@ -240,8 +255,8 @@ class LetterElem:
 
     In the generic ring Q[u,v,x,y,t] the polynomial is in Sig (slot x1)
     and D (slot x2), with u = (Sig + D)/2 and v = (Sig - D)/2.  In a
-    root ring it is in x, y and D (slot x2), where Sig is the trace of
-    the root pair and t is a polynomial in y and D (see
+    root ring it is in x, y and D (slot x2), where Sig is the family's
+    y or 6y and t is a polynomial in y and D (see
     :class:`_RootChart`).  In these coordinates D^j is one term and
     (Sig + xD)^j is j+1, so the convolution sums form far fewer
     coefficient products, and a root-ring product needs no sqrt(d)
@@ -284,7 +299,7 @@ class LetterElem:
         if type(other) is LetterElem:
             if other.chart is self.chart:
                 return other.poly
-            if self.chart.pair is not None and other.chart.pair is not None:
+            if self.chart.family is not None and other.chart.family is not None:
                 raise ValueError(f"mixed discriminants: {self.chart.family} vs {other.chart.family}")
             return None
         if is_scalar(other):
@@ -400,7 +415,9 @@ def _one_term(name: str, elem: LetterElem) -> Tuple[int, int, int]:
 class Context:
     """Ring adapter: letters and cached building blocks.
 
-    The letters are ``u`` and ``v``; ``D = u - v`` and ``Sig = u + v``.
+    ``Sig`` is the chart's, ``D`` is x2 in every chart, and the letters
+    are ``u, v = (Sig +- D)/2``: x1 and x2 in the generic ring, the
+    family's conjugate roots in a root ring.
     Each cache is keyed by what determines its entries -- a power's base
     element by value, any other value by the callable that computes it
     and its index -- never by a name a caller makes up, so an entry
@@ -413,12 +430,11 @@ class Context:
         self.ring = ring
         self.chart = _chart(ring)
         self.family: Optional[str] = self.chart.family
-        self.pair: Optional[RootPair] = self.chart.pair
-        self.u, self.v = (self.embed(letter) for letter in self.chart.letters)
+        self.Sig = LetterElem(self.chart.sig, self.chart)
+        self.D = LetterElem(_X2, self.chart)
+        self.u, self.v = (self.Sig + self.D) / 2, (self.Sig - self.D) / 2
         self.one = self.embed(1)
         self.zero = self.embed(0)
-        self.D = self.u - self.v
-        self.Sig = self.u + self.v
         self.Prod = self.u * self.v
         self.x, self.y, self.t = (self.embed(MultiPoly.var(name)) for name in ("x", "y", "t"))
         self._sig_d = (_one_term("Sig", self.Sig), _one_term("D", self.D))
@@ -549,7 +565,7 @@ class Context:
     def delta(self) -> LetterElem:
         """sqrt(d) = D/c itself, available in root contexts."""
         self._require_family()
-        return self.D / self.pair.diff_scale
+        return self.D / self.chart.scale
 
     def seq(self, kind: str, j: int):
         """Embedded bivariate sequence value, with negative index -> 0."""

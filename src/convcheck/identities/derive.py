@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..quadext import FAMILIES
+from .core import FAMILIES
 from .corollaries import THEOREM_TO_COROLLARY
 from .notation import (
     IdentityRecord,

@@ -105,11 +105,11 @@ from typing import Any, Callable, List, Optional, Tuple
 from .._fields import Fields
 from .._scalar import Rational
 from ..arith import binomial
-from ..quadext import FAMILIES
 from ..sequences import bernoulli_number, euler_number, genocchi_number
 from ..symfun import ehp_step
 from . import core
 from .core import (
+    FAMILIES,
     Context,
     SideFn,
     eval_convolution_sum,

@@ -1,17 +1,12 @@
 """Quadratic extension rings Q[x1,x2,x,y,t][d^(1/2)].
 
 Elements are a + b*sqrt(d) with polynomial parts a, b and a fixed
-discriminant polynomial d.  For the two discriminants used by the
-root-substitution machinery (y^2 + 4t and 9y^2 - t) d is not a square
-in the polynomial ring, so the extension is an integral domain and an
-element is zero iff both parts are zero.  That is what makes identities
-between root powers decidable part-by-part.
+discriminant polynomial d.  For the discriminants of the root rings,
+stated once in :mod:`convcheck.identities.core`, d is not a square in
+the polynomial ring, so the extension is an integral domain and an
+element is zero iff both parts are zero.
 
-A :class:`RootPair` packages the two conjugate roots of a quadratic
-X^2 - trace*X + norm together with the scale c relating their difference
-to sqrt(d):  lam1 - lam2 = c * sqrt(d).
-
-Both discriminants are linear in t with a constant coefficient,
+Each of those discriminants is linear in t with a constant coefficient,
 d = alpha*t + r(y).  So the extension of Q[x, y, t] by sqrt(d) is itself
 a polynomial ring: sending D to c*sqrt(d) maps Q[x, y, D] onto it, and
 t -> (D^2/c^2 - r)/alpha, sqrt(d) -> D/c is the inverse map, which
@@ -31,17 +26,10 @@ from functools import lru_cache
 from typing import Mapping
 
 from ._fields import FrozenFields
-from ._scalar import Rational, is_scalar
+from ._scalar import is_scalar
 from .arith import MultiPoly, Scalar
 
-__all__ = [
-    "Discriminant",
-    "QuadExtElem",
-    "RootPair",
-    "FAMILIES",
-    "make_root_pair",
-    "qe_binet_ratio",
-]
+__all__ = ["Discriminant", "QuadExtElem"]
 
 
 class Discriminant(FrozenFields):
@@ -179,70 +167,3 @@ class QuadExtElem:
 
     def __repr__(self) -> str:
         return f"QuadExtElem({self!s} | d={self.disc.name})"
-
-
-class RootPair(FrozenFields):
-    """Conjugate roots lam1, lam2 of X^2 - trace*X + norm over Q[y,t].
-
-    ``diff_scale`` is the scalar c with lam1 - lam2 = c*sqrt(d); it is
-    what turns the antisymmetric part of a root power back into a plain
-    polynomial (see :func:`qe_binet_ratio`).
-    """
-
-    __slots__ = _fields = ("family", "disc", "lam1", "lam2", "trace", "norm", "diff_scale")
-
-    def __init__(self, family: str, disc: Discriminant, lam1: QuadExtElem, lam2: QuadExtElem,
-                 trace: MultiPoly, norm: MultiPoly, diff_scale: Rational):
-        for name, value in zip(self._fields, (family, disc, lam1, lam2, trace, norm, diff_scale)):
-            object.__setattr__(self, name, value)
-
-
-def _fibonacci_pair() -> RootPair:
-    y = MultiPoly.var("y")
-    t = MultiPoly.var("t")
-    d = Discriminant("fibonacci", y * y + 4 * t)
-    half = Rational(1, 2)
-    lam1 = QuadExtElem(y * half, MultiPoly.constant(half), d)
-    lam2 = lam1.conjugate()
-    return RootPair("fibonacci", d, lam1, lam2, trace=y, norm=-t, diff_scale=Rational(1))
-
-
-def _balancing_pair() -> RootPair:
-    y = MultiPoly.var("y")
-    t = MultiPoly.var("t")
-    d = Discriminant("balancing", 9 * (y * y) - t)
-    lam1 = QuadExtElem(3 * y, MultiPoly.constant(1), d)
-    lam2 = lam1.conjugate()
-    return RootPair("balancing", d, lam1, lam2, trace=6 * y, norm=t, diff_scale=Rational(2))
-
-
-FAMILIES = ("fibonacci", "balancing")
-_PAIRS = {"fibonacci": _fibonacci_pair, "balancing": _balancing_pair}
-
-
-def make_root_pair(family: str) -> RootPair:
-    """Root pair for one of the two built-in recurrence families.
-
-    fibonacci:  X^2 - y*X - t,   lam = (y +- sqrt(y^2+4t))/2
-    balancing:  X^2 - 6y*X + t,  lam = 3y +- sqrt(9y^2-t)
-    """
-    try:
-        return _PAIRS[family]()
-    except KeyError:
-        raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}") from None
-
-
-def qe_binet_ratio(pair: RootPair, n: int) -> MultiPoly:
-    """(lam1^n - lam2^n) / (lam1 - lam2) as a plain polynomial.
-
-    The difference of conjugate n-th powers is purely a multiple of
-    sqrt(d); dividing by lam1 - lam2 = c*sqrt(d) leaves (2/c) times the
-    sqrt(d)-coefficient.  A non-vanishing rational part would mean the
-    inputs were not conjugate, so that is checked and rejected.
-    """
-    if n < 0:
-        raise ValueError(f"qe_binet_ratio: n must be non-negative, got {n}")
-    diff = pair.lam1 ** n - pair.lam2 ** n
-    if not diff.a.is_zero():
-        raise ValueError("power difference has a rational part; roots are not conjugate")
-    return diff.b * (1 / pair.diff_scale)

@@ -3,9 +3,10 @@
 The two letters a, b may come from any ring whose elements support +,
 -, * and **, which in practice means :class:`~convcheck.arith.MultiPoly`
 (letters x1, x2), a context's
-:class:`~convcheck.identities.core.LetterElem` (letters u, v, or lam1,
-lam2 in a root ring) and :class:`~convcheck.quadext.QuadExtElem` (a
-root pair's lam1, lam2).
+:class:`~convcheck.identities.core.LetterElem` (letters u, v, the
+conjugate roots (Sig +- D)/2 in a root ring) and
+:class:`~convcheck.quadext.QuadExtElem` (two roots written as
+a + b*sqrt(d)).
 
 sym_ehp('h'|'p', k, a, b) gives the complete homogeneous and power-sum
 bases at the two letters: h_k is the complete homogeneous sum

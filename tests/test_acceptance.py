@@ -23,7 +23,6 @@ from convcheck.identities import (
     run_record,
     run_record_substituted,
 )
-from convcheck.quadext import make_root_pair, qe_binet_ratio
 from convcheck.sequences import (
     bernoulli_number,
     bivariate_sequence,
@@ -33,6 +32,7 @@ from convcheck.sequences import (
 from convcheck.symfun import sym_ehp
 import convcheck.cli as cli
 from convcheck.arith import MultiPoly
+from test_quadext import ROOTS, binet_ratio
 
 
 @contextlib.contextmanager
@@ -121,13 +121,12 @@ def test_criterion_4_number_sequences_against_egf_oracle():
 
 def test_criterion_5_bivariate_sequences_against_binet():
     with criterion(5, "bivariate sequences vs root-pair closed forms, n in [0,30]"):
-        fib = make_root_pair("fibonacci")
-        bal = make_root_pair("balancing")
+        fib, bal = ROOTS["fibonacci"][0], ROOTS["balancing"][0]
         for n in range(31):
-            assert qe_binet_ratio(fib, n) == bivariate_sequence("fibonacci", n)
-            assert 2 * (fib.lam1 ** n).a == bivariate_sequence("lucas", n)
-            assert qe_binet_ratio(bal, n) == bivariate_sequence("balancing", n)
-            assert (bal.lam1 ** n).a == bivariate_sequence("lucas_balancing", n)
+            assert binet_ratio("fibonacci", n) == bivariate_sequence("fibonacci", n)
+            assert 2 * (fib ** n).a == bivariate_sequence("lucas", n)
+            assert binet_ratio("balancing", n) == bivariate_sequence("balancing", n)
+            assert (bal ** n).a == bivariate_sequence("lucas_balancing", n)
         point = {"y": 1, "t": 1}
         assert bivariate_sequence("balancing", 3).substitute(point).constant_value() == 35
         assert bivariate_sequence("lucas_balancing", 2).substitute(point).constant_value() == 17

@@ -410,6 +410,22 @@ def test_substitution_forms_its_products_in_the_product_sum(monkeypatch):
     assert sorted(counted) == [2, 3]
 
 
+def test_a_polynomial_reading_no_bound_variable_is_its_own_image(monkeypatch):
+    # a binding of a variable the polynomial does not read is dropped, so
+    # a polynomial that reads none is returned as it is, with no product
+    p, q, want = x ** 3 - Rational(1, 2) * x + 1, x1 * x + y, (y + 1) * x + y
+    bound = ({"x1": (x1 + x2) / 2, "x2": (x1 - x2) / 2}, {"y": 3, "t": y * y}, {"x1": 0},
+             {"x1": y + 1, "x2": t * t, "t": 2})
+    counted = []
+    add = ProductSum.add
+    monkeypatch.setattr(ProductSum, "add", lambda self, *args: counted.append(args) or add(self, *args))
+    for bindings in bound[:3]:
+        assert p.substitute(bindings) is p
+    assert counted == []
+    # x1 is read and x2 and t are not: one product, of x by y + 1
+    assert q.substitute(bound[3]) == want and len(counted) == 1
+
+
 # -- packed exponent bound ----------------------------------------------------
 
 def test_monomial_at_the_bound():

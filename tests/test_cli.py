@@ -4,8 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import convcheck.cli as cli
 from convcheck import __version__
+from convcheck.arith import MAX_EXP
 
 
 def run_cli(*args, check=False):
@@ -155,6 +158,29 @@ def test_compute_bad_point_exits_2(tmp_path):
         result = run_cli(*args)
         assert result.returncode == 2, args
         assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
+
+
+@pytest.mark.parametrize("argv, code, line", [
+    (["compute", "bernoulli_poly", str(MAX_EXP + 1)], 2,
+     f"bernoulli_poly {MAX_EXP + 1} has total degree {MAX_EXP + 1}, past the largest a polynomial "
+     f"may have, {MAX_EXP}"),
+    (["compute", "biv_lucas", str(MAX_EXP + 1), "--at", "y=1,t=1"], 2,
+     f"biv_lucas {MAX_EXP + 1} has total degree {MAX_EXP + 1}, past the largest a polynomial "
+     f"may have, {MAX_EXP}"),
+    (["compute", "biv_fibonacci", str(MAX_EXP + 2)], 2,
+     f"biv_fibonacci {MAX_EXP + 2} has total degree {MAX_EXP + 1}, past the largest a polynomial "
+     f"may have, {MAX_EXP}"),
+], ids=["bernoulli_poly", "biv_lucas", "biv_fibonacci"])
+def test_compute_refuses_an_index_past_the_degree_bound_before_computing(
+        monkeypatch, capsys, argv, code, line):
+    def refused(*args):
+        raise AssertionError(f"computed {args} for a refused index")
+
+    for name in ("bivariate_sequence", "number_polynomial"):
+        monkeypatch.setattr(cli, name, refused)
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [line] and "Traceback" not in err
 
 
 def test_verify_selection_that_checks_nothing_exits_2():

@@ -1,5 +1,7 @@
 """Truncated EGF layer: defining products of every special series."""
 
+import math
+
 import pytest
 
 from convcheck._scalar import Rational
@@ -41,6 +43,25 @@ def test_mul_matches_binomial_convolution():
     w = egf_mul(u, v)           # e^(5z)
     for n in range(11):
         assert w[n] == MultiPoly.constant(5 ** n)
+
+
+def test_mul_and_invert_match_the_folded_convolution():
+    # polynomial coefficients over mixed denominators, against the sum of
+    # C(n,k) u_k v_(n-k) folded one polynomial at a time
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    u = EgfSeries([Rational(2, 3)] + [x ** (n % 3) * Rational(n, 5) - y / (n + 1) for n in range(1, 13)])
+    v = EgfSeries([x - Rational(n, 7) * y * y for n in range(13)])
+    prod, inv = egf_mul(u, v), egf_invert(u)
+    assert inv[0] == Rational(3, 2)
+    for n in range(13):
+        fold = MultiPoly.constant(0)
+        for k in range(n + 1):
+            fold = fold + math.comb(n, k) * (u[k] * v[n - k])
+        assert prod[n] == fold
+        fold = MultiPoly.constant(0)
+        for k in range(1, n + 1):
+            fold = fold + math.comb(n, k) * (u[k] * inv[n - k])
+        assert n == 0 or fold * Rational(-3, 2) == inv[n]
 
 
 def test_invert_roundtrip():

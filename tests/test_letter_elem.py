@@ -13,7 +13,6 @@ import json
 import random
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -31,8 +30,9 @@ from convcheck.identities.catalog import register_catalog
 from convcheck.identities.core import LetterElem
 from convcheck.quadext import QuadExtElem
 from convcheck.report import run_records
+from convcheck.sequences import number_polynomial
 from convcheck.symfun import sym_ehp
-from test_quadext import sum_of_products
+from test_quadext import ROOTS, sum_of_products
 
 X1, X2, X = MultiPoly.var("x1"), MultiPoly.var("x2"), MultiPoly.var("x")
 Y, T = MultiPoly.var("y"), MultiPoly.var("t")
@@ -153,6 +153,16 @@ def products(monkeypatch):
     return count
 
 
+def test_lifting_a_polynomial_in_x_alone_forms_no_product(products):
+    # the generic lift of an embedded B_j(x), E_j(x) or G_j(x) reads
+    # neither letter, so it is the polynomial itself
+    for kind in ("bernoulli", "euler", "genocchi"):
+        poly = number_polynomial(kind, 12)
+        assert poly.substitute(core._FROM_LETTERS) is poly
+        assert LetterElem.of(poly).poly is poly
+    assert products[0] == 0
+
+
 def test_t4_to_32_forms_few_coefficient_products(products):
     # in Sig and D the factor D^(n-k) is one term and (Sig + xD)^(n-1)
     # n terms; over the letters x1, x2 these sums formed 540,578 products
@@ -174,18 +184,17 @@ def test_the_closed_forms_match_the_products(ring):
     assert ctx.S(-1) == 0
 
 
-@pytest.mark.parametrize("letters, refused", [
-    ((X1, X2 + 1), r"Sig = x1 \+ 1 is not one term"),
-    ((X1 + X, X2 - X), r"D = x2 \+ 2\*x is not one term"),
-    ((X1 + X2, 0), "Sig = x1 and D = x1 are one monomial"),
-    ((X1 / 2, X2 / 2), r"Sig = 1/2\*x1 has a denominator"),
-], ids=["sig", "d", "one-monomial", "denominator"])
-def test_a_chart_whose_sig_or_d_is_not_one_term_is_refused(monkeypatch, letters, refused):
-    # the closed forms and the map from the generic ring need Sig = u + v
-    # and D = u - v to be one term each, in two monomials, with an
-    # integer coefficient
+@pytest.mark.parametrize("sig, refused", [
+    (X1 + 1, r"Sig = x1 \+ 1 is not one term"),
+    (X2, "Sig = x2 and D = x2 are one monomial"),
+    (X1 / 2, r"Sig = 1/2\*x1 has a denominator"),
+], ids=["sig", "one-monomial", "denominator"])
+def test_a_chart_whose_sig_or_d_is_not_one_term_is_refused(monkeypatch, sig, refused):
+    # the closed forms and the map from the generic ring need Sig and D,
+    # which is x2 in every chart, to be one term each, in two monomials,
+    # with an integer coefficient
     chart = type(core._LETTERS)()
-    chart.letters = letters
+    chart.sig = sig
     monkeypatch.setattr(core, "_chart", lambda ring: chart)
     with pytest.raises(ValueError, match=refused):
         Context("indeterminate")
@@ -241,7 +250,7 @@ def random_roots(ring, count=40):
     ctx = Context(ring)
     rng = random.Random(ring)
     for _ in range(count):
-        yield ctx, QuadExtElem(random_part(rng), random_part(rng), ctx.pair.disc), rng
+        yield ctx, QuadExtElem(random_part(rng), random_part(rng), ctx.chart.disc), rng
 
 
 def seen(elem, q):
@@ -253,18 +262,46 @@ def seen(elem, q):
     return True
 
 
+@pytest.mark.parametrize("ring, printed", [
+    ("fibonacci-roots", ("(1/2*y) + (1/2)*sqrt(y^2 + 4*t)", "(1/2*y) + (-1/2)*sqrt(y^2 + 4*t)",
+                         "y", "-t", "(0) + (1)*sqrt(y^2 + 4*t)")),
+    ("balancing-roots", ("(3*y) + (1)*sqrt(9*y^2 - t)", "(3*y) + (-1)*sqrt(9*y^2 - t)",
+                         "6*y", "t", "(0) + (2)*sqrt(9*y^2 - t)")),
+])
+def test_the_letters_are_the_papers_roots(ring, printed):
+    # u and v are the roots of X^2 - trace*X + norm as the paper states
+    # them, (y +- sqrt(y^2 + 4t))/2 and 3y +- sqrt(9y^2 - t); their sum
+    # and product are the trace and the norm, and D = u - v is c*sqrt(d)
+    lam1, lam2, trace, norm, c = ROOTS[ring.removesuffix("-roots")]
+    disc = lam1.disc
+    ctx = Context(ring)
+    assert seen(ctx.u, lam1) and seen(ctx.v, lam2)
+    assert seen(ctx.Sig, QuadExtElem(trace, 0, disc)) and seen(ctx.u + ctx.v, ctx.Sig.as_poly())
+    assert seen(ctx.Prod, QuadExtElem(norm, 0, disc)) and seen(ctx.u * ctx.v, ctx.Prod.as_poly())
+    assert seen(ctx.D, QuadExtElem(0, c, disc)) and seen(ctx.u - ctx.v, ctx.D.as_poly())
+    assert tuple(map(str, (ctx.u, ctx.v, ctx.Sig, ctx.Prod, ctx.D))) == printed
+    assert not ctx.u * ctx.u - ctx.Sig * ctx.u + ctx.Prod
+    assert not ctx.v * ctx.v - ctx.embed(trace) * ctx.v + ctx.embed(norm)
+
+
+def test_a_ring_of_an_unknown_family_is_refused():
+    with pytest.raises(ValueError, match="unknown ring 'pell-roots'"):
+        Context("pell-roots")
+
+
 @pytest.mark.parametrize("ring", ROOT_RINGS)
 def test_the_chart_pins_d_in_slot_x2(ring):
-    # D = lam1 - lam2 = c*sqrt(d) is the variable x2; Sig is the trace,
-    # and t is read off d, linear in t
+    # D = u - v = c*sqrt(d) is the variable x2, and t is read off d,
+    # linear in t
     ctx = Context(ring)
-    pair, c = ctx.pair, ctx.pair.diff_scale
-    assert ctx.D.poly == X2 and ctx.embed(pair.lam1 - pair.lam2).poly == X2
+    lam1, lam2, _, _, c = ROOTS[ring.removesuffix("-roots")]
+    disc = lam1.disc
+    assert ctx.chart.scale == c and ctx.chart.disc == disc
+    assert ctx.D.poly == X2 and ctx.embed(lam1 - lam2).poly == X2
     assert ctx.delta.poly == X2 / c and ctx.delta * c == ctx.D
-    assert ctx.Sig.poly == pair.trace and ctx.Prod.poly == ctx.embed(pair.norm).poly
-    assert ctx.embed(pair.disc.poly).poly == X2 * X2 / (c * c)
-    assert seen(ctx.D, pair.lam1 - pair.lam2) and seen(ctx.t, QuadExtElem(T, 0, pair.disc))
-    assert seen(ctx.delta, QuadExtElem(0, 1, pair.disc))
+    assert ctx.embed(disc.poly).poly == X2 * X2 / (c * c)
+    assert seen(ctx.D, lam1 - lam2) and seen(ctx.t, QuadExtElem(T, 0, disc))
+    assert seen(ctx.delta, QuadExtElem(0, 1, disc))
     assert len(ctx.power(ctx.D, 9).poly.terms) == 1
 
 
@@ -273,9 +310,8 @@ def test_the_chart_pins_d_in_slot_x2(ring):
 def test_a_discriminant_not_linear_in_t_is_refused(disc):
     # t is read off d = alpha*t + r(y) only where alpha is a nonzero
     # constant and r reads no t, x1 or x2
-    pair = SimpleNamespace(disc=SimpleNamespace(poly=disc), diff_scale=1, family="made-up")
     with pytest.raises(ValueError, match=r"is not alpha\*t \+ r\(x, y\)"):
-        core._RootChart(pair)
+        core._RootChart("made-up", Y, 1, disc)
 
 
 @pytest.mark.parametrize("ring", ROOT_RINGS)
@@ -310,7 +346,7 @@ def test_a_root_ring_convolution_sum_matches_the_extension_ring(ring):
             want = sum_of_products(
                 ((binomial(n, k) * weight(n, k), low[k].as_poly(), high[n - k].as_poly())
                  for k in range(n + 1) if weight(n, k) and not (parity and (n - k) % 2)),
-                ctx.pair.disc)
+                ctx.chart.disc)
             assert seen(got, want)
 
 
@@ -332,14 +368,13 @@ def printed_by_halves(elem):
     """A root-ring element's a + b*sqrt(d), built apart from its chart:
     the even and odd halves of its polynomial in D (slot x2), written
     with x2 standing for D^2, then x2 -> c^2 d and b scaled by c."""
-    pair = elem.chart.pair
-    c = pair.diff_scale
+    c, disc = elem.chart.scale, elem.chart.disc
     halves = ({}, {})
     for (e1, e2, ex, ey, et), coeff in elem.poly.terms.items():
         halves[e2 % 2][(e1, e2 // 2, ex, ey, et)] = coeff
-    square = {"x2": c * c * pair.disc.poly}
+    square = {"x2": c * c * disc.poly}
     even, odd = (MultiPoly(half).substitute(square) for half in halves)
-    return QuadExtElem(even, odd * c, pair.disc)
+    return QuadExtElem(even, odd * c, disc)
 
 
 GOLDEN_ROOTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")

@@ -1,4 +1,5 @@
-"""Quadratic extension ring and the two built-in root pairs."""
+"""Quadratic extension ring, with the paper's two root pairs stated here
+as an independent reference."""
 
 import math
 import random
@@ -7,18 +8,32 @@ import pytest
 
 from convcheck._scalar import Rational
 from convcheck.arith import MultiPoly
-from convcheck.quadext import (
-    FAMILIES,
-    Discriminant,
-    QuadExtElem,
-    make_root_pair,
-    qe_binet_ratio,
-)
+from convcheck.quadext import Discriminant, QuadExtElem
 from convcheck.sequences import bivariate_sequence
 
 y = MultiPoly.var("y")
 t = MultiPoly.var("t")
 x = MultiPoly.var("x")
+
+FIB = Discriminant("fibonacci", y * y + 4 * t)
+BAL = Discriminant("balancing", 9 * (y * y) - t)
+# family -> (lam1, lam2, trace, norm, c): the roots of X^2 - trace*X + norm,
+# with lam1 - lam2 = c*sqrt(d), as the paper states them
+ROOTS = {
+    "fibonacci": (QuadExtElem(y / 2, Rational(1, 2), FIB), QuadExtElem(y / 2, Rational(-1, 2), FIB),
+                  y, -t, 1),
+    "balancing": (QuadExtElem(3 * y, 1, BAL), QuadExtElem(3 * y, -1, BAL), 6 * y, t, 2),
+}
+
+
+def binet_ratio(family, n):
+    """(lam1^n - lam2^n)/(lam1 - lam2) as a plain polynomial: the power
+    difference is a multiple of sqrt(d) alone, and lam1 - lam2 =
+    c*sqrt(d), so the ratio is its sqrt(d)-coefficient over c."""
+    lam1, lam2, _, _, c = ROOTS[family]
+    diff = lam1 ** n - lam2 ** n
+    assert diff.a.is_zero(), "the roots are not conjugate"
+    return diff.b / c
 
 
 def _canonical(elem):
@@ -64,17 +79,15 @@ def sum_of_products(triples, disc):
 
 
 def test_norm_via_conjugate():
-    pair = make_root_pair("fibonacci")
-    u = QuadExtElem(y, t + 1, pair.disc)
+    u = QuadExtElem(y, t + 1, FIB)
     prod = u * u.conjugate()
     assert prod.b.is_zero()
-    assert prod.a == y * y - (t + 1) ** 2 * pair.disc.poly
+    assert prod.a == y * y - (t + 1) ** 2 * FIB.poly
 
 
 def test_pow_matches_repeated_multiplication():
-    pair = make_root_pair("balancing")
-    u = QuadExtElem(1, y, pair.disc)
-    acc = QuadExtElem(1, 0, pair.disc)
+    u = QuadExtElem(1, y, BAL)
+    acc = QuadExtElem(1, 0, BAL)
     for e in range(7):
         assert u ** e == acc
         acc = acc * u
@@ -83,54 +96,47 @@ def test_pow_matches_repeated_multiplication():
 
 
 def test_mixed_discriminants_rejected():
-    fib = make_root_pair("fibonacci")
-    bal = make_root_pair("balancing")
+    fib, bal = ROOTS["fibonacci"], ROOTS["balancing"]
     with pytest.raises(ValueError):
-        fib.lam1 * bal.lam1
+        fib[0] * bal[0]
     with pytest.raises(ValueError):
-        fib.lam1 + bal.lam2
+        fib[0] + bal[1]
 
 
 def test_root_pairs_satisfy_their_quadratics():
-    for family in FAMILIES:
-        pair = make_root_pair(family)
-        for lam in (pair.lam1, pair.lam2):
+    for lam1, lam2, trace, norm, _ in ROOTS.values():
+        for lam in (lam1, lam2):
             # X^2 - trace*X + norm = 0
-            assert (lam * lam - pair.trace * lam + pair.norm).is_zero()
-        assert pair.lam1 + pair.lam2 == pair.trace
-        prod = pair.lam1 * pair.lam2
-        assert prod.b.is_zero() and prod.a == pair.norm
+            assert (lam * lam - trace * lam + norm).is_zero()
+        assert lam1 + lam2 == trace
+        prod = lam1 * lam2
+        assert prod.b.is_zero() and prod.a == norm
 
 
 def test_root_difference_scale():
-    for family in FAMILIES:
-        pair = make_root_pair(family)
-        diff = pair.lam1 - pair.lam2
+    for lam1, lam2, _, _, c in ROOTS.values():
+        diff = lam1 - lam2
         assert diff.a.is_zero()
-        assert diff.b == MultiPoly.constant(pair.diff_scale)
+        assert diff.b == MultiPoly.constant(c)
 
 
 def test_binet_ratio_reproduces_recurrences():
-    fib = make_root_pair("fibonacci")
-    bal = make_root_pair("balancing")
     for n in range(0, 25):
-        assert qe_binet_ratio(fib, n) == bivariate_sequence("fibonacci", n)
-        assert qe_binet_ratio(bal, n) == bivariate_sequence("balancing", n)
+        assert binet_ratio("fibonacci", n) == bivariate_sequence("fibonacci", n)
+        assert binet_ratio("balancing", n) == bivariate_sequence("balancing", n)
 
 
 def test_rational_part_reproduces_trace_sequences():
-    fib = make_root_pair("fibonacci")
-    bal = make_root_pair("balancing")
+    fib, bal = ROOTS["fibonacci"][0], ROOTS["balancing"][0]
     for n in range(0, 25):
-        lucas = 2 * (fib.lam1 ** n).a
+        lucas = 2 * (fib ** n).a
         assert lucas == bivariate_sequence("lucas", n)
-        lucas_bal = (bal.lam1 ** n).a
+        lucas_bal = (bal ** n).a
         assert lucas_bal == bivariate_sequence("lucas_balancing", n)
 
 
 def test_substitute_maps_discriminant_too():
-    pair = make_root_pair("fibonacci")
-    u = QuadExtElem(y, 1, pair.disc)
+    u = QuadExtElem(y, 1, FIB)
     v = u.substitute({"y": 1, "t": 1})
     assert v.a == MultiPoly.constant(1)
     assert v.disc.poly == MultiPoly.constant(5)
@@ -141,12 +147,11 @@ def test_substitute_maps_discriminant_too():
 
 
 def test_substitute_shares_one_discriminant_per_point():
-    pair = make_root_pair("balancing")
-    u = QuadExtElem(y + t, y, pair.disc)
-    w = QuadExtElem(t, Rational(1, 3) * y * y, pair.disc)
+    u = QuadExtElem(y + t, y, BAL)
+    w = QuadExtElem(t, Rational(1, 3) * y * y, BAL)
     point = {"y": Rational(2, 3), "t": 5}
     us, ws = u.substitute(point), w.substitute(dict(reversed(point.items())))
-    assert us.disc == ws.disc == Discriminant("balancing", pair.disc.poly.substitute(point))
+    assert us.disc == ws.disc == Discriminant("balancing", BAL.poly.substitute(point))
     assert us.disc is ws.disc
     for elem, sub in ((u, us), (w, ws)):
         assert sub.a == elem.a.substitute(point)
@@ -156,21 +161,14 @@ def test_substitute_shares_one_discriminant_per_point():
 
 
 def test_str_of_rational_element_is_plain():
-    pair = make_root_pair("balancing")
-    elem = QuadExtElem(6, 0, pair.disc)
+    elem = QuadExtElem(6, 0, BAL)
     assert str(elem) == "6"
-    assert "sqrt" in str(QuadExtElem(0, 1, pair.disc))
-
-
-def test_unknown_family_rejected():
-    with pytest.raises(ValueError):
-        make_root_pair("pell")
+    assert "sqrt" in str(QuadExtElem(0, 1, BAL))
 
 
 def test_zero_part_products_match_the_full_formula():
     rng = random.Random(20261018)
-    for family in FAMILIES:
-        disc = make_root_pair(family).disc
+    for disc in (FIB, BAL):
         elems = _random_elements(rng, disc, 14)
         for p in elems:
             for q in elems:
@@ -183,8 +181,7 @@ def test_zero_part_products_match_the_full_formula():
 
 def test_sum_of_products_matches_the_fold():
     rng = random.Random(20261019)
-    for family in FAMILIES:
-        disc = make_root_pair(family).disc
+    for disc in (FIB, BAL):
         zero = QuadExtElem(0, 0, disc)
         empty = sum_of_products([], disc)
         assert _canonical(empty) == zero and empty.disc is disc
@@ -199,14 +196,13 @@ def test_sum_of_products_matches_the_fold():
 
 
 def test_sum_of_products_rejects_mixed_discriminants():
-    fib = make_root_pair("fibonacci")
-    bal = make_root_pair("balancing")
+    (fib1, fib2, *_), (bal1, bal2, *_) = ROOTS["fibonacci"], ROOTS["balancing"]
     # a balancing element in a sum over the fibonacci discriminant, first,
     # second or only after a valid summand
-    for triples in ([(1, bal.lam1, fib.lam1)], [(1, fib.lam2, bal.lam2)],
-                    [(1, fib.lam1, fib.lam1), (1, fib.lam2, bal.lam1)]):
+    for triples in ([(1, bal1, fib1)], [(1, fib2, bal2)],
+                    [(1, fib1, fib1), (1, fib2, bal1)]):
         with pytest.raises(ValueError):
-            sum_of_products(triples, fib.disc)
+            sum_of_products(triples, FIB)
 
 
 def test_equal_discriminants_built_apart_are_equal_and_hash_equal():
@@ -222,22 +218,14 @@ def test_equal_discriminants_built_apart_are_equal_and_hash_equal():
         Discriminant("fibonacci", MultiPoly.constant(0))
 
 
-def test_root_pairs_built_apart_are_equal_and_hash_equal():
-    first, second = make_root_pair("balancing"), make_root_pair("balancing")
-    assert first is not second
-    assert first == second and hash(first) == hash(second)
-    assert first != make_root_pair("fibonacci")
-
-
 def test_substituting_two_elements_at_one_point_hits_the_discriminant_cache():
     from convcheck.quadext import _substituted_disc
 
-    pair = make_root_pair("fibonacci")
     # a point no other test substitutes at, so its first element misses
     point = {"y": Rational(7, 11), "t": Rational(-5, 13)}
     before = _substituted_disc.cache_info()
-    first = QuadExtElem(y, t, pair.disc).substitute(point)
-    second = QuadExtElem(t, y, make_root_pair("fibonacci").disc).substitute(point)
+    first = QuadExtElem(y, t, FIB).substitute(point)
+    second = QuadExtElem(t, y, Discriminant("fibonacci", 4 * t + y * y)).substitute(point)
     after = _substituted_disc.cache_info()
     assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
     assert first.disc is second.disc

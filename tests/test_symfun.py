@@ -4,8 +4,8 @@ import pytest
 
 from convcheck.arith import MultiPoly
 from convcheck.identities import get_context
-from convcheck.quadext import make_root_pair
 from convcheck.symfun import sym_ehp
+from test_quadext import ROOTS
 
 x1 = MultiPoly.var("x1")
 x2 = MultiPoly.var("x2")
@@ -67,10 +67,10 @@ def test_newton_relation_two_letters():
 
 
 def test_works_over_extension_ring():
-    rp = make_root_pair("fibonacci")
+    lam1, lam2, *_ = ROOTS["fibonacci"]
     # S_n is symmetric, hence has no sqrt part over conjugate letters
     for n in range(0, 8):
-        val = h(n, rp.lam1, rp.lam2)
+        val = h(n, lam1, lam2)
         assert val.b.is_zero()
 
 
