@@ -85,6 +85,9 @@ _SHIFTS = tuple(FIELD_BITS * (_NVARS - 1 - i) for i in range(_NVARS))
 _DEG_SHIFT = FIELD_BITS * _NVARS
 # key of the monomial consisting of one variable, degree field included
 _VAR_KEYS = tuple((1 << _DEG_SHIFT) | (1 << s) for s in _SHIFTS)
+# the keys of a binding that a substitution reads as a scalar times a
+# monomial: the constant's and each variable's
+_UNIT_KEYS = frozenset((0,) + _VAR_KEYS)
 
 _gcd = math.gcd
 
@@ -348,7 +351,9 @@ class MultiPoly:
         variables share one scalar factor and one product of polynomial
         bindings' powers, worked out once; the terms whose product is
         not 1 are multiplied by it, as every product is, by
-        :meth:`ProductSum.add`.  A binding's powers are shared by every
+        :meth:`ProductSum.add`.  A binding to a scalar times one variable
+        (y -> x1/6) forms no product: it scales the term and moves the
+        exponent to that variable.  A binding's powers are shared by every
         call that binds an equal polynomial (a bounded cache), so each is
         formed once, from the one below it.
         """
@@ -365,20 +370,23 @@ class MultiPoly:
 
 
 def _bind(bindings: Mapping[str, "MultiPoly | Scalar"]) -> Tuple[list, list]:
-    """The bindings of a substitution, read once: (index, num, den) for a
-    variable bound to a scalar or a constant polynomial, (index, value)
-    for one bound to any other polynomial."""
+    """The bindings of a substitution, read once: (index, num, den, key)
+    for a variable bound to num/den times the monomial of packed key
+    ``key``, which is 0 for a scalar or a constant polynomial and one
+    variable's key for a scalar times that variable; (index, value) for
+    one bound to any other polynomial."""
     scalars, polys = [], []
     for name, value in bindings.items():
         i = _VAR_INDEX.get(name)
         if i is None:
             raise ValueError(f"unknown variable {name!r} in substitution")
         if not isinstance(value, MultiPoly):
-            scalars.append((i, *num_den(value)))
-        elif value.is_constant():
-            scalars.append((i, value._terms.get(0, 0), value._den))
-        else:
+            scalars.append((i, *num_den(value), 0))
+        elif len(value._terms) > 1 or not value._terms.keys() <= _UNIT_KEYS:
             polys.append((i, value))
+        else:
+            key, num = next(iter(value._terms.items()), (0, 0))
+            scalars.append((i, num, value._den, key))
     return scalars, polys
 
 
@@ -391,7 +399,8 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
     [E, scale*O] with poly = E + v*O at v^2 = square.
 
     A term's image is c * factor * x^(key - sub) * pfactor, where the
-    integer factor, the key ``sub`` of the bound variables and the
+    integer factor, the key change ``sub`` of the bound variables (less
+    a binding's variable, for a scalar times one variable) and the
     product ``pfactor`` of their polynomial bindings' powers depend only
     on the bound variables' exponents, the term's *pattern*.  So they
     are worked out once per pattern, and each term costs one lookup.
@@ -411,20 +420,23 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
     # top bounds the variable's own exponents: the smaller of the total
     # degree (the largest key's top field) and the variable's field of
     # all keys OR'd together, which is 0 for a variable the polynomial
-    # does not read.  A variable it reads bound to a polynomial has a row
-    # of 1s and a power of its value for the polynomial factor; the split
-    # variable's row is read through its square (see _split_row).
+    # does not read.  Bound to num/den times a variable w, it has the
+    # same row and its exponent moves to w's field: the key gains
+    # e·key(w), of the same degree, with no product.  A variable it reads
+    # bound to any other polynomial has a row of 1s and a power of its
+    # value for the polynomial factor; the split variable's row is read
+    # through its square (see _split_row).
     total = max(terms) >> _DEG_SHIFT
     seen = functools.reduce(operator.or_, terms)
     den = poly._den
     mask = 0
     rows = []
     products = []
-    for i, num, den_i in scalars:
+    for i, num, den_i, to in scalars:
         top = min(total, (seen >> _SHIFTS[i]) & MAX_EXP)
         if top:
             row = _power_row(num, den_i, top)
-            rows.append((_SHIFTS[i], _VAR_KEYS[i], row))
+            rows.append((_SHIFTS[i], _VAR_KEYS[i] - to, row))
             mask |= MAX_EXP << _SHIFTS[i]
             den *= row[0]
     for i, value in polys:

@@ -212,8 +212,16 @@ def _cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage error is one line on stderr, with
+    exit status 2; ``-h`` still prints the full usage."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="convcheck",
         description="exact verification of convolution identities",
     )

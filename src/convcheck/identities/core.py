@@ -12,10 +12,10 @@ row of constants, its Sig, the scale c and the discriminant d with
 D = c*sqrt(d) (``_ROOT_FAMILIES``), and every ring's letters are
 u, v = (Sig +- D)/2.  Every ring holds
 its elements as one class, :class:`LetterElem`: a polynomial in the sum
-Sig = u + v and the difference D = u - v of the letters, in the
-coordinates of the ring's chart.  The generic ring's are Sig and D; a
-root ring's are x, y and D, since there D = c*sqrt(d) and d is linear in
-t, so Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,y,D] (see
+Sig = u + v (slot x1), the difference D = u - v (slot x2) of the letters
+and x, in every ring's chart.  In a root ring Sig = k*y and
+D = c*sqrt(d), with d linear in t, so y and t are polynomials in Sig and
+D, and Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,Sig,D] (see
 :class:`_RootChart`).  The letters x1 = u, x2 = v of the generic ring and
 the form a + b*sqrt(d) of a root ring are printed forms only.
 Sig and D are one term each in every chart, so the letters' powers u^j
@@ -28,16 +28,17 @@ the letters' powers against the embedded sequence values.
 Because both sides are written against the context interface, the same
 record can be evaluated in any ring.  A generic identity yields its
 family-specific corollary by the ring map φ that puts the roots in
-place of the letters: it sends the generic Sig (slot x1) to the root
-ring's Sig, y or 6y, fixes D and x, and relabels each term with no
-product (:meth:`Context.from_generic`).  In the shared context of a
+place of the letters; it fixes Sig, D and x, so on a polynomial that
+reads no y or t it is the identity, and the image shares the generic
+polynomial (:meth:`Context.from_generic`).  In the shared context of a
 root ring (:func:`get_context`), a side whose tree reads no root-only
-symbol is φ of its generic value where the shared generic context
-already holds that value, so a derived corollary's sides are φ of its
-theorem's.  Since x1 -> c*y is injective, such a
-corollary passes at n exactly when its theorem does; its value as a
-check is the cross-check of the root charts, which a test runs by
-comparing φ with direct root-ring evaluation of every derived side.
+symbol is φ of its value in the shared generic context, which
+evaluates it once for both families; so a derived corollary's sides
+are its theorem's.  Since φ is injective, such a corollary passes at n
+exactly when its theorem does.  The root charts are checked on their
+own: against the extension ring's arithmetic and the paper's roots
+(``tests/test_letter_elem.py``), and by the BINET records, which
+compare the letters' powers with the embedded sequences.
 
 A check never approximates: for each n the difference of the two sides
 is computed as a canonical element, and the verdict is pass iff it is
@@ -48,13 +49,14 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
-from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _bind, _index,
-                     _overflow, _substitute)
+from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _bind, _index, _overflow,
+                     _substitute)
 from ..quadext import Discriminant, QuadExtElem
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
@@ -152,45 +154,56 @@ class _LetterChart:
 
 
 class _RootChart:
-    """A root ring's chart: Q[x, y, t][sqrt(d)] is the polynomial ring
-    Q[x, y, D], with D = c*sqrt(d) in slot x2 and Sig, y or 6y, read off
-    the family's row of ``_ROOT_FAMILIES``.
+    """A root ring's chart, the generic one: Q[x, y, t][sqrt(d)] is the
+    polynomial ring Q[Sig, D, x], with Sig in slot x1 and D = c*sqrt(d)
+    in slot x2, as in the generic ring.
 
-    The discriminant is linear in t with a constant coefficient,
-    d = alpha*t + r(y) (y^2 + 4t and 9y^2 - t), so t = (D^2/c^2 - r)/alpha.
-    The map Q[x, y, D] -> Q[x, y, t][sqrt(d)] that sends D to c*sqrt(d)
-    is a ring homomorphism; sending t to that expression and sqrt(d) to
-    D/c respects sqrt(d)^2 = d and inverts it.  So it is an isomorphism,
-    and an element is zero iff its polynomial in x, y and D is: the zero
-    test stays exact.
+    The family's row of ``_ROOT_FAMILIES`` gives Sig = k*y (k is 1 or 6)
+    and the discriminant d, linear in t with a constant coefficient,
+    d = alpha*t + r(y) (y^2 + 4t and 9y^2 - t).  So y = Sig/k and
+    t = (D^2/c^2 - r(Sig/k))/alpha.  The map Q[x, Sig, D] ->
+    Q[x, y, t][sqrt(d)] that sends Sig to k*y and D to c*sqrt(d) is a
+    ring homomorphism; sending y to Sig/k, t to that expression and
+    sqrt(d) to D/c respects sqrt(d)^2 = d and inverts it.  So it is an
+    isomorphism, and an element is zero iff its polynomial
+    in Sig, D and x is: the zero test stays exact.  A polynomial in the
+    generic ring that reads no y or t is the same polynomial here, so
+    the map from the generic ring is the identity on it
+    (:meth:`Context.from_generic`).
 
     A polynomial P = E(D^2) + D*O(D^2) prints as a + b*sqrt(d) with
-    a = E(c^2 d) and b = c*O(c^2 d).  Its image at a point, and its
-    printed form, the image at no point, is one pass over P
-    (:meth:`image`): each term takes the point's values of x and y and
+    a = E(c^2 d) and b = c*O(c^2 d), Sig read as k*y.  Its image at a
+    point, and its printed form, the image at no point, is one pass over
+    P (:meth:`image`): each term takes k*y and x at the point and
     delta^(e // 2) for D^e, delta = c^2 d(point), and goes to a if e is
     even and to b, times c, if it is odd.  What depends on the point
     alone (its bindings, delta and d(point)) is made once per point
-    (:func:`_point`).  No t is read and no printed form is kept.
+    (:func:`_point`).  No printed form is kept.
     """
 
+    sig = _X1
+
     def __init__(self, family: str, sig: MultiPoly, c, d: MultiPoly):
+        k = sig.coeff((0, 0, 0, 1, 0))
+        if not k or sig != k * _Y:
+            raise ValueError(f"Sig = {sig} is not a multiple of y")
         alpha = d.coeff((0, 0, 0, 0, 1))
         rest = d - alpha * _T
         if not alpha or any(rest.degree_in(name) for name in ("x1", "x2", "t")):
             raise ValueError(f"discriminant {d} is not alpha*t + r(x, y)")
         self.family = family
-        self.sig = sig
         self.disc = Discriminant(family, d)
         self.scale = c
         self._c2 = c * c
-        self._t = {"t": (_X2 * _X2 / self._c2 - rest) / alpha}
+        self._k = k
+        y = _X1 / k
+        self._yt = {"y": y, "t": (_X2 * _X2 / self._c2 - rest.substitute({"y": y})) / alpha}
         self._sqrt_d = _X2 / c
 
     def lift(self, value) -> Optional[MultiPoly]:
         """A polynomial in x, y, t, an element a + b*sqrt(d) of this
-        ring, or a scalar, in x, y and D; None for anything else (a
-        polynomial reading x1 or x2, which no root-ring element reads)."""
+        ring, or a scalar, in Sig, D and x; None for anything else (a
+        polynomial reading x1 or x2, which no printed form reads)."""
         if isinstance(value, QuadExtElem):
             if value.disc != self.disc:
                 raise ValueError(f"mixed discriminants: {self.disc.name} vs {value.disc.name}")
@@ -199,7 +212,7 @@ class _RootChart:
         if isinstance(value, MultiPoly):
             if value.degree_in("x1") or value.degree_in("x2"):
                 return None
-            return value.substitute(self._t)
+            return value.substitute(self._yt)
         return MultiPoly.constant(value) if is_scalar(value) else None
 
     def printed(self, elem: "LetterElem") -> QuadExtElem:
@@ -210,7 +223,7 @@ class _RootChart:
 
     def image(self, poly: MultiPoly, point: tuple) -> QuadExtElem:
         """a + b*sqrt(d) at ``point``, a sorted tuple of (name, value)
-        bindings, for the polynomial ``poly`` in x, y and D."""
+        bindings, for the polynomial ``poly`` in Sig, D and x."""
         scalars, polys, split, disc = _point(self, point)
         return QuadExtElem(*_substitute(poly, scalars, polys, split), disc)
 
@@ -220,22 +233,26 @@ class _RootChart:
 
 @functools.lru_cache(maxsize=64)
 def _point(chart: _RootChart, point: tuple):
-    """What the images at ``point`` share, made once per point: its
-    bindings read by ``arith._bind``, but for x1 and x2, which no
-    root-ring element reads; the split of D (slot x2) with
-    D^2 = delta = c^2 d(point); and the discriminant d(point) of the
-    image.  Every caller only reads it."""
-    d = chart.disc.poly.substitute(dict(point))
-    scalars, polys = _bind({name: value for name, value in point if name not in ("x1", "x2")})
+    """What the images at ``point`` share, made once per point: the
+    bindings read by ``arith._bind``, of Sig (slot x1) to k*y at the
+    point, or to k*y where the point leaves y free, and of x where the
+    point binds it; the split of D (slot x2) with D^2 = delta =
+    c^2 d(point); and the discriminant d(point) of the image.  A binding
+    of x1 or x2 in the point is ignored, as no printed form reads them.
+    Every caller only reads it."""
+    values = dict(point)
+    d = chart.disc.poly.substitute(values)
+    bound = {"x1": chart._k * values.get("y", _Y)}
+    if "x" in values:
+        bound["x"] = values["x"]
+    scalars, polys = _bind(bound)
     split = (_D_INDEX, chart._c2 * d, chart.scale)
     return scalars, polys, split, Discriminant(chart.disc.name, d)
 
 
 _LETTERS = _LetterChart()
-# the generic ring's Sig as a packed key (slot x1) and the shift of its
-# exponent field; the variables that Context.from_generic does not fix,
-# and their exponent fields
-_SIG_KEY, _SIG_SHIFT = _VAR_KEYS[_index("x1")], _SHIFTS[_index("x1")]
+# the variables that Context.from_generic does not fix, and their
+# exponent fields
 NOT_FIXED_BY_PHI = ("y", "t")
 _NOT_FIXED_FIELDS = sum(MAX_EXP << _SHIFTS[_index(name)] for name in NOT_FIXED_BY_PHI)
 
@@ -253,10 +270,9 @@ class LetterElem:
     a :class:`MultiPoly` in the letters' sum Sig = u + v and difference
     D = u - v, and its ring's ``chart``.
 
-    In the generic ring Q[u,v,x,y,t] the polynomial is in Sig (slot x1)
-    and D (slot x2), with u = (Sig + D)/2 and v = (Sig - D)/2.  In a
-    root ring it is in x, y and D (slot x2), where Sig is the family's
-    y or 6y and t is a polynomial in y and D (see
+    In every ring the polynomial is in Sig (slot x1), D (slot x2) and
+    x, with u = (Sig + D)/2 and v = (Sig - D)/2; the generic ring's y
+    and t are free, and a root ring's are polynomials in Sig and D (see
     :class:`_RootChart`).  In these coordinates D^j is one term and
     (Sig + xD)^j is j+1, so the convolution sums form far fewer
     coefficient products, and a root-ring product needs no sqrt(d)
@@ -270,7 +286,7 @@ class LetterElem:
     element keeps none, as its printed form and its image at a point are
     each one pass over its polynomial (:meth:`_RootChart.image`).
     ``terms`` are the printed form's in the generic ring and the
-    polynomial's in x, y and D in a root ring.  An operand from another
+    polynomial's in Sig, D and x in a root ring.  An operand from another
     ring raises, a root ring's ValueError for two discriminants,
     TypeError otherwise.
     """
@@ -468,31 +484,21 @@ class Context:
         return LetterElem(MultiPoly._reduced(terms, den, deg), self.chart)
 
     def from_generic(self, value):
-        """φ(value), for φ: Q[Sig, D, x] -> this ring the ring map
-        that sends the generic ring's Sig (slot x1) to this ring's Sig,
-        and fixes D (slot x2 in every chart), x and the scalars.
+        """φ(value), for φ: Q[Sig, D, x] -> this ring the ring map that
+        fixes Sig (slot x1), D (slot x2), x and the scalars.
 
-        Like :meth:`_binomial_sum`, it is built term by term with no
-        product: this ring's Sig is an integer times one variable (y or
-        6y in a root ring) and its D is x2, so Sig^e1 D^e2 x^e is the one
-        term of key e1 key(Sig) + e2 key(D) + e key(x), of the same
-        degree, scaled by coeff(Sig)^e1.  No chart is otherwise, and the
-        test that compares φ with direct root-ring evaluation of every
-        derived side would fail on one that was.  A scalar is its own
-        image.  The generic value of a tree reading y or t is not in φ's
-        domain, and such a value raises ValueError."""
+        Every chart holds its elements in Sig, D and x, so φ is the
+        identity on the polynomial: the image shares it, and no
+        polynomial is formed.  A scalar is its own image.  The generic
+        value of a tree reading y or t is not in φ's domain, since y and
+        t are free in the generic ring and functions of Sig and D in a
+        root ring, and such a value raises ValueError."""
         if type(value) is not LetterElem:
             return value
-        (ks, sn, _), _ = self._sig_d
-        poly = value.poly
-        relabel = ks - _SIG_KEY
-        terms = {}
-        for key, c in poly._terms.items():
-            if key & _NOT_FIXED_FIELDS:
-                raise ValueError(f"{value} reads y or t, which φ does not fix")
-            e1 = (key >> _SIG_SHIFT) & MAX_EXP
-            terms[key + e1 * relabel] = c * sn ** e1
-        return LetterElem(MultiPoly._reduced(terms, poly._den, poly._deg), self.chart)
+        terms = value.poly._terms
+        if terms and functools.reduce(operator.or_, terms) & _NOT_FIXED_FIELDS:
+            raise ValueError(f"{value} reads y or t, which φ does not fix")
+        return LetterElem(value.poly, self.chart)
 
     def S(self, j: int):
         """Complete homogeneous sum h_j(u, v) of degree j in the letters;
@@ -613,7 +619,7 @@ def eval_convolution_sum(
     ``parity=True`` the sum runs only over k with n - k even.  Each
     summand is multiplied straight into one exact accumulator, a
     ``ProductSum``, with no polynomial per summand: every ring holds its
-    elements as polynomials, in Sig and D or in x, y and D.
+    elements as polynomials in Sig, D and x.
     """
     acc = ProductSum()
     for k in range(n % 2, n + 1, 2) if parity else range(n + 1):

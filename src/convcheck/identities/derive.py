@@ -18,15 +18,17 @@ printed one:
 
 * :func:`derive_corollary` -- state a generic-ring entry with the
   letters bound to the conjugate roots of a recurrence family.  The
-  entry shares its theorem's side callables, and in the root ring each
-  side is φ of the theorem's generic value, φ being the ring map
-  that puts the roots in place of the letters
-  (:meth:`~convcheck.identities.core.Context.from_generic`); a side is
-  evaluated directly only when the theorem's value is not at hand.  As
-  φ is injective, a derived corollary passes at n exactly when its
-  theorem does: it restates the theorem in root coordinates, and its
-  value as a check is the cross-check of the root charts, run by a
-  test that compares φ with direct root-ring evaluation.
+  entry shares its theorem's side callables, and in the shared root
+  context each side is φ of the theorem's generic value, φ being the
+  ring map that puts the roots in place of the letters
+  (:meth:`~convcheck.identities.core.Context.from_generic`).  Every
+  ring holds its elements in Sig, D and x, so φ shares the generic
+  polynomial, and each side is evaluated once for both families, in
+  the shared generic context.  As φ is injective, a derived corollary
+  passes at n exactly when its theorem does: it restates the theorem
+  in root coordinates.  The root charts themselves are checked by the
+  tests of the extension ring's arithmetic and the paper's roots, and
+  by the BINET records.
 
 The corrected variants of the false printed statements are assembled
 here from the true entries they should have followed from.

@@ -648,21 +648,20 @@ def _side(node) -> SideFn:
     In the shared context of a root ring (:func:`get_context`), a tree
     that reads no root-only symbol (y, t, d, ``F_``, ``L_``, ``B*_``,
     ``C_``) takes its value at n from the shared generic context's memo,
-    through the ring map :meth:`Context.from_generic`, when that memo
-    holds it; it is evaluated directly otherwise, and always in a
-    context a caller made itself.  The map sends the letters to the
-    roots and every symbol such a tree reads to its root-ring value, so
-    both routes give one element.  A derived corollary states its
-    theorem's trees, so it takes its sides from the theorem's run."""
+    through the ring map :meth:`Context.from_generic`, and the generic
+    context evaluates it there first when it does not hold it; such a
+    tree is evaluated directly only in a context a caller made itself.
+    Every ring holds its elements in Sig, D and x, and the map is the
+    identity on them, so both routes give one polynomial, and each such
+    tree is evaluated once for both families.  A derived corollary
+    states its theorem's trees, so it takes its sides from the theorem's
+    run."""
     ev = _compile(node)
     transported = not _reads_root_only(node)
 
     def side(ctx, n):
         if transported and ctx.family is not None and core._CONTEXTS.get(ctx.ring) is ctx:
-            generic = core._CONTEXTS.get("indeterminate")
-            value = None if generic is None else generic._memo.get((side, n))
-            if value is not None:
-                return ctx.from_generic(value)
+            return ctx.from_generic(get_context("indeterminate").memo(side, n))
         return ev(ctx, n, 0)
 
     return side

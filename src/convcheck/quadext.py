@@ -7,15 +7,17 @@ the polynomial ring, so the extension is an integral domain and an
 element is zero iff both parts are zero.
 
 Each of those discriminants is linear in t with a constant coefficient,
-d = alpha*t + r(y).  So the extension of Q[x, y, t] by sqrt(d) is itself
-a polynomial ring: sending D to c*sqrt(d) maps Q[x, y, D] onto it, and
-t -> (D^2/c^2 - r)/alpha, sqrt(d) -> D/c is the inverse map, which
-respects sqrt(d)^2 = d.  The checker's root rings compute there
+d = alpha*t + r(y), and the letters' sum is Sig = k*y.  So the extension
+of Q[x, y, t] by sqrt(d) is itself a polynomial ring: sending Sig to
+k*y and D to c*sqrt(d) maps Q[x, Sig, D] onto it, and y -> Sig/k,
+t -> (D^2/c^2 - r(Sig/k))/alpha, sqrt(d) -> D/c is the inverse map,
+which respects sqrt(d)^2 = d.  The checker's root rings compute there,
+in the generic ring's coordinates
 (:class:`convcheck.identities.core.LetterElem`), where a product needs
 no fold of sqrt(d)^2 into d and the zero test is still exact, as the
 maps are ring isomorphisms.  A QuadExtElem is the printed form of such
 an element and the image of its substitution at a point, each formed
-in one pass over the element's polynomial in x, y and D, with no
+in one pass over the element's polynomial in Sig, D and x, with no
 printed form kept (:meth:`convcheck.identities.core._RootChart.image`);
 :meth:`QuadExtElem.substitute` substitutes a QuadExtElem itself.
 """

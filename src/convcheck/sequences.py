@@ -3,9 +3,10 @@
 The primary definitions are integer recurrences and Appell sums; the
 EGF realizations in :mod:`convcheck.egf` remain the independent oracle
 the tests compare against.  Each number and Appell polynomial is a
-``functools.cache`` function of its index, and each bivariate family is
-one list of its values so far, extended on demand; a negative index is
-refused with a one-line ValueError and never cached.
+``functools.cache`` function of its index, and each bivariate value is
+its closed binomial sum, built term by term with no product and kept
+nowhere; a negative index is refused with a one-line ValueError and
+never cached.
 
 * Tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...) and secant numbers
   S_0, S_1, ... (1, 1, 5, 61, ...) come from the in-place integer
@@ -25,15 +26,19 @@ refused with a one-line ValueError and never cached.
                                   seeds (0, 1) and (2, y);
     balancing / lucas_balancing:  u_n = 6y u_{n-1} - t u_{n-2},
                                   seeds (0, 1) and (1, 3y).
+  Each is a closed binomial sum:
+    F_n = sum_k C(n-1-k, k) y^(n-1-2k) t^k,
+    L_n = sum_k n/(n-k) C(n-k, k) y^(n-2k) t^k  (L_0 = 2),
+    B*_n = F_n(6y, -t),  C_n = L_n(6y, -t)/2.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ._scalar import Rational
-from .arith import MultiPoly, binomial
+from .arith import MAX_EXP, VARIABLES, MultiPoly, _VAR_KEYS, _overflow, binomial
 
 __all__ = [
     "BIVARIATE_KINDS",
@@ -141,30 +146,38 @@ def number_polynomial(kind: str, n: int) -> MultiPoly:
     return _appell(which, n)
 
 
-def _bivariate_table() -> Dict[str, Tuple[List[MultiPoly], MultiPoly, MultiPoly]]:
-    """kind -> (the values u_0, u_1, ... so far, p, q)."""
-    y = MultiPoly.var("y")
-    t = MultiPoly.var("t")
-    one = MultiPoly.constant(1)
-    zero = MultiPoly.constant(0)
-    return {
-        "fibonacci": ([zero, one], y, t),
-        "lucas": ([2 * one, y], y, t),
-        "balancing": ([zero, one], 6 * y, -t),
-        "lucas_balancing": ([one, 3 * y], 6 * y, -t),
-    }
-
-
-_BIVARIATE = _bivariate_table()
+# kind -> (a Lucas kind, the scale p of y, the sign s of t, the
+# denominator): the n-th value is F_n(p*y, s*t) or L_n(p*y, s*t) over it
+_BIVARIATE = {
+    "fibonacci": (False, 1, 1, 1),
+    "lucas": (True, 1, 1, 1),
+    "balancing": (False, 6, -1, 1),
+    "lucas_balancing": (True, 6, -1, 2),
+}
 BIVARIATE_KINDS = tuple(_BIVARIATE)
+_Y_KEY, _T_KEY = (_VAR_KEYS[VARIABLES.index(name)] for name in ("y", "t"))
 
 
 def bivariate_sequence(kind: str, n: int) -> MultiPoly:
-    """n-th element of one of the bivariate families over Q[y, t]."""
+    """n-th element of one of the bivariate families over Q[y, t], built
+    from its closed binomial sum: the term y^(m-2k) t^k, m = n - 1 for
+    F_n and n for L_n, is one packed key, so no product is formed, and
+    each coefficient is the one before times a ratio of small integers."""
     if kind not in _BIVARIATE:
         raise ValueError(f"unknown bivariate family {kind!r}; choose from {BIVARIATE_KINDS}")
     _check_index(kind, n)
-    values, p, q = _BIVARIATE[kind]
-    while len(values) <= n:
-        values.append(p * values[-1] + q * values[-2])
-    return values[n]
+    lucas, p, s, den = _BIVARIATE[kind]
+    m = n if lucas else n - 1
+    if m > MAX_EXP:
+        raise _overflow(m)
+    # c_k = a_k p^(m-2k) s^k, with a_k = C(m-k, k) for F_n and
+    # n/(n-k) C(n-k, k) for L_n (L_0 = 2): a_k/a_(k-1) is
+    # j(j-1)/(k(m-k+1)) for F_n and j(j-1)/(k(m-k)) for L_n, j = m-2k+2
+    c = (2 if lucas and not n else 1) * p ** max(m, 0)
+    terms = {}
+    for k in range(m // 2 + 1):
+        if k:
+            j = m - 2 * k + 2
+            c = c * s * j * (j - 1) // (p * p * k * (m - k + 1 - lucas))
+        terms[(m - 2 * k) * _Y_KEY + k * _T_KEY] = c
+    return MultiPoly._reduced(terms, den, max(m, 0))

@@ -336,6 +336,38 @@ def test_a_constant_binding_is_its_scalar():
         assert got.terms == _ref_substitute(p.terms, _ref_bindings({"y": value, "x1": x2 - x}))
 
 
+def test_a_binding_to_a_scalar_times_one_variable_forms_no_product(monkeypatch):
+    # y -> x1/6, x1 -> 6y, a swap of the letters, x -> -x: each scales the
+    # term and moves its exponent, with no product, and gives the image of
+    # the general route, which multiplies by the binding's powers
+    count = [0]
+    add = ProductSum.add
+
+    def counted(self, num, den, p, q):
+        count[0] += len(p._terms) * len(q._terms)
+        add(self, num, den, p, q)
+
+    monkeypatch.setattr(ProductSum, "add", counted)
+    rng = random.Random(20261020)
+    cases = [{"y": x1 / 6}, {"x1": 6 * y}, {"x1": x2, "x2": x1}, {"x": -x},
+             {"x1": 6 * y, "y": Rational(2, 3)}, {"y": Rational(-3, 4) * t, "t": y},
+             {"x2": x2 / 2, "x1": x, "t": 5}]
+    for _ in range(60):
+        terms = _random_terms(rng, max_terms=6, max_deg=6)
+        p = MultiPoly(terms)
+        for bindings in cases:
+            arith._powers.cache_clear()
+            count[0] = 0
+            got = p.substitute(bindings)
+            assert count[0] == 0, bindings
+            scalars, polys = arith._bind(bindings)
+            moved = [(i, bindings[VARIABLES[i]]) for i, _, _, to in scalars if to]
+            assert moved and not polys
+            kept = [row for row in scalars if not row[3]]
+            assert got == arith._substitute(p, kept, moved)[0]
+            assert _canonical(got).terms == _ref_substitute(terms, _ref_bindings(bindings))
+
+
 def _product_sum(triples):
     """Σ s*p*q formed in one ProductSum, the triples added as they come."""
     acc = ProductSum()
@@ -434,6 +466,9 @@ def test_monomial_at_the_bound():
     assert top.total_degree() == MAX_EXP
     assert top.coeff((0, 0, 0, 0, MAX_EXP)) == Rational(1, 2)
     assert top.coeff((0, 0, 0, 1, 0)) == 0
+    # a monomial no polynomial can hold has coefficient 0
+    for exp in ((0, 0, 0, 0, MAX_EXP + 1), (0, 0, 0, -1, MAX_EXP + 1), (-1, 0, 0, 0, 0), (0, 0, 0, 0)):
+        assert top.coeff(exp) == 0 and (top + 3).coeff(exp) == 0
     assert str(x1 ** MAX_EXP) == f"x1^{MAX_EXP}"
     assert (t ** MAX_EXP * 2).terms == {(0, 0, 0, 0, MAX_EXP): 2}
     assert (x1 * t ** (MAX_EXP - 1)).substitute({"x1": y}).terms == {(0, 0, 0, 1, MAX_EXP - 1): 1}

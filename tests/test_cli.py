@@ -258,3 +258,78 @@ def test_verify_selection_whose_every_range_is_empty_exits_2():
     assert result.stdout == ""
     assert len(result.stderr.splitlines()) == 1
     assert "nothing was checked" in result.stderr
+
+
+# The CLI contract, one row per argv: every subcommand, each option at an
+# invalid, a boundary and a large value, unknown ids, variants, kinds and
+# formats, and unwritable paths.  Exit 0 or 1 writes nothing to stderr;
+# exit 2 writes one line, never a traceback.  {out} is a writable file and
+# {bad} one in a directory that does not exist.
+CONTRACT = [
+    ([], 2),
+    (["nonsense"], 2),
+    (["--help"], 0),
+    (["verify", "--help"], 0),
+    (["verify", "--id", "T2.1a", "--max-n", "3"], 0),
+    (["verify", "--id", "T2.1a", "--max-n", "0"], 0),
+    (["verify", "--id", "T2.1a", "--max-n", str(10 ** 30)], 0),
+    (["verify", "--id", "T2.1a", "--max-n", "-1"], 2),
+    (["verify", "--id", "T2.1a", "--max-n", "three"], 2),
+    (["verify", "--id", "L1.1a", "--max-n", "0"], 2),
+    (["verify", "--id", "NOPE"], 2),
+    (["verify", "--id", "T2.1a:misprinted"], 2),
+    (["verify", "--id", "T2.1b", "--variant", "corrected"], 2),
+    (["verify", "--id", "L1.2S:corrected", "--max-n", "4"], 0),
+    (["verify", "--variant", "misprinted"], 2),
+    (["verify", "--format", "yaml"], 2),
+    (["verify", "--all", "--id", "T2.1a"], 2),
+    (["verify", "--bogus"], 2),
+    (["verify", "--all", "--max-n", "2", "--format", "json", "--out", "{out}"], 0),
+    (["verify", "--id", "C4.1", "--format", "markdown", "--out", "{out}"], 0),
+    (["verify", "--id", "T2.1a", "--max-n", "2", "--out", "{bad}"], 2),
+    (["report", "--max-n", "2"], 0),
+    (["report", "--max-n", str(10 ** 30), "--format", "json", "--out", "{out}"], 0),
+    (["report", "--max-n", "-5"], 2),
+    (["report", "--max-n", "2.5"], 2),
+    (["report", "--format", "pdf"], 2),
+    (["report", "--variant", "both", "--max-n", "0", "--format", "text"], 0),
+    (["report", "--variant", "all"], 2),
+    (["report", "--max-n", "0", "--out", "{bad}"], 2),
+    (["compute", "bernoulli", "0"], 0),
+    (["compute", "bernoulli", "1000"], 0),
+    (["compute", "bernoulli", "-1"], 2),
+    (["compute", "bernoulli", "twelve"], 2),
+    (["compute", "bernoulli"], 2),
+    (["compute", "pell", "3"], 2),
+    (["compute", "euler", "4", "--at", "x=3"], 2),
+    (["compute", "genocchi_poly", "0", "--at", "x=1/2"], 0),
+    (["compute", "euler_poly", str(MAX_EXP + 1)], 2),
+    (["compute", "biv_fibonacci", "0"], 0),
+    (["compute", "biv_fibonacci", "4000"], 0),
+    (["compute", "biv_balancing", str(MAX_EXP + 2)], 2),
+    (["compute", "biv_lucas_balancing", "300", "--at", "y=1,t=-2/3"], 0),
+    (["compute", "biv_lucas", "3", "--at", "y=1/0"], 2),
+    (["compute", "biv_lucas", "3", "--at", ""], 2),
+    (["compute", "biv_lucas", "3", "--at", "y=1,y=2"], 2),
+    (["compute", "biv_lucas", "3", "--at", "x=1"], 2),
+    (["compute", "bernoulli_poly", "3", "--at", "x=" + "9" * 5000], 2),
+    (["series", "euler", "--order", "0"], 0),
+    (["series", "euler", "--order", "150"], 0),
+    (["series", "euler", "--order", "-1"], 2),
+    (["series", "euler", "--order", "many"], 2),
+    (["series", "pell"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", CONTRACT, ids=[" ".join(argv)[:60] or "(none)" for argv, _ in CONTRACT])
+def test_the_cli_contract(tmp_path, capsys, argv, code):
+    paths = {"out": str(tmp_path / "out.txt"), "bad": str(tmp_path / "missing" / "out.txt")}
+    argv = [arg.format(**paths) if arg in ("{out}", "{bad}") else arg for arg in argv]
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    err = capsys.readouterr().err
+    assert got == code
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == (1 if code == 2 else 0), err

@@ -18,6 +18,7 @@ from convcheck.identities import (
     reindex_shift_two,
     run_record,
 )
+from convcheck import report
 from convcheck.identities import notation
 from convcheck.identities.theorems import theorem_records
 from convcheck.report import run_records
@@ -200,8 +201,9 @@ def test_corollaries_share_the_sides_of_the_catalog_records_they_descend_from():
 
 def test_derive_corollary_shares_the_catalog_records_sides_and_memo(monkeypatch):
     # derive_corollary descends from the catalog's own records, so each
-    # call gives the catalog corollary's sides and no new memo entry;
-    # with no shared generic context the sides are evaluated directly
+    # call gives the catalog corollary's sides and no new memo entry; a
+    # shared root context keeps only its sides, whose values the shared
+    # generic context evaluates
     monkeypatch.setattr(core, "_CONTEXTS", {})
     rec = get_record("C3.5b:corrected")
 
@@ -212,21 +214,21 @@ def test_derive_corollary_shares_the_catalog_records_sides_and_memo(monkeypatch)
             assert got == rec
             assert got.lhs is rec.lhs and got.rhs is rec.rhs
             run_record(got, (0, 8), ctx)
-            sizes.append(len(ctx._memo))
+            sizes.append((len(ctx._memo), len(get_context("indeterminate")._memo)))
         return sizes
 
-    # n = 0..8: the two sides at each n (18); the left sum's weight
-    # (n-k-1)(1-2^(n-k)) B_(n-k) at each j = n-k = 0..8 (9); its operand
-    # of n-k, D^j, at the j where the weight is not 0, j = 2, 4, 6, 8
-    # (4); its operand of k at k = n-j, so k = 0..6 (7); and phi_k,
-    # which the context keeps per k, at those k (7)
-    assert memo_sizes() == [45, 45, 45]
-    # once the theorem ran in the shared generic context, each side of a
-    # fresh shared root context is the image of its generic memo entry,
-    # and nothing else is kept
+    # n = 0..8: the two sides at each n (18), in both rings; in the
+    # generic one also the left sum's weight (n-k-1)(1-2^(n-k)) B_(n-k)
+    # at each j = n-k = 0..8 (9); its operand of n-k, D^j, at the j where
+    # the weight is not 0, j = 2, 4, 6, 8 (4); its operand of k at
+    # k = n-j, so k = 0..6 (7); and phi_k, which the context keeps per
+    # k, at those k (7)
+    assert memo_sizes() == [(18, 45)] * 3
+    # once the theorem ran in the shared generic context, a fresh shared
+    # root context takes its images, and the generic memo gains nothing
     monkeypatch.setattr(core, "_CONTEXTS", {})
     run_record(get_record("T3.5b:corrected"), (0, 8))
-    assert memo_sizes() == [18, 18, 18]
+    assert memo_sizes() == [(18, 45)] * 3
     # a context a caller made itself evaluates its sides directly
     ctx = Context(rec.ring)
     run_record(rec, (0, 8), ctx)
@@ -273,20 +275,69 @@ def test_the_map_refuses_a_value_that_reads_y_or_t():
     assert fib.from_generic(generic.u * generic.v) == fib.Prod
 
 
+@pytest.mark.parametrize("ring", ROOT_RINGS)
+def test_the_map_shares_the_generic_polynomial(ring):
+    # every chart holds its elements in Sig, D and x, so the image is
+    # the generic polynomial itself, in the root ring's chart
+    generic, roots = Context("indeterminate"), Context(ring)
+    for g in (generic.u, generic.v, generic.Sig * generic.D ** 3 + generic.x, generic.S(7),
+              generic.zero):
+        image = roots.from_generic(g)
+        assert type(image) is core.LetterElem and image.chart is roots.chart
+        assert image.poly is g.poly
+    assert roots.from_generic(generic.u) == roots.u and roots.from_generic(generic.D) == roots.D
+
+
 def test_a_catalog_run_takes_every_derived_side_from_its_theorem(monkeypatch):
-    # verify --all runs each theorem before its corollaries, so all 1,596
-    # derived side values are images of generic memo entries
+    # verify --all runs each theorem before its corollaries; all 1,596
+    # derived side values are images of generic memo entries, and so are
+    # the 125 values of the BINET records' letter-power sides (31 for each
+    # of the four that pass, and n = 0 of BINET.C as printed, which fails
+    # there), the only other root-ring trees that read no root-only symbol
     monkeypatch.setattr(core, "_CONTEXTS", {})
-    images = []
+    images, rings, current = {}, set(), [None]
     from_generic = Context.from_generic
+    run_one = report.run_record
 
     def counted(ctx, value):
-        images.append(ctx.ring)
+        images[current[0]] = images.get(current[0], 0) + 1
+        rings.add(ctx.ring)
         return from_generic(ctx, value)
 
+    def tagged(rec, *args):
+        current[0] = rec.key
+        return run_one(rec, *args)
+
     monkeypatch.setattr(Context, "from_generic", counted)
+    monkeypatch.setattr(report, "run_record", tagged)
     rows = run_records(register_catalog())
-    assert len(images) == 1596
-    assert sorted(set(images)) == sorted(ROOT_RINGS)
     derived = {rec.key for rec in derived_records()}
+    assert sum(images.get(key, 0) for key in derived) == 1596
+    others = {key: count for key, count in images.items() if key not in derived}
+    assert others == {"BINET.F:as_printed": 31, "BINET.L:as_printed": 31, "BINET.Bst:as_printed": 31,
+                      "BINET.C:as_printed": 1, "BINET.C:corrected": 31}
+    assert sorted(rings) == sorted(ROOT_RINGS)
     assert all(row.status == "pass" for row in rows if row.record.key in derived)
+
+
+def test_a_fresh_shared_root_context_evaluates_no_transported_tree_itself(monkeypatch):
+    # the derived corollaries of both families in fresh shared contexts:
+    # each root memo holds the records' sides and nothing else (no sum
+    # operand, weight, S_j or phi_j), and each side value shares its
+    # polynomial with the generic memo's, evaluated once per n for both
+    # families
+    monkeypatch.setattr(core, "_CONTEXTS", {})
+    records = derived_records()
+    for rec in records:
+        run_record(rec)
+    sides = {side for rec in records for side in (rec.lhs, rec.rhs)}
+    generic = get_context("indeterminate")._memo
+    for ring in ROOT_RINGS:
+        ctx = get_context(ring)
+        assert ctx._memo and not ctx._powers
+        for (fn, n), value in ctx._memo.items():
+            assert fn in sides and value.poly is generic[(fn, n)].poly
+    fib, bal = (get_context(ring)._memo for ring in ROOT_RINGS)
+    shared = fib.keys() & bal.keys()
+    assert len(shared) > 500
+    assert all(fib[key].poly is bal[key].poly for key in shared)

@@ -254,8 +254,9 @@ def random_roots(ring, count=40):
 
 
 def seen(elem, q):
-    """elem is a root-ring element printing as the QuadExtElem q."""
-    assert type(elem) is LetterElem and "x1" not in str(elem.poly)
+    """elem is a root-ring element printing as the QuadExtElem q; its
+    polynomial is in Sig, D and x, and reads no y or t."""
+    assert type(elem) is LetterElem and not elem.poly.degree_in("y") and not elem.poly.degree_in("t")
     view = elem.as_poly()
     assert type(view) is QuadExtElem and view == q and str(view) == str(q)
     assert elem == q and q == elem and str(elem) == str(q) and hash(elem) == hash(q)
@@ -298,6 +299,10 @@ def test_the_chart_pins_d_in_slot_x2(ring):
     disc = lam1.disc
     assert ctx.chart.scale == c and ctx.chart.disc == disc
     assert ctx.D.poly == X2 and ctx.embed(lam1 - lam2).poly == X2
+    # Sig = u + v is x1, as in the generic ring, and y is Sig/k
+    trace = ROOTS[ring.removesuffix("-roots")][2]
+    assert ctx.Sig.poly == X1 and ctx.embed(trace).poly == X1 and ctx.embed(lam1 + lam2).poly == X1
+    assert ctx.y.poly == X1 / trace.coeff((0, 0, 0, 1, 0))
     assert ctx.delta.poly == X2 / c and ctx.delta * c == ctx.D
     assert ctx.embed(disc.poly).poly == X2 * X2 / (c * c)
     assert seen(ctx.D, lam1 - lam2) and seen(ctx.t, QuadExtElem(T, 0, disc))
@@ -315,12 +320,30 @@ def test_a_discriminant_not_linear_in_t_is_refused(disc):
 
 
 @pytest.mark.parametrize("ring", ROOT_RINGS)
+def test_a_printed_form_reading_x1_or_x2_is_not_embedded(ring):
+    # a + b*sqrt(d) has its parts in x, y and t; a part in x1 or x2, in
+    # either place, is not of the ring
+    ctx = Context(ring)
+    disc = ctx.chart.disc
+    for bad in (X1, Y + X2, QuadExtElem(X1, 1, disc), QuadExtElem(Y, X2, disc)):
+        with pytest.raises(TypeError, match="cannot embed"):
+            ctx.embed(bad)
+
+
+@pytest.mark.parametrize("sig", [Y + 1, X, Y * Y, MultiPoly()], ids=["affine", "x", "square", "zero"])
+def test_a_sig_not_a_multiple_of_y_is_refused(sig):
+    # y is read off Sig = k*y, for a nonzero constant k
+    with pytest.raises(ValueError, match="is not a multiple of y"):
+        core._RootChart("made-up", sig, 1, Y * Y + 4 * T)
+
+
+@pytest.mark.parametrize("ring", ROOT_RINGS)
 def test_the_chart_is_a_ring_isomorphism(ring):
     previous = None
     for ctx, q, rng in random_roots(ring):
         elem = ctx.embed(q)
         assert seen(elem, q) and bool(elem) == bool(q) and elem.is_zero() == q.is_zero()
-        assert "t" not in {name for exp in elem.terms for name, e in zip("12xyt", exp) if e}
+        assert not {name for exp in elem.terms for name, e in zip("12xyt", exp) if e} & {"y", "t"}
         if previous is not None:
             p, other = previous
             assert seen(elem + other, q + p) and seen(elem - other, q - p)
@@ -367,12 +390,14 @@ def test_a_root_ring_substitution_is_the_printed_forms(ring):
 def printed_by_halves(elem):
     """A root-ring element's a + b*sqrt(d), built apart from its chart:
     the even and odd halves of its polynomial in D (slot x2), written
-    with x2 standing for D^2, then x2 -> c^2 d and b scaled by c."""
-    c, disc = elem.chart.scale, elem.chart.disc
+    with x2 standing for D^2, then x2 -> c^2 d, Sig (slot x1) -> the
+    paper's trace, and b scaled by c."""
+    _, _, trace, _, c = ROOTS[elem.chart.family]
+    disc = elem.chart.disc
     halves = ({}, {})
     for (e1, e2, ex, ey, et), coeff in elem.poly.terms.items():
         halves[e2 % 2][(e1, e2 // 2, ex, ey, et)] = coeff
-    square = {"x2": c * c * disc.poly}
+    square = {"x1": trace, "x2": c * c * disc.poly}
     even, odd = (MultiPoly(half).substitute(square) for half in halves)
     return QuadExtElem(even, odd * c, disc)
 

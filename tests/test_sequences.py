@@ -7,7 +7,7 @@ import pytest
 
 from convcheck import sequences
 from convcheck._scalar import Rational
-from convcheck.arith import MultiPoly
+from convcheck.arith import MAX_EXP, MultiPoly
 from convcheck.egf import egf_special
 from convcheck.sequences import (
     BIVARIATE_KINDS,
@@ -89,12 +89,33 @@ def test_bivariate_seed_rows():
     assert bivariate_sequence("lucas_balancing", 1) == 3 * y
 
 
+# kind -> (seeds u_0, u_1, and the recurrence's p and q in
+# u_n = p u_(n-1) + q u_(n-2)), as the module docstring states them
+RECURRENCES = {
+    "fibonacci": ((0, 1), y, t),
+    "lucas": ((2, y), y, t),
+    "balancing": ((0, 1), 6 * y, -t),
+    "lucas_balancing": ((1, 3 * y), 6 * y, -t),
+}
+
+
 def test_bivariate_recurrences_hold():
-    for n in range(2, 30):
-        f = bivariate_sequence("fibonacci", n)
-        assert f == y * bivariate_sequence("fibonacci", n - 1) + t * bivariate_sequence("fibonacci", n - 2)
-        b = bivariate_sequence("balancing", n)
-        assert b == 6 * y * bivariate_sequence("balancing", n - 1) - t * bivariate_sequence("balancing", n - 2)
+    # the closed binomial sums of all four kinds against their seeds and
+    # recurrences
+    for kind, (seeds, p, q) in RECURRENCES.items():
+        assert [bivariate_sequence(kind, n) for n in (0, 1)] == [MultiPoly.constant(1) * s for s in seeds]
+        for n in range(2, 61):
+            u = bivariate_sequence(kind, n)
+            assert u == p * bivariate_sequence(kind, n - 1) + q * bivariate_sequence(kind, n - 2), (kind, n)
+            assert u._deg == u.total_degree()
+
+
+def test_a_bivariate_value_past_the_degree_bound_is_refused():
+    # F_n has total degree n - 1 and L_n degree n, refused before any
+    # term is built
+    for kind, n in (("fibonacci", MAX_EXP + 2), ("lucas_balancing", MAX_EXP + 1)):
+        with pytest.raises(OverflowError, match="exceeds the packed exponent bound"):
+            bivariate_sequence(kind, n)
 
 
 def test_bivariate_frozen_evaluations():
