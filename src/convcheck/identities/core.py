@@ -40,9 +40,10 @@ own: against the extension ring's arithmetic and the paper's roots
 (``tests/test_letter_elem.py``), and by the BINET records, which
 compare the letters' powers with the embedded sequences.
 
-A check never approximates: for each n the difference of the two sides
-is computed as a canonical element, and the verdict is pass iff it is
-literally zero.
+A check never approximates: for each n the two sides are canonical
+elements, and the verdict is pass iff they are equal, which is the
+test that their difference is literally zero; the difference is formed
+only for sides that are not equal.
 """
 
 from __future__ import annotations
@@ -688,9 +689,23 @@ class IdentityVerdict(Fields):
         return None if self.sides is None else str(self.sides[1])
 
 
-def _compare_sides(record: IdentityRecord, n: int, lhs_v, rhs_v) -> IdentityVerdict:
-    if lhs_v - rhs_v:
-        return IdentityVerdict(record.ident, record.variant, n, False, sides=(lhs_v, rhs_v))
+def _compare_sides(record: IdentityRecord, n: int, lhs_v, rhs_v, bindings=None) -> IdentityVerdict:
+    """The verdict at n: pass iff ``lhs_v == rhs_v``.  Every element is
+    canonical, so equality is the zero test of the difference, which is
+    formed only when the sides are not equal; it raises for sides of two
+    rings, ValueError for two root rings and TypeError otherwise.
+
+    With ``bindings``, two equal sides of one type pass with no image,
+    as an image is a function of the element.  Sides that differ, and
+    equal values of two types (a constant and its scalar, which is not
+    substituted), are each substituted, never as their difference, and
+    their images compared.
+    """
+    if type(lhs_v) is not type(rhs_v) or lhs_v != rhs_v:
+        if bindings is not None:
+            lhs_v, rhs_v = substitute_value(lhs_v, bindings), substitute_value(rhs_v, bindings)
+        if lhs_v != rhs_v and lhs_v - rhs_v:
+            return IdentityVerdict(record.ident, record.variant, n, False, sides=(lhs_v, rhs_v))
     return IdentityVerdict(record.ident, record.variant, n, True)
 
 
@@ -703,33 +718,26 @@ def _check_range(
     bindings: Optional[Dict[str, Any]] = None,
 ) -> List[IdentityVerdict]:
     """One verdict per n comparing ``lhs(ctx, n)`` with ``rhs(ctx, n)``,
-    each substituted with ``bindings`` first when given.  Each side is
-    taken from the context's memo, so a re-check, a companion
-    check or another point reuses it.  It calls no public check, so a
-    wrapper around one check never nests another.
+    or their images under ``bindings`` when given (see
+    :func:`_compare_sides`).  Each side is taken from the context's
+    memo, so a re-check, a companion check or another point reuses it.
+    It calls no public check, so a wrapper around one check never nests
+    another.
+
+    The point is checked once, before the first index, by the image of
+    one: it refuses what every side's image would (an unknown variable,
+    a discriminant that vanishes at the point), so a point is refused
+    even where no side is substituted.
     """
     if ctx is None:
         ctx = get_context(record.ring)
+    if bindings is not None:
+        ctx.one.substitute(bindings)
     lo, hi = n_range if n_range is not None else record.default_range()
     out: List[IdentityVerdict] = []
     for n in range(lo, hi + 1):
         try:
-            lhs_v = ctx.memo(lhs, n)
-            if bindings is None:
-                rhs_v = ctx.memo(rhs, n)
-            else:
-                lhs_i = substitute_value(lhs_v, bindings)
-                rhs_v = ctx.memo(rhs, n)
-                # a right side equal to the left one takes its image,
-                # which a second substitution would reproduce exactly;
-                # equal values of two types (a constant and its scalar,
-                # which is not substituted) are each substituted
-                if type(rhs_v) is type(lhs_v) and rhs_v == lhs_v:
-                    rhs_v = lhs_i
-                else:
-                    rhs_v = substitute_value(rhs_v, bindings)
-                lhs_v = lhs_i
-            verdict = _compare_sides(record, n, lhs_v, rhs_v)
+            verdict = _compare_sides(record, n, ctx.memo(lhs, n), ctx.memo(rhs, n), bindings)
         except PrintedFormUndefined as exc:
             verdict = IdentityVerdict(
                 record.ident, record.variant, n, False, f"undefined: {exc}"
@@ -765,8 +773,9 @@ def run_record_substituted(
 
     The sides are specialized independently (never the difference), so a
     pass here is evidence about the substituted statement itself.  Two
-    equal sides share one image, since substituting the right side again
-    would give the same element; sides that differ are each substituted.
+    equal sides form no image, since equal elements have equal images at
+    every point; sides that differ are each substituted.  A point that
+    an image refuses is refused even where every side is equal.
     """
     return _check_range(record, record.lhs, record.rhs, n_range, ctx, bindings)
 

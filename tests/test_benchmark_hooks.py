@@ -83,33 +83,37 @@ def test_traced_run_records_checks_a_failing_record_only_to_its_first_failure():
 
 def _images_of_a_traced_substituted_check(monkeypatch, key):
     """The verdicts of ``key`` at a point for n = 0..3 with the tracer
-    installed, and the number of root-ring images formed: calls of
-    ``_RootChart.image``, the one route from an element to its image."""
+    installed, and the number of root-ring images of side polynomials
+    formed: calls of ``_RootChart.image``, the one route from an element
+    to its image, less the point checks, each the image of the context's
+    one."""
+    rec = get_record(key)
+    ctx = core.Context(rec.ring)
     calls = []
     image = core._RootChart.image
 
     def counted(chart, poly, point):
-        calls.append(point)
+        if poly is not ctx.one.poly:
+            calls.append(point)
         return image(chart, poly, point)
 
     monkeypatch.setattr(core._RootChart, "image", counted)
-    rec = get_record(key)
     tracer = _load_tracer_module().Tracer()
     try:
         tracer.install()
         verdicts = core.run_record_substituted(
-            rec, {"y": Fraction(2, 3), "t": Fraction(-1, 2)}, (0, 3), core.Context(rec.ring))
+            rec, {"y": Fraction(2, 3), "t": Fraction(-1, 2)}, (0, 3), ctx)
     finally:
         tracer.restore()
     return verdicts, len(calls)
 
 
-def test_traced_substituted_check_substitutes_equal_sides_once(monkeypatch):
-    # the sides of a passing record are equal at every n, so each n
-    # substitutes one root-ring element, not two
+def test_traced_substituted_check_forms_no_image_of_equal_sides(monkeypatch):
+    # the sides of a passing record are equal at every n, and an image is
+    # a function of the element, so no side is substituted
     verdicts, images = _images_of_a_traced_substituted_check(monkeypatch, "C2.1.1:corrected")
     assert [(v.n, v.passed) for v in verdicts] == [(n, True) for n in range(4)]
-    assert images == 4
+    assert images == 0
 
 
 def test_traced_substituted_check_substitutes_differing_sides_each(monkeypatch):

@@ -5,10 +5,14 @@ the as-printed forms; it is asserted exactly so that any change in the
 checker's verdict on any printed equation is caught.
 """
 
+import json
+import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from convcheck import report
 from convcheck._scalar import Rational
 from convcheck.arith import MultiPoly
 from convcheck.egf import EgfSeries, egf_mul
@@ -349,12 +353,14 @@ def _counting_substitutions(monkeypatch):
     return calls
 
 
-def test_equal_sides_share_one_image(monkeypatch):
+def test_equal_sides_form_no_image(monkeypatch):
+    # equal elements have equal images at every point, so a passing
+    # index substitutes no side
     calls = _counting_substitutions(monkeypatch)
     rec = get_record("C2.1.1:corrected")
     verdicts = run_record_substituted(rec, {"y": Rational(2, 3), "t": Rational(-1, 2)}, (0, 5))
     assert all(v.passed for v in verdicts) and len(verdicts) == 6
-    assert len(calls) == 6
+    assert calls == []
     # the as-printed C3.1 fails at (1, 1) from n = 3: there the sides
     # differ, and each is substituted itself
     rec, point = get_record("C3.1:as_printed"), {"y": 1, "t": 1}
@@ -363,12 +369,106 @@ def test_equal_sides_share_one_image(monkeypatch):
         del calls[:]
         verdicts += run_record_substituted(rec, point, (n, n))
         per_n.append(len(calls))
-    assert per_n == [1, 1, 1, 2, 2]
+    assert per_n == [0, 0, 0, 2, 2]
     assert [v.passed for v in verdicts] == [True, True, True, False, False]
     ctx = get_context(rec.ring)
     for v in verdicts[3:]:
         by_hand = substitute_value(rec.lhs(ctx, v.n), point) - substitute_value(rec.rhs(ctx, v.n), point)
         assert v.diff == str(by_hand) != "0"
+
+
+def test_equal_values_of_two_types_are_each_substituted(monkeypatch):
+    # a constant and its scalar compare equal but are of two types: each
+    # is substituted (the scalar passes through), as they were before
+    calls = _counting_substitutions(monkeypatch)
+    rec = get_record("C2.1.1:corrected").replace(lhs=lambda ctx, n: ctx.one, rhs=lambda ctx, n: 1)
+    verdicts = run_record_substituted(rec, {"y": 2, "t": 1}, (0, 2), Context(rec.ring))
+    assert [v.passed for v in verdicts] == [True] * 3
+    assert len(calls) == 6
+
+
+def _pairs_seen_by_compare_sides(monkeypatch):
+    """Route core._compare_sides through a wrapper that keeps every pair
+    of sides it is handed, and the pair of their images when it is
+    handed bindings."""
+    pairs = []
+    real = core._compare_sides
+
+    def seeing(record, n, lhs_v, rhs_v, bindings=None):
+        pairs.append((lhs_v, rhs_v))
+        if bindings is not None:
+            pairs.append((substitute_value(lhs_v, bindings), substitute_value(rhs_v, bindings)))
+        return real(record, n, lhs_v, rhs_v, bindings)
+
+    monkeypatch.setattr(core, "_compare_sides", seeing)
+    return pairs
+
+
+def _equality_is_the_zero_difference(pairs):
+    for a, b in pairs:
+        assert (a == b) is not bool(a - b), (a, b)
+
+
+_GOLDEN_ROOTS = json.loads((Path(__file__).resolve().parent.parent / "perfbench" / "golden.json")
+                           .read_text())["roots_subst"]
+
+
+def test_equality_decides_as_the_difference_does(monkeypatch):
+    # every element is canonical, so two sides are equal exactly when
+    # their difference is zero: over verify --all, passing and failing
+    pairs = _pairs_seen_by_compare_sides(monkeypatch)
+    report.run_records(register_catalog())
+    assert Counter(a == b for a, b in pairs) == {True: 2139, False: 28}
+    _equality_is_the_zero_difference(pairs)
+    # over the 12 parity companions
+    del pairs[:]
+    companions = [rec for rec in register_catalog() if rec.companion is not None]
+    assert len(companions) == 12
+    for rec in companions:
+        assert all(v.passed for v in parity_restriction_equivalence(rec))
+    assert len(pairs) > 200
+    _equality_is_the_zero_difference(pairs)
+    # and over the benchmark's substituted records at a seeded point,
+    # the sides and their images
+    del pairs[:]
+    rng = random.Random(20261020)
+    point = {"y": Rational(rng.choice([-5, -3, 2, 7]), rng.randint(2, 9)),
+             "t": Rational(rng.choice([-7, -1, 3, 4]), rng.randint(2, 9))}
+    assert point["y"] ** 2 + 4 * point["t"] and 9 * point["y"] ** 2 - point["t"]
+    for key, lo, hi in _GOLDEN_ROOTS["records"]:
+        assert all(v.passed for v in run_record_substituted(get_record(key), point, (lo, hi)))
+    assert len(pairs) > 1000
+    _equality_is_the_zero_difference(pairs)
+
+
+def test_sides_of_two_rings_are_still_refused():
+    # two root rings' elements compare unequal, and their difference
+    # raises: the verdict is never a plain "not equal"
+    generic, fib, bal = (Context(ring) for ring in RINGS)
+    rec = get_record("C2.1.1:corrected")
+    for bindings in (None, {"y": 2, "t": 1}):
+        with pytest.raises(ValueError, match="mixed discriminants"):
+            core._compare_sides(rec, 0, fib.Sig, bal.Sig, bindings)
+        with pytest.raises(ValueError, match="mixed discriminants"):
+            core._compare_sides(rec, 0, bal.one, fib.one, bindings)
+    with pytest.raises(TypeError):
+        core._compare_sides(rec, 0, generic.Sig, fib.Sig)
+
+
+@pytest.mark.parametrize("key, point, message", [
+    ("C2.1.1:corrected", {"y": 2, "t": -1}, "discriminant must be non-zero"),
+    ("C3.8:corrected", {"y": 1, "t": 9}, "discriminant must be non-zero"),
+    ("R1.1:corrected", {"z": 1}, "unknown variable 'z' in substitution"),
+])
+def test_a_refused_point_is_refused_where_the_sides_are_equal(key, point, message):
+    # d = y^2 + 4t and d = 9y^2 - t vanish at the first two points, and z
+    # is no variable: the sides form no image, and the point is still
+    # refused as their images would refuse it
+    rec = get_record(key)
+    assert all(v.passed for v in run_record(rec, (0, 3)))
+    with pytest.raises(ValueError) as exc:
+        run_record_substituted(rec, point, (0, 3), Context(rec.ring))
+    assert str(exc.value) == message
 
 
 def test_corrected_t33_small_values():

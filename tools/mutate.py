@@ -51,6 +51,8 @@ TARGETS = (
     "src/convcheck/arith.py:_substitute",
     "src/convcheck/arith.py:_split_row",
     "src/convcheck/identities/core.py:_point",
+    "src/convcheck/identities/core.py:_check_range",
+    "src/convcheck/identities/core.py:_compare_sides",
 )
 PER_TARGET = 8
 SEED = 3
