@@ -52,10 +52,9 @@ import operator
 from collections.abc import Mapping
 from typing import Dict, List, Tuple, Union
 
-from ._scalar import BACKEND, Rational, as_rational, is_scalar, num_den
+from ._scalar import Rational, as_rational, is_scalar, num_den
 
 __all__ = [
-    "BACKEND",
     "FIELD_BITS",
     "MAX_EXP",
     "Rational",
@@ -392,7 +391,7 @@ def _bind(bindings: Mapping[str, "MultiPoly | Scalar"]) -> Tuple[list, list]:
 
 def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List[MultiPoly]:
     """poly with the bindings read by :func:`_bind`, in one pass over its
-    terms: [the image].  With ``split`` = (i, square, scale), square a
+    terms: [the image, 0].  With ``split`` = (i, square, scale), square a
     polynomial and scale a scalar, the variable v of index i is bound
     through its square and its exponent e routes each term: v^e becomes
     square^(e // 2) and the term goes to half e % 2, so the result is
@@ -410,9 +409,8 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
     a polynomial that reads no bound variable is its own image.
     """
     terms = poly._terms
-    halves = 1 if split is None else 2
     if not terms:
-        return [poly] * halves
+        return [poly, poly]
     # each bound variable the polynomial reads has a row, the integer
     # factor of a term of exponent e at index e, and leaves the key.  A
     # variable bound to num/den multiplies the term by num^e·den^(top-e),
@@ -461,7 +459,7 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
         rows.append((half_shift, _VAR_KEYS[i], row))
         mask |= MAX_EXP << half_shift
     if not seen & mask:
-        return [poly] if split is None else [poly, MultiPoly()]
+        return [poly, MultiPoly()]
     # a term of a pattern with no polynomial factor goes straight into
     # its half's integer numerators over den; its half's accumulator
     # then starts from those, so each product added to it may rescale
@@ -494,7 +492,7 @@ def _substitute(poly: MultiPoly, scalars: list, polys: list, split=None) -> List
         key -= sub
         out[key] = out.get(key, 0) + c * factor
     images = []
-    for half in range(halves):
+    for half in (0, 1):
         den_h = den * odd_den if half else den
         acc = ProductSum(outs[half], den_h, total)
         for part, pfactor in gathered[half]:
@@ -523,11 +521,11 @@ def _split_row(num: int, den: int, top: int, odd: int) -> Tuple[int, ...]:
 
 @functools.lru_cache(maxsize=256)
 def _powers(value: MultiPoly) -> List[MultiPoly]:
-    """[1, value, value^2, ...]: the powers of a polynomial binding formed
+    """[value, value^2, ...]: the powers of a polynomial binding formed
     so far.  Every substitution by an equal value shares the list, which
     :func:`_power` extends, so a root chart's lift of each embedded value
     reuses the powers of its image of t."""
-    return [MultiPoly.constant(1), value]
+    return [value]
 
 
 def _power(value: MultiPoly, e: int) -> MultiPoly:
@@ -535,12 +533,12 @@ def _power(value: MultiPoly, e: int) -> MultiPoly:
     product at a time; a power past the degree bound is refused before
     any is formed."""
     powers = _powers(value)
-    if len(powers) <= e:
+    if len(powers) < e:
         if e * value._deg > MAX_EXP and e * value.total_degree() > MAX_EXP:
             raise _overflow(e * value.total_degree())
-        while len(powers) <= e:
+        while len(powers) < e:
             powers.append(powers[-1] * value)
-    return powers[e]
+    return powers[e - 1]
 
 
 class ProductSum:

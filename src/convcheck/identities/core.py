@@ -13,13 +13,15 @@ D = c*sqrt(d) (``_ROOT_FAMILIES``), and every ring's letters are
 u, v = (Sig +- D)/2.  Every ring holds
 its elements as one class, :class:`LetterElem`: a polynomial in the sum
 Sig = u + v (slot x1), the difference D = u - v (slot x2) of the letters
-and x, in every ring's chart.  In a root ring Sig = k*y and
-D = c*sqrt(d), with d linear in t, so y and t are polynomials in Sig and
-D, and Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,Sig,D] (see
-:class:`_RootChart`).  The letters x1 = u, x2 = v of the generic ring and
-the form a + b*sqrt(d) of a root ring are printed forms only.
-Sig and D are one term each in every chart, so the letters' powers u^j
-and v^j and their symmetric functions S_j = h_j(u, v) and
+and x, in one chart class, :class:`_Chart`.  In a root ring Sig = k*y
+and D = c*sqrt(d), with d linear in t, so y and t are polynomials in Sig
+and D, and Q[x,y,t][sqrt(d)] is the polynomial ring Q[x,Sig,D].  The
+letters x1 = u, x2 = v of the generic ring and the form a + b*sqrt(d) of
+a root ring are printed forms only, each formed by one pass over the
+polynomial, as is an element's image at a point, and none is kept
+(:meth:`_Chart.image`).
+Sig and D are the variables x1 and x2 in every chart, so the letters'
+powers u^j and v^j and their symmetric functions S_j = h_j(u, v) and
 phi_j = u^j + v^j are closed binomial sums in Sig and D, built term by
 term with no product (:meth:`Context.power`, :meth:`Context.S`,
 :meth:`Context.phi`).  R1.1 and R1.2 check S_j and phi_j against h_j
@@ -56,8 +58,8 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
-from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _bind, _index, _overflow,
-                     _substitute)
+from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _bind, _index,
+                     _overflow, _substitute)
 from ..quadext import Discriminant, QuadExtElem
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
@@ -104,8 +106,9 @@ def printed_ratio(num, den: int):
 
 
 _X1, _X2, _Y, _T = (MultiPoly.var(name) for name in ("x1", "x2", "y", "t"))
-# D's slot in every chart
+# D's slot in every chart, and the keys of Sig = x1 and D = x2
 _D_INDEX = _index("x2")
+_SIG_KEY, _D_KEY = (_VAR_KEYS[_index(name)] for name in ("x1", "x2"))
 # a generic element's polynomial holds Sig in the x1 slot and D in the
 # x2 slot; these bindings take it to the letters x1 = u, x2 = v and back
 _TO_LETTERS = {"x1": _X1 + _X2, "x2": _X1 - _X2}
@@ -125,42 +128,16 @@ _ROOT_FAMILIES = {
 FAMILIES = tuple(_ROOT_FAMILIES)
 
 
-class _LetterChart:
-    """The generic ring's chart: a polynomial in Sig (slot x1) and D
-    (slot x2), printed as the polynomial in the letters x1 = u, x2 = v."""
+class _Chart:
+    """A ring's chart: its elements are polynomials in Sig (slot x1),
+    D (slot x2) and x, the same in every ring.
 
-    family = None
-    sig = _X1
-
-    def lift(self, value) -> Optional[MultiPoly]:
-        """A polynomial in the letters, or a scalar, in Sig and D; None
-        for anything else."""
-        if isinstance(value, MultiPoly):
-            return value.substitute(_FROM_LETTERS)
-        return MultiPoly.constant(value) if is_scalar(value) else None
-
-    def printed(self, elem: "LetterElem") -> MultiPoly:
-        """The polynomial in the letters, formed once per element and
-        kept, to print, hash and substitute."""
-        form = elem._form
-        if form is None:
-            form = elem._form = elem.poly.substitute(_TO_LETTERS)
-        return form
-
-    def substitute(self, elem: "LetterElem", bindings) -> MultiPoly:
-        return self.printed(elem).substitute(bindings)
-
-    def terms(self, elem: "LetterElem"):
-        return elem.as_poly().terms
-
-
-class _RootChart:
-    """A root ring's chart, the generic one: Q[x, y, t][sqrt(d)] is the
-    polynomial ring Q[Sig, D, x], with Sig in slot x1 and D = c*sqrt(d)
-    in slot x2, as in the generic ring.
-
-    The family's row of ``_ROOT_FAMILIES`` gives Sig = k*y (k is 1 or 6)
-    and the discriminant d, linear in t with a constant coefficient,
+    The generic ring's chart has no ``family``: its printed form is the
+    polynomial in the letters x1 = u, x2 = v, and it lifts one by
+    ``_FROM_LETTERS``.  A root ring's is built from its family's row of
+    ``_ROOT_FAMILIES``, and Q[x, y, t][sqrt(d)] is the polynomial ring
+    Q[Sig, D, x].  The row gives Sig = k*y (k is 1 or 6) and the
+    discriminant d, linear in t with a constant coefficient,
     d = alpha*t + r(y) (y^2 + 4t and 9y^2 - t).  So y = Sig/k and
     t = (D^2/c^2 - r(Sig/k))/alpha.  The map Q[x, Sig, D] ->
     Q[x, y, t][sqrt(d)] that sends Sig to k*y and D to c*sqrt(d) is a
@@ -172,19 +149,24 @@ class _RootChart:
     the map from the generic ring is the identity on it
     (:meth:`Context.from_generic`).
 
-    A polynomial P = E(D^2) + D*O(D^2) prints as a + b*sqrt(d) with
-    a = E(c^2 d) and b = c*O(c^2 d), Sig read as k*y.  Its image at a
-    point, and its printed form, the image at no point, is one pass over
-    P (:meth:`image`): each term takes k*y and x at the point and
-    delta^(e // 2) for D^e, delta = c^2 d(point), and goes to a if e is
-    even and to b, times c, if it is odd.  What depends on the point
-    alone (its bindings, delta and d(point)) is made once per point
-    (:func:`_point`).  No printed form is kept.
+    A root-ring polynomial P = E(D^2) + D*O(D^2) prints as a + b*sqrt(d)
+    with a = E(c^2 d) and b = c*O(c^2 d), Sig read as k*y.  In every
+    ring an element's image at a point, and its printed form, the image
+    at no point, is one pass over its polynomial (:meth:`image`): each
+    term takes the point's values, Sig and D at the point (u + v and
+    u - v in the generic ring; k*y, and delta^(e // 2) for D^e with
+    delta = c^2 d(point), in a root ring, where the term goes to a if e
+    is even and to b, times c, if it is odd).  What depends on the point
+    alone is made once per point (:func:`_point`).  No printed form is
+    kept.
     """
 
-    sig = _X1
+    family = disc = None
+    _lifting, _printing = _FROM_LETTERS, _TO_LETTERS
 
-    def __init__(self, family: str, sig: MultiPoly, c, d: MultiPoly):
+    def __init__(self, family: Optional[str] = None, sig=None, c=None, d=None):
+        if family is None:
+            return
         k = sig.coeff((0, 0, 0, 1, 0))
         if not k or sig != k * _Y:
             raise ValueError(f"Sig = {sig} is not a multiple of y")
@@ -196,62 +178,58 @@ class _RootChart:
         self.disc = Discriminant(family, d)
         self.scale = c
         self._c2 = c * c
-        self._k = k
         y = _X1 / k
-        self._yt = {"y": y, "t": (_X2 * _X2 / self._c2 - rest.substitute({"y": y})) / alpha}
+        self._lifting = {"y": y, "t": (_X2 * _X2 / self._c2 - rest.substitute({"y": y})) / alpha}
+        self._printing = {"x1": sig}
         self._sqrt_d = _X2 / c
 
     def lift(self, value) -> Optional[MultiPoly]:
-        """A polynomial in x, y, t, an element a + b*sqrt(d) of this
-        ring, or a scalar, in Sig, D and x; None for anything else (a
-        polynomial reading x1 or x2, which no printed form reads)."""
-        if isinstance(value, QuadExtElem):
+        """A printed form or a scalar, in Sig, D and x; None for anything
+        else.  A generic printed form is a polynomial in the letters; a
+        root ring's is a polynomial in x, y and t or an element
+        a + b*sqrt(d) of the ring, and reads no x1 or x2."""
+        if isinstance(value, MultiPoly):
+            if self.family is not None and (value.degree_in("x1") or value.degree_in("x2")):
+                return None
+            return value.substitute(self._lifting)
+        if isinstance(value, QuadExtElem) and self.family is not None:
             if value.disc != self.disc:
                 raise ValueError(f"mixed discriminants: {self.disc.name} vs {value.disc.name}")
             a, b = self.lift(value.a), self.lift(value.b)
             return None if a is None or b is None else a + b * self._sqrt_d
-        if isinstance(value, MultiPoly):
-            if value.degree_in("x1") or value.degree_in("x2"):
-                return None
-            return value.substitute(self._yt)
         return MultiPoly.constant(value) if is_scalar(value) else None
 
-    def printed(self, elem: "LetterElem") -> QuadExtElem:
-        return self.image(elem.poly, ())
-
-    def substitute(self, elem: "LetterElem", bindings) -> QuadExtElem:
-        return self.image(elem.poly, tuple(sorted(bindings.items())))
-
-    def image(self, poly: MultiPoly, point: tuple) -> QuadExtElem:
-        """a + b*sqrt(d) at ``point``, a sorted tuple of (name, value)
-        bindings, for the polynomial ``poly`` in Sig, D and x."""
+    def image(self, poly: MultiPoly, point: tuple):
+        """The printed form of the polynomial ``poly`` in Sig, D and x at
+        ``point``, a sorted tuple of (name, value) bindings: a polynomial
+        in the generic ring, a + b*sqrt(d) in a root ring."""
         scalars, polys, split, disc = _point(self, point)
-        return QuadExtElem(*_substitute(poly, scalars, polys, split), disc)
-
-    def terms(self, elem: "LetterElem"):
-        return elem.poly.terms
+        even, odd = _substitute(poly, scalars, polys, split)
+        return even if disc is None else QuadExtElem(even, odd, disc)
 
 
 @functools.lru_cache(maxsize=64)
-def _point(chart: _RootChart, point: tuple):
+def _point(chart: _Chart, point: tuple):
     """What the images at ``point`` share, made once per point: the
-    bindings read by ``arith._bind``, of Sig (slot x1) to k*y at the
-    point, or to k*y where the point leaves y free, and of x where the
-    point binds it; the split of D (slot x2) with D^2 = delta =
-    c^2 d(point); and the discriminant d(point) of the image.  A binding
-    of x1 or x2 in the point is ignored, as no printed form reads them.
-    Every caller only reads it."""
+    bindings read by ``arith._bind``, of the point's variables and of
+    the chart's printing substituted at the point (Sig, slot x1, to
+    u + v = x1 + x2 and D, slot x2, to u - v in the generic ring, Sig to
+    k*y in a root ring); in a root ring, the split of D with D^2 =
+    delta = c^2 d(point), and the discriminant d(point) of the image.
+    A binding of x1 or x2 in the point binds the letters of the generic
+    ring, and is ignored in a root ring, whose printed forms read
+    neither.  Every caller only reads it."""
     values = dict(point)
-    d = chart.disc.poly.substitute(values)
-    bound = {"x1": chart._k * values.get("y", _Y)}
-    if "x" in values:
-        bound["x"] = values["x"]
+    bound = {name: value for name, value in point if name not in ("x1", "x2")}
+    bound.update((name, value.substitute(values)) for name, value in chart._printing.items())
     scalars, polys = _bind(bound)
-    split = (_D_INDEX, chart._c2 * d, chart.scale)
-    return scalars, polys, split, Discriminant(chart.disc.name, d)
+    if chart.family is None:
+        return scalars, polys, None, None
+    d = chart.disc.poly.substitute(values)
+    return scalars, polys, (_D_INDEX, chart._c2 * d, chart.scale), Discriminant(chart.disc.name, d)
 
 
-_LETTERS = _LetterChart()
+_LETTERS = _Chart()
 # the variables that Context.from_generic does not fix, and their
 # exponent fields
 NOT_FIXED_BY_PHI = ("y", "t")
@@ -263,7 +241,7 @@ def _chart(ring: str):
     if ring == "indeterminate":
         return _LETTERS
     family = ring.removesuffix("-roots")
-    return _RootChart(family, *_ROOT_FAMILIES[family])
+    return _Chart(family, *_ROOT_FAMILIES[family])
 
 
 class LetterElem:
@@ -274,7 +252,7 @@ class LetterElem:
     In every ring the polynomial is in Sig (slot x1), D (slot x2) and
     x, with u = (Sig + D)/2 and v = (Sig - D)/2; the generic ring's y
     and t are free, and a root ring's are polynomials in Sig and D (see
-    :class:`_RootChart`).  In these coordinates D^j is one term and
+    :class:`_Chart`).  In these coordinates D^j is one term and
     (Sig + xD)^j is j+1, so the convolution sums form far fewer
     coefficient products, and a root-ring product needs no sqrt(d)
     fold.  Arithmetic and the zero test never leave the coordinates.
@@ -282,22 +260,18 @@ class LetterElem:
     A value leaving the ring -- in ``==`` against a polynomial or a
     QuadExtElem, ``hash``, ``str`` and ``substitute`` -- is its printed
     form: the polynomial in the letters x1 = u and x2 = v in the generic
-    ring, a + b*sqrt(d) (a :class:`QuadExtElem`) in a root ring.  A
-    generic element forms its printed form once and keeps it; a root-ring
-    element keeps none, as its printed form and its image at a point are
-    each one pass over its polynomial (:meth:`_RootChart.image`).
-    ``terms`` are the printed form's in the generic ring and the
-    polynomial's in Sig, D and x in a root ring.  An operand from another
-    ring raises, a root ring's ValueError for two discriminants,
+    ring, a + b*sqrt(d) (a :class:`QuadExtElem`) in a root ring.  No
+    element keeps one: its printed form and its image at a point are each
+    one pass over its polynomial (:meth:`_Chart.image`).  An operand from
+    another ring raises, a root ring's ValueError for two discriminants,
     TypeError otherwise.
     """
 
-    __slots__ = ("poly", "chart", "_form")
+    __slots__ = ("poly", "chart")
 
     def __init__(self, poly: MultiPoly, chart):
         self.poly = poly
         self.chart = chart
-        self._form = None
 
     @staticmethod
     def of(value, chart=_LETTERS) -> "LetterElem":
@@ -326,7 +300,7 @@ class LetterElem:
     def as_poly(self):
         """The printed form: the polynomial in x1 = u, x2 = v in the
         generic ring, a + b*sqrt(d) in a root ring."""
-        return self.chart.printed(self)
+        return self.chart.image(self.poly, ())
 
     # -- ring operations ---------------------------------------------------
 
@@ -381,15 +355,10 @@ class LetterElem:
 
     # -- the printed form --------------------------------------------------
 
-    @property
-    def terms(self):
-        return self.chart.terms(self)
-
     def substitute(self, bindings):
-        """The printed form with variables substituted: the letters'
-        polynomial's :meth:`MultiPoly.substitute` in the generic ring,
-        :meth:`_RootChart.image` at the point in a root ring."""
-        return self.chart.substitute(self, bindings)
+        """The printed form with variables substituted, the image at the
+        point (:meth:`_Chart.image`)."""
+        return self.chart.image(self.poly, tuple(sorted(bindings.items())))
 
     def __str__(self) -> str:
         return str(self.as_poly())
@@ -416,23 +385,10 @@ def _closed_phi(ctx: "Context", j: int) -> LetterElem:
     return ctx._binomial_sum(j, ((i, 2 * math.comb(j, i)) for i in range(0, j + 1, 2)), 2 ** j)
 
 
-def _one_term(name: str, elem: LetterElem) -> Tuple[int, int, int]:
-    """(key, coefficient, degree) of an element that is one term with an
-    integer coefficient in its ring's coordinates, as Sig and D are in
-    every chart."""
-    poly = elem.poly
-    if len(poly._terms) != 1:
-        raise ValueError(f"{name} = {poly} is not one term in the ring's coordinates")
-    if poly._den != 1:
-        raise ValueError(f"{name} = {poly} has a denominator in the ring's coordinates")
-    (key, num), = poly._terms.items()
-    return key, num, poly.total_degree()
-
-
 class Context:
     """Ring adapter: letters and cached building blocks.
 
-    ``Sig`` is the chart's, ``D`` is x2 in every chart, and the letters
+    ``Sig`` is x1 and ``D`` is x2 in every chart, and the letters
     are ``u, v = (Sig +- D)/2``: x1 and x2 in the generic ring, the
     family's conjugate roots in a root ring.
     Each cache is keyed by what determines its entries -- a power's base
@@ -447,16 +403,13 @@ class Context:
         self.ring = ring
         self.chart = _chart(ring)
         self.family: Optional[str] = self.chart.family
-        self.Sig = LetterElem(self.chart.sig, self.chart)
+        self.Sig = LetterElem(_X1, self.chart)
         self.D = LetterElem(_X2, self.chart)
         self.u, self.v = (self.Sig + self.D) / 2, (self.Sig - self.D) / 2
         self.one = self.embed(1)
         self.zero = self.embed(0)
         self.Prod = self.u * self.v
         self.x, self.y, self.t = (self.embed(MultiPoly.var(name)) for name in ("x", "y", "t"))
-        self._sig_d = (_one_term("Sig", self.Sig), _one_term("D", self.D))
-        if self._sig_d[0][0] == self._sig_d[1][0]:
-            raise ValueError(f"Sig = {self.Sig.poly} and D = {self.D.poly} are one monomial in ring {ring}")
         # the sign of D in each letter, whose powers are closed forms
         self._letter_sign = {self.u.poly: 1, self.v.poly: -1}
         self._powers: Dict[MultiPoly, List[Any]] = {}
@@ -473,16 +426,14 @@ class Context:
 
     def _binomial_sum(self, j: int, weights, den: int) -> LetterElem:
         """The sum of w Sig^(j-i) D^i / den over the (i, w) of
-        ``weights``, built term by term: Sig and D are one term each, with
-        an integer coefficient, so Sig^(j-i) D^i is the one term of key
-        (j-i) key(Sig) + i key(D).
+        ``weights``, built term by term: Sig and D are the variables x1
+        and x2, so Sig^(j-i) D^i is the one term of key
+        (j-i) key(x1) + i key(x2), of degree j.
         The degree bound of the arith module is checked first."""
-        (ks, sn, sdeg), (kd, dn, ddeg) = self._sig_d
-        deg = j * max(sdeg, ddeg)
-        if deg > MAX_EXP:
-            raise _overflow(deg)
-        terms = {ks * (j - i) + kd * i: w * sn ** (j - i) * dn ** i for i, w in weights}
-        return LetterElem(MultiPoly._reduced(terms, den, deg), self.chart)
+        if j > MAX_EXP:
+            raise _overflow(j)
+        terms = {_SIG_KEY * (j - i) + _D_KEY * i: w for i, w in weights}
+        return LetterElem(MultiPoly._reduced(terms, den, j), self.chart)
 
     def from_generic(self, value):
         """φ(value), for φ: Q[Sig, D, x] -> this ring the ring map that

@@ -18,8 +18,9 @@ no fold of sqrt(d)^2 into d and the zero test is still exact, as the
 maps are ring isomorphisms.  A QuadExtElem is the printed form of such
 an element and the image of its substitution at a point, each formed
 in one pass over the element's polynomial in Sig, D and x, with no
-printed form kept (:meth:`convcheck.identities.core._RootChart.image`);
-:meth:`QuadExtElem.substitute` substitutes a QuadExtElem itself.
+printed form kept (:meth:`convcheck.identities.core._Chart.image`, the
+one route for every ring); :meth:`QuadExtElem.substitute` substitutes a
+QuadExtElem itself.
 """
 
 from __future__ import annotations

@@ -84,20 +84,20 @@ def test_traced_run_records_checks_a_failing_record_only_to_its_first_failure():
 def _images_of_a_traced_substituted_check(monkeypatch, key):
     """The verdicts of ``key`` at a point for n = 0..3 with the tracer
     installed, and the number of root-ring images of side polynomials
-    formed: calls of ``_RootChart.image``, the one route from an element
+    formed: calls of ``_Chart.image``, the one route from an element
     to its image, less the point checks, each the image of the context's
     one."""
     rec = get_record(key)
     ctx = core.Context(rec.ring)
     calls = []
-    image = core._RootChart.image
+    image = core._Chart.image
 
     def counted(chart, poly, point):
         if poly is not ctx.one.poly:
             calls.append(point)
         return image(chart, poly, point)
 
-    monkeypatch.setattr(core._RootChart, "image", counted)
+    monkeypatch.setattr(core._Chart, "image", counted)
     tracer = _load_tracer_module().Tracer()
     try:
         tracer.install()

@@ -267,9 +267,10 @@ def summand_operands(key, n_range):
 
 
 def variables(value):
-    """The variables a ring element reads; ``sqrt`` for a root-ring
-    element with a part in sqrt(d)."""
-    parts = (value.a, value.b) if isinstance(value, QuadExtElem) else (value,)
+    """The variables a ring element reads, in Sig (x1), D (x2) and x for
+    an element of a ring; ``sqrt`` for a printed root-ring element with
+    a part in sqrt(d)."""
+    parts = (value.a, value.b) if isinstance(value, QuadExtElem) else (value.poly,)
     names = {name for part in parts for exp in part.terms for name, e in zip(VARIABLES, exp) if e}
     return names | ({"sqrt"} if isinstance(value, QuadExtElem) and value.b else set())
 

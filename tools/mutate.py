@@ -44,8 +44,9 @@ TARGETS = (
     "src/convcheck/arith.py",
     "src/convcheck/identities/core.py",
     "src/convcheck/identities/notation.py",
-    "src/convcheck/identities/core.py:_RootChart.__init__",
-    "src/convcheck/identities/core.py:_RootChart.lift",
+    "src/convcheck/identities/core.py:_Chart.__init__",
+    "src/convcheck/identities/core.py:_Chart.lift",
+    "src/convcheck/identities/core.py:_Chart.image",
     "src/convcheck/arith.py:_bind",
     "src/convcheck/identities/notation.py:_side",
     "src/convcheck/arith.py:_substitute",
