@@ -494,12 +494,13 @@ class Context:
                     j, ((i, math.comb(j, i) * sign ** i) for i in range(j + 1)), 2 ** j))
         return powers[e]
 
-    def memo(self, fn: Callable[["Context", int], Any], i: int):
-        """fn(self, i), computed once per (fn, i) in this ring.  It keeps
-        each record side at its n, each sum's operand of the summation
-        index k at k and its operand and weight of n-k at j = n-k (each
-        the same at every n), each embedded sequence value, S_j and
-        phi_j, and R1's h_j(a, b) and p_j(a, b) at each j."""
+    def memo(self, fn: SideFn, i: int):
+        """fn(self, i), computed once per (fn, i) in this ring, for fn a
+        callable of one index.  It keeps each record side at its n, each
+        sum's operand of the summation index k at k and its operand and
+        weight of n-k at j = n-k (each the same at every n), each
+        embedded sequence value, S_j and phi_j, and R1's h_j(a, b) and
+        p_j(a, b) at each j."""
         key = (fn, i)
         got = self._memo.get(key)
         if got is None:
@@ -558,26 +559,26 @@ def eval_convolution_sum(
     term_high: Callable[[int], Any],
     *,
     use_binomial: bool = True,
-    weight: Optional[Callable[[int, int], Any]] = None,
+    weight: Optional[Callable[[int], Any]] = None,
     parity: bool = False,
 ):
-    """sum over k of C(n,k) * weight(n,k) * term_low(k) * term_high(n-k).
+    """sum over k of C(n,k) * weight(n-k) * term_low(k) * term_high(n-k).
 
     ``term_low(k)`` is the summand's operand of k and ``term_high(j)``
-    its operand of j = n-k, each an element; a summand from the notation
-    takes both from ``Context.memo``, so the sum of every n reuses them.
-    ``weight`` is an optional exact scalar factor and may signal a
-    skipped term by returning 0; it is read before the operands.  With
-    ``parity=True`` the sum runs only over k with n - k even.  Each
-    summand is multiplied straight into one exact accumulator, a
-    ``ProductSum``, with no polynomial per summand: every ring holds its
-    elements as polynomials in Sig, D and x.
+    its operand of j = n-k, each an element; ``weight(j)`` is an
+    optional exact scalar factor of j, and may signal a skipped term by
+    returning 0; it is read before the operands.  A summand from the
+    notation takes all three from ``Context.memo``, so the sum of every
+    n reuses them.  With ``parity=True`` the sum runs only over k with
+    n - k even.  Each summand is multiplied straight into one exact
+    accumulator, a ``ProductSum``, with no polynomial per summand: every
+    ring holds its elements as polynomials in Sig, D and x.
     """
     acc = ProductSum()
     for k in range(n % 2, n + 1, 2) if parity else range(n + 1):
         num = den = 1
         if weight is not None:
-            w = weight(n, k)
+            w = weight(n - k)
             if not w:
                 continue
             num, den = w.numerator, w.denominator

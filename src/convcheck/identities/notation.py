@@ -56,10 +56,13 @@ Sums
   * a factor that reads n other than as n-k (``2^n``, ``C(n+2,k)``),
     or reads both k and n-k, is refused where the anchor is read (in a
     rewritten tree, when the side is compiled).
-  ``eval_convolution_sum`` adds each summand, C(n,k) times the weight
-  times the two operands, straight into one accumulator.  A parity
-  restricted record may carry a *companion*: the closed form of the
-  same sum without ``[n=k(2)]``, written as one side in this notation.
+  Like every compiled node, each operand and the weight is a callable
+  of one index, read as n: k -> n in a factor of k, k -> 0 in one of
+  n-k.  So k outside a sum (``S_k = S_0``) is refused when the side is
+  compiled.  ``eval_convolution_sum`` adds each summand, C(n,k) times
+  the weight times the two operands, straight into one accumulator.  A
+  parity restricted record may carry a *companion*: the closed form of
+  the same sum without ``[n=k(2)]``, written as one side in this notation.
 
 Clearing: how a printed statement becomes a cleared record
   * A denominator holding a ring element (``D^2``, ``y^2+4t``,
@@ -100,7 +103,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from .._fields import Fields
 from .._scalar import Rational
@@ -110,7 +113,6 @@ from ..symfun import ehp_step
 from . import core
 from .core import (
     FAMILIES,
-    Context,
     SideFn,
     eval_convolution_sum,
     get_context,
@@ -139,24 +141,24 @@ _TOKEN = re.compile(
 # tokens that end a product
 _STOP = {"+", "-", "=", ")", ",", "[", "]", "/", "^", ""}
 
-# each symbol as a compiled node: ev(ctx, n, k)
+# each symbol as a compiled node: ev(ctx, n)
 _SYMBOLS = {
-    "u": lambda ctx, n, k: ctx.u,
-    "lam1": lambda ctx, n, k: ctx.u,
-    "v": lambda ctx, n, k: ctx.v,
-    "lam2": lambda ctx, n, k: ctx.v,
-    "D": lambda ctx, n, k: ctx.D,
-    "Sig": lambda ctx, n, k: ctx.Sig,
-    "e1": lambda ctx, n, k: ctx.Sig,
-    "e2": lambda ctx, n, k: ctx.Prod,
-    "d": lambda ctx, n, k: ctx.delta,
-    "x": lambda ctx, n, k: ctx.x,
-    "y": lambda ctx, n, k: ctx.y,
-    "t": lambda ctx, n, k: ctx.t,
+    "u": lambda ctx, n: ctx.u,
+    "lam1": lambda ctx, n: ctx.u,
+    "v": lambda ctx, n: ctx.v,
+    "lam2": lambda ctx, n: ctx.v,
+    "D": lambda ctx, n: ctx.D,
+    "Sig": lambda ctx, n: ctx.Sig,
+    "e1": lambda ctx, n: ctx.Sig,
+    "e2": lambda ctx, n: ctx.Prod,
+    "d": lambda ctx, n: ctx.delta,
+    "x": lambda ctx, n: ctx.x,
+    "y": lambda ctx, n: ctx.y,
+    "t": lambda ctx, n: ctx.t,
 }
 _SEQUENCES = {
-    "S_": Context.S,
-    "phi_": Context.phi,
+    "S_": lambda ctx, j: ctx.S(j),
+    "phi_": lambda ctx, j: ctx.phi(j),
     "F_": lambda ctx, j: ctx.seq("fibonacci", j),
     "L_": lambda ctx, j: ctx.seq("lucas", j),
     "B*_": lambda ctx, j: ctx.seq("balancing", j),
@@ -168,8 +170,6 @@ _ATOMS.update((name, ("sym", name)) for name in _SYMBOLS)
 _POLYNOMIALS = {"B_": "bernoulli", "E_": "euler", "G_": "genocchi"}
 _BINOMIAL_NK = ("binom", ("idx", "n"), ("idx", "k"))
 _N_MINUS_K = ("add", (("+", ("idx", "n")), ("-", ("idx", "k"))))
-
-Eval = Callable[[Context, int, int], Any]
 
 
 def _error(anchor: str, pos: int, message: str) -> ValueError:
@@ -428,7 +428,7 @@ def _clear(side):
 
 
 # --------------------------------------------------------------------------
-# compilation: a tree becomes a closure ev(ctx, n, k)
+# compilation: a tree becomes a closure ev(ctx, n)
 # --------------------------------------------------------------------------
 
 
@@ -436,7 +436,7 @@ def _scalar_power(base, e: int):
     return base ** e if e >= 0 else Rational(base) ** e
 
 
-def _product(factors) -> Eval:
+def _product(factors) -> SideFn:
     """Scalar factors first; ring factors only if their product is not 0."""
     if len(factors) == 1:
         return _compile(factors[0])
@@ -444,42 +444,30 @@ def _product(factors) -> Eval:
     rings = [_compile(f) for f in factors if _is_ring(f)]
     first, rest = (rings[0], rings[1:]) if rings else (None, ())
 
-    def ev(ctx, n, k):
+    def ev(ctx, n):
         s = 1
         for f in scalars:
-            s = s * f(ctx, n, k)
+            s = s * f(ctx, n)
         if first is None:
             return s
         if not s:
             return ctx.zero
-        r = first(ctx, n, k)
+        r = first(ctx, n)
         for f in rest:
-            r = r * f(ctx, n, k)
+            r = r * f(ctx, n)
         return r if s == 1 else s * r
 
     return ev
 
 
-def _one(ctx, n, k):
-    return ctx.one
-
-
 @functools.lru_cache(maxsize=None)
-def _factor_of_k(factors: tuple) -> Callable[[Context, int], Any]:
-    """fn(ctx, k), the product of a summand's factors of k as an
-    element, for ``Context.memo``.  Equal products share one callable,
-    so equal factors of different records share their memo entries."""
-    ev = _product(factors) if factors else _one
-    return lambda ctx, k: ctx.embed(ev(ctx, 0, k))
-
-
-@functools.lru_cache(maxsize=None)
-def _factor_of_j(factors: tuple) -> Callable[[Context, int], Any]:
-    """fn(ctx, j), the product of a summand's factors of n-k at
-    j = n-k, for ``Context.memo``: its ring factors (an element) or its
-    scalar factors (the weight).  Equal products share one callable."""
-    ev = _product(factors) if factors else _one
-    return lambda ctx, j: ev(ctx, j, 0)
+def _operand(factors: tuple) -> SideFn:
+    """fn(ctx, i), the product of a summand's factors, each rewritten to
+    read its index as n, as an element at n = i, for ``Context.memo``.
+    Equal products share one callable, so equal factors of different
+    records share their memo entries."""
+    ev = _compile(("mul", factors))
+    return lambda ctx, i: ctx.embed(ev(ctx, i))
 
 
 _OF_K, _OF_N_MINUS_K = (0, 1), (1, -1)
@@ -515,7 +503,7 @@ def _letters(a, b):
 
 
 @functools.lru_cache(maxsize=None)
-def _ehp(kind: str, a, b) -> Callable[[Context, int], Any]:
+def _ehp(kind: str, a, b) -> SideFn:
     """fn(ctx, j), the state of h_j(a, b) or p_j(a, b) (see
     :func:`~convcheck.symfun.ehp_step`) for ``Context.memo``: one step
     from the memo's state at j-1.  Equal nodes share one callable."""
@@ -523,25 +511,26 @@ def _ehp(kind: str, a, b) -> Callable[[Context, int], Any]:
 
     def state(ctx, j):
         prev = ctx.memo(state, j - 1) if j else None
-        return ehp_step(kind, a(ctx, 0, 0), b(ctx, 0, 0), prev)
+        return ehp_step(kind, a(ctx, 0), b(ctx, 0), prev)
 
     return state
 
 
-def _sum(parity: bool, summand) -> Eval:
+def _sum(parity: bool, summand) -> SideFn:
     use_binomial, of_k, of_j, weights = _split(summand)
-    low_fn = _factor_of_k(of_k)
-    high_fn = _factor_of_j(of_j)
-    weight_fn = _factor_of_j(weights) if weights else None
+    of_j, weights = (tuple(substitute(f, k=("num", 0)) for f in fs) for fs in (of_j, weights))
+    low_fn = _operand(tuple(substitute(f, k=("idx", "n")) for f in of_k))
+    high_fn = _operand(of_j)
+    weight_fn = _compile(("mul", weights)) if weights else None
 
-    def ev(ctx, n, k):
+    def ev(ctx, n):
         memo = ctx.memo
         return eval_convolution_sum(
             ctx, n,
             functools.partial(memo, low_fn),
             functools.partial(memo, high_fn),
             use_binomial=use_binomial,
-            weight=None if weight_fn is None else (lambda n_, k_: memo(weight_fn, n_ - k_)),
+            weight=None if weight_fn is None else functools.partial(memo, weight_fn),
             parity=parity,
         )
 
@@ -549,36 +538,36 @@ def _sum(parity: bool, summand) -> Eval:
 
 
 @functools.lru_cache(maxsize=None)
-def _compile(node) -> Eval:
-    """The closure ev(ctx, n, k) of node; equal nodes share one."""
+def _compile(node) -> SideFn:
+    """The closure ev(ctx, n) of node; equal nodes share one.  A sum
+    compiles its operands and weight rewritten to read n alone, so k
+    can only be read outside a sum, and is refused."""
     tag = node[0]
     if tag == "num":
         value = node[1]
-        return lambda ctx, n, k: value
-    if tag == "idx":
-        return (lambda ctx, n, k: n) if node[1] == "n" else (lambda ctx, n, k: k)
+        return lambda ctx, n: value
     if tag == "sym":
         return _SYMBOLS[node[1]]
     if tag in ("seq", "npoly"):
         sub = _compile(node[2])
         if tag == "npoly":
             kind = _POLYNOMIALS[node[1]]
-            return lambda ctx, n, k: ctx.npoly(kind, sub(ctx, n, k))
+            return lambda ctx, n: ctx.npoly(kind, sub(ctx, n))
         if node[1] in _SEQUENCES:
             sequence = _SEQUENCES[node[1]]
-            return lambda ctx, n, k: sequence(ctx, sub(ctx, n, k))
+            return lambda ctx, n: sequence(ctx, sub(ctx, n))
         number = _NUMBERS[node[1]]
 
-        def ev_number(ctx, n, k):
-            j = sub(ctx, n, k)
+        def ev_number(ctx, n):
+            j = sub(ctx, n)
             return number(j) if j >= 0 else 0
 
         return ev_number
     if tag == "ehp":
         sub, state = _compile(node[2]), _ehp(node[1], *_letters(node[3], node[4]))
 
-        def ev_ehp(ctx, n, k):
-            j = sub(ctx, n, k)
+        def ev_ehp(ctx, n):
+            j = sub(ctx, n)
             if j < 0:
                 raise ValueError(f"h_j/p_j: index must be non-negative, got {j}")
             # filled from below, each state finds the one before it in
@@ -590,35 +579,37 @@ def _compile(node) -> Eval:
         return ev_ehp
     if tag == "binom":
         a, b = _compile(node[1]), _compile(node[2])
-        return lambda ctx, n, k: binomial(a(ctx, n, k), b(ctx, n, k))
+        return lambda ctx, n: binomial(a(ctx, n), b(ctx, n))
     if tag == "pow":
         base, exp = _compile(node[1]), _compile(node[2])
         if _is_ring(node[1]):
-            return lambda ctx, n, k: ctx.power(base(ctx, n, k), exp(ctx, n, k))
-        return lambda ctx, n, k: _scalar_power(base(ctx, n, k), exp(ctx, n, k))
+            return lambda ctx, n: ctx.power(base(ctx, n), exp(ctx, n))
+        return lambda ctx, n: _scalar_power(base(ctx, n), exp(ctx, n))
     if tag == "div":
         if _is_ring(node[2]):
             raise ValueError("a ring denominator must divide a whole term of a side")
         num, den = _compile(node[1]), _compile(node[2])
         if _is_ring(node[1]):
-            return lambda ctx, n, k: num(ctx, n, k) * printed_ratio(1, den(ctx, n, k))
-        return lambda ctx, n, k: printed_ratio(num(ctx, n, k), den(ctx, n, k))
+            return lambda ctx, n: num(ctx, n) * printed_ratio(1, den(ctx, n))
+        return lambda ctx, n: printed_ratio(num(ctx, n), den(ctx, n))
     if tag == "mul":
         return _product(_factors(node))
-    if tag == "add":
+    if tag in ("idx", "add"):
         lin = _linear(node)
         if lin is not None:
             a, b, c = lin
-            return lambda ctx, n, k: a * n + b * k + c
+            if b:
+                raise ValueError("k is read outside a sum")
+            return lambda ctx, n: a * n + c
         (sign0, first), rest = node[1][0], [(s == "-", _compile(t)) for s, t in node[1][1:]]
         first, negate = _compile(first), sign0 == "-"
 
-        def ev_add(ctx, n, k):
-            total = first(ctx, n, k)
+        def ev_add(ctx, n):
+            total = first(ctx, n)
             if negate:
                 total = -total
             for minus, f in rest:
-                total = total - f(ctx, n, k) if minus else total + f(ctx, n, k)
+                total = total - f(ctx, n) if minus else total + f(ctx, n)
             return total
 
         return ev_add
@@ -642,8 +633,10 @@ def _reads_root_only(node) -> bool:
 
 @functools.lru_cache(maxsize=None)
 def _side(node) -> SideFn:
-    """side(ctx, n) of a side tree.  Equal trees share one callable, and
-    so one ``Context.memo`` entry per n, whichever records state them.
+    """side(ctx, n) of a side tree: its compiled closure, or for a tree
+    that may be transported, a closure that tests the context first.
+    Equal trees share one callable, and so one ``Context.memo`` entry
+    per n, whichever records state them.
 
     In the shared context of a root ring (:func:`get_context`), a tree
     that reads no root-only symbol (y, t, d, ``F_``, ``L_``, ``B*_``,
@@ -657,12 +650,13 @@ def _side(node) -> SideFn:
     states its theorem's trees, so it takes its sides from the theorem's
     run."""
     ev = _compile(node)
-    transported = not _reads_root_only(node)
+    if _reads_root_only(node):
+        return ev
 
     def side(ctx, n):
-        if transported and ctx.family is not None and core._CONTEXTS.get(ctx.ring) is ctx:
+        if ctx.family is not None and core._CONTEXTS.get(ctx.ring) is ctx:
             return ctx.from_generic(get_context("indeterminate").memo(side, n))
-        return ev(ctx, n, 0)
+        return ev(ctx, n)
 
     return side
 
@@ -697,7 +691,7 @@ def _check(anchor: str, note, ring: str, lo: int) -> None:
             raise _error(anchor, at, f"the letters are {note[2]} roots, not of ring {ring}")
     else:
         ctx = get_context(ring)
-        if ctx.family is None or _compile(note[2])(ctx, 0, 0) != ctx.delta * ctx.delta:
+        if ctx.family is None or _compile(note[2])(ctx, 0) != ctx.delta * ctx.delta:
             raise _error(anchor, at, f"the radicand is not d^2 in ring {ring}")
 
 
@@ -895,8 +889,8 @@ def without(term, *factors: str):
     return ("mul", tuple(rest))
 
 
-def substitute(node, **indices: str):
-    """``node`` with the index n and/or k replaced, at once, by pieces."""
+def substitute(node, **indices):
+    """``node`` with the index n and/or k replaced, at once, by pieces or trees."""
     pieces = {("idx", name): _piece(text) for name, text in indices.items()}
 
     def walk(part):

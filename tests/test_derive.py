@@ -258,8 +258,8 @@ def test_the_map_from_the_generic_ring_is_direct_root_ring_evaluation():
         for tree in rec.statement:
             ev = notation._compile(tree)
             for n in range(rec.lo, rec.hi + 1):
-                image = image_ctx.from_generic(ev(generic, n, 0))
-                if image != ev(direct_ctx, n, 0):
+                image = image_ctx.from_generic(ev(generic, n))
+                if image != ev(direct_ctx, n):
                     wrong.add(rec.key)
                 checked += 1
     assert checked == 1596

@@ -360,12 +360,12 @@ def test_a_root_ring_convolution_sum_matches_the_extension_ring(ring):
     high = [ctx.embed(q) for _, q, _ in reversed(elems)]
     for n in range(9):
         for parity in (False, True):
-            weight = lambda n, k: Fraction(k + 1, n + 2) if k % 3 else 0  # noqa: E731
+            weight = lambda j: Fraction(j + 1, j + 3) if j % 3 else 0  # noqa: E731
             got = eval_convolution_sum(ctx, n, low.__getitem__, high.__getitem__,
                                        weight=weight, parity=parity)
             want = sum_of_products(
-                ((binomial(n, k) * weight(n, k), low[k].as_poly(), high[n - k].as_poly())
-                 for k in range(n + 1) if weight(n, k) and not (parity and (n - k) % 2)),
+                ((binomial(n, k) * weight(n - k), low[k].as_poly(), high[n - k].as_poly())
+                 for k in range(n + 1) if weight(n - k) and not (parity and (n - k) % 2)),
                 ctx.chart.disc)
             assert seen(got, want)
 

@@ -330,6 +330,20 @@ def test_a_summand_factor_must_read_k_alone_or_n_minus_k_alone(anchor):
     assert "\n" not in message and "k alone or n-k alone" in message
 
 
+@pytest.mark.parametrize("anchor, side", [
+    ("S_k = S_0", "lhs"),
+    ("sum C(n,k) S_k S_(n-k) = S_(n+k)", "rhs"),
+])
+def test_k_read_outside_a_sum_is_refused_when_the_side_is_compiled(anchor, side):
+    # k is the summation index; outside a sum it names no value, so a
+    # side reading it is refused, not evaluated at some k
+    rec = read_anchor(anchor, "indeterminate", 0)
+    with pytest.raises(ValueError) as info:
+        getattr(rec, side)
+    message = str(info.value)
+    assert "\n" not in message and "k is read outside a sum" in message
+
+
 def test_a_bad_summand_is_refused_where_the_anchor_is_read():
     anchor = "sum C(n,k) 2^n phi_k = 2^n phi_n"
     with pytest.raises(ValueError) as info:

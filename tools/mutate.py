@@ -12,7 +12,7 @@ selection", IEEE Computer 11(4), 1978):
 
 * ``+`` <-> ``-`` and ``*`` <-> ``//`` in a binary operation;
 * a comparison to its opposite (``<`` <-> ``>=``, ``==`` <-> ``!=`` ...);
-* ``and`` <-> ``or``;
+* ``and`` <-> ``or``, and ``is`` <-> ``is not``;
 * an integer literal n to n + 1.
 
 A target is a file under ``src/`` (every site in it) or
@@ -49,6 +49,7 @@ TARGETS = (
     "src/convcheck/identities/core.py:_Chart.image",
     "src/convcheck/arith.py:_bind",
     "src/convcheck/identities/notation.py:_side",
+    "src/convcheck/identities/notation.py:_sum",
     "src/convcheck/arith.py:_substitute",
     "src/convcheck/arith.py:_split_row",
     "src/convcheck/identities/core.py:_point",
@@ -61,10 +62,10 @@ TIMEOUT_S = 300.0  # per oracle run
 
 _SWAP = {"+": "-", "-": "+", "*": "//", "//": "*",
          "<": ">=", ">=": "<", ">": "<=", "<=": ">", "==": "!=", "!=": "==",
-         "and": "or", "or": "and"}
+         "and": "or", "or": "and", "is": "is not", "is not": "is"}
 _OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
         ast.Lt: "<", ast.GtE: ">=", ast.Gt: ">", ast.LtE: "<=", ast.Eq: "==", ast.NotEq: "!=",
-        ast.And: "and", ast.Or: "or"}
+        ast.And: "and", ast.Or: "or", ast.Is: "is", ast.IsNot: "is not"}
 
 
 class Mutant(NamedTuple):
@@ -106,15 +107,19 @@ def sites(path: str, qualname: Optional[str] = None) -> List[Mutant]:
         # ast counts a column in UTF-8 bytes, tokenize in characters
         return line, len(lines[line].encode()[:byte_col].decode())
 
-    # operator tokens by position, so an operator is found between its operands
+    # operators by position, so an operator is found between its operands;
+    # ``is not`` is two tokens, read as one operator when one space apart
     ops = {}
-    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+    toks = list(tokenize.generate_tokens(io.StringIO(text).readline))
+    for tok, after in zip(toks, toks[1:]):
         if tok.type in (tokenize.OP, tokenize.NAME) and tok.string in _SWAP:
-            ops[tok.start] = tok
+            two = tok.string == "is" and after.string == "not" and after.start == (
+                tok.end[0], tok.end[1] + 1)
+            ops[tok.start] = "is not" if two else tok.string
 
     def between(a: ast.AST, b: ast.AST, op: str) -> Optional[Tuple[int, int]]:
         lo, hi = at(a.end_lineno, a.end_col_offset), at(b.lineno, b.col_offset)
-        return min((p for p in ops if lo <= p < hi and ops[p].string == op), default=None)
+        return min((p for p in ops if lo <= p < hi and ops[p] == op), default=None)
 
     found: List[Mutant] = []
 
