@@ -29,13 +29,13 @@ numerator) = 1, and the zero polynomial is ``{}`` over 1.  Two
 polynomials are therefore equal iff their denominators and term dicts
 are equal.
 
-Every polynomial product is formed by :class:`ProductSum`: a sum of
-products Σ s·p·q goes into one integer accumulator, with no
-intermediate polynomial per product (the same idea as the one-pass
-division f − Σ q·g of Monagan & Pearce).  ``p * q`` is the sum of the
-one product p·q, and a substitution adds the terms that share their
-bound variables' exponents times those bindings' powers, so every
-product passes the one degree guard above, in :meth:`ProductSum.add`.
+A product by one term, a scalar included, is a key shift; every other
+product is formed by :class:`ProductSum`: a sum of products Σ s·p·q
+goes into one integer accumulator, with no intermediate polynomial
+per product (the same idea as the one-pass division f − Σ q·g of
+Monagan & Pearce).  Both pass the one degree guard above,
+:func:`_product_degree`.  A power is the binomial theorem on its
+leading term, with no product (:func:`_power`).
 
 Conventions baked in here and relied on everywhere above:
 
@@ -106,6 +106,27 @@ def binomial(n: int, k: int):
 
 def _overflow(degree: int) -> OverflowError:
     return OverflowError(f"total degree {degree} exceeds the packed exponent bound {MAX_EXP}")
+
+
+def _product_degree(p: "MultiPoly", q: "MultiPoly") -> int:
+    """A bound on the degree of p·q; past MAX_EXP, where bounds can
+    overshoot, the exact degree, refused if it is past too."""
+    deg = p._deg + q._deg
+    if deg > MAX_EXP:
+        deg = p.total_degree() + q.total_degree()
+        if deg > MAX_EXP:
+            raise _overflow(deg)
+    return deg
+
+
+def _power_degree(p: "MultiPoly", e: int) -> int:
+    """The same for p^e."""
+    deg = e * p._deg
+    if deg > MAX_EXP:
+        deg = e * p.total_degree()
+        if deg > MAX_EXP:
+            raise _overflow(deg)
+    return deg
 
 
 def _index(name: str) -> int:
@@ -221,7 +242,8 @@ class MultiPoly:
 
     def coeff(self, exp: Monomial):
         exp = tuple(exp)
-        if len(exp) != _NVARS or min(exp) < 0 or sum(exp) > MAX_EXP:
+        # a negative exponent packs to a negative key, which no term has
+        if len(exp) != _NVARS or sum(exp) > MAX_EXP:
             return as_rational(0)
         return Rational(self._terms.get(_pack(exp), 0), self._den)
 
@@ -304,14 +326,17 @@ class MultiPoly:
         if not isinstance(other, MultiPoly):
             if not is_scalar(other):
                 return NotImplemented
-            num, den = num_den(other)
-            if not num:
-                return MultiPoly._raw({}, 1, 0)
-            out = {k: c * num for k, c in self._terms.items()}
-            return MultiPoly._reduced(out, self._den * den, self._deg)
-        acc = ProductSum()
-        acc.add(1, 1, self, other)
-        return acc.value()
+            other = MultiPoly.constant(other)
+        p, q = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if len(p._terms) != 1:
+            acc = ProductSum()
+            acc.add(1, 1, p, q)
+            return acc.value()
+        # one term: a key shift (a scalar keeps q's key objects)
+        (shift, c), = p._terms.items()
+        b = q._terms.items()
+        out = {k + shift: v * c for k, v in b} if shift else {k: v * c for k, v in b}
+        return MultiPoly._reduced(out, p._den * q._den, _product_degree(p, q))
 
     __rmul__ = __mul__
 
@@ -326,8 +351,7 @@ class MultiPoly:
     def __pow__(self, exponent: int) -> "MultiPoly":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial exponent must be a non-negative int, got {exponent!r}")
-        if exponent * self._deg > MAX_EXP and exponent * self.total_degree() > MAX_EXP:
-            raise _overflow(exponent * self.total_degree())
+        _power_degree(self, exponent)
         result = MultiPoly.constant(1)
         base = self
         e = exponent
@@ -519,26 +543,54 @@ def _split_row(num: int, den: int, top: int, odd: int) -> Tuple[int, ...]:
     return tuple(row[e >> 1] * odd if e & 1 else row[e >> 1] for e in range(top + 1))
 
 
+_ONE = MultiPoly.constant(1)
+
+
 @functools.lru_cache(maxsize=256)
 def _powers(value: MultiPoly) -> List[MultiPoly]:
-    """[value, value^2, ...]: the powers of a polynomial binding formed
-    so far.  Every substitution by an equal value shares the list, which
-    :func:`_power` extends, so a root chart's lift of each embedded value
-    reuses the powers of its image of t."""
-    return [value]
+    """[1, value, value^2, ...] as formed so far, shared by every power of
+    an equal value, which :func:`_power` extends: a root chart's lift of
+    each embedded value reuses the powers of its image of t."""
+    return [_ONE]
 
 
 def _power(value: MultiPoly, e: int) -> MultiPoly:
-    """value^e, e >= 1, from the shared list of its powers, extended one
-    product at a time; a power past the degree bound is refused before
-    any is formed."""
+    """value^e from its shared list, refused past the degree bound
+    before any is formed.  With m its term of largest key and r the
+    rest, value^j = Σ C(j, i) m^(j-i) r^i and r^i is on r's own list,
+    so each term is one key shift, with no product (Monagan & Pearce,
+    "Sparse polynomial powering using heaps", CASC 2012)."""
     powers = _powers(value)
-    if len(powers) < e:
-        if e * value._deg > MAX_EXP and e * value.total_degree() > MAX_EXP:
-            raise _overflow(e * value.total_degree())
-        while len(powers) < e:
-            powers.append(powers[-1] * value)
-    return powers[e - 1]
+    if len(powers) <= e:
+        _power_degree(value, e)
+        # value and its tails, each the one before less its leading term,
+        # down to a monomial, 0 or a tail whose list reaches e
+        chain = [value]
+        while len(chain[-1]._terms) > 1 and len(_powers(chain[-1])) <= e:
+            terms = dict(chain[-1]._terms)
+            del terms[max(terms)]
+            chain.append(MultiPoly._reduced(terms, chain[-1]._den, chain[-1]._deg))
+        rests = [_ONE]
+        for q in reversed(chain):
+            powers = _powers(q)
+            terms, den = q._terms, q._den
+            top = max(terms, default=0)
+            lead = terms.get(top, 0)
+            for j in range(len(powers), e + 1):
+                # over den^j, the numerators of r^i times den^i over its own
+                out = {}
+                get = out.get
+                for i, ri in enumerate(rests[:j + 1]):
+                    scale = math.comb(j, i) * lead ** (j - i) * (den ** i // ri._den)
+                    shift = top * (j - i)
+                    for k, v in ri._terms.items():
+                        k += shift
+                        out[k] = get(k, 0) + scale * v
+                if 0 in out.values():
+                    out = {k: v for k, v in out.items() if v}
+                powers.append(MultiPoly._reduced(out, den ** j, j * q._deg))
+            rests = powers
+    return powers[e]
 
 
 class ProductSum:
@@ -548,12 +600,12 @@ class ProductSum:
     as in a :class:`MultiPoly`.  Each product is multiplied straight into
     it, with no intermediate polynomial; the numerators are rescaled only
     when a product's denominator does not divide the common one, and the
-    gcd is divided out once, by :meth:`value`.  ``MultiPoly.__mul__`` is
-    one :meth:`add` and one :meth:`value`, and ``MultiPoly.substitute``
-    adds each term's image times its polynomial bindings' powers, so
-    :meth:`add` forms every polynomial product in the package.  It
-    applies the O(1) degree guard of the module docstring before any key
-    is formed, so no packed key can carry into its neighbour field.
+    gcd is divided out once, by :meth:`value`.  ``MultiPoly.__mul__`` of
+    two polynomials of more than one term is one :meth:`add` and one
+    :meth:`value`, and ``MultiPoly.substitute`` adds each term's image
+    times its polynomial bindings' powers, so :meth:`add` forms every
+    such product.  Its O(1) degree guard runs before any key is formed,
+    so no packed key can carry into its neighbour field.
     """
 
     __slots__ = ("_terms", "_den", "_deg")
@@ -570,12 +622,7 @@ class ProductSum:
         a, b = p._terms, q._terms
         if not num or not a or not b:
             return
-        deg = p._deg + q._deg
-        if deg > MAX_EXP:
-            # the bounds can overshoot: consult the exact degrees
-            deg = p.total_degree() + q.total_degree()
-            if deg > MAX_EXP:
-                raise _overflow(deg)
+        deg = _product_degree(p, q)
         if deg > self._deg:
             self._deg = deg
         d = den * p._den * q._den

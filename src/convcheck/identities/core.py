@@ -23,10 +23,11 @@ polynomial, as is an element's image at a point, and none is kept
 Sig and D are the variables x1 and x2 in every chart, so the letters'
 powers u^j and v^j and their symmetric functions S_j = h_j(u, v) and
 phi_j = u^j + v^j are closed binomial sums in Sig and D, built term by
-term with no product (:meth:`Context.power`, :meth:`Context.S`,
-:meth:`Context.phi`).  R1.1 and R1.2 check S_j and phi_j against h_j
-and p_j formed by products (:mod:`convcheck.symfun`), and BINET checks
-the letters' powers against the embedded sequence values.
+term with no product (:meth:`Context.power`, the binomial theorem on a
+base's leading term, :meth:`Context.S`, :meth:`Context.phi`).  R1.1 and
+R1.2 check S_j and phi_j against h_j and p_j formed by products
+(:mod:`convcheck.symfun`), and BINET checks the letters' powers
+against the embedded sequence values.
 Because both sides are written against the context interface, the same
 record can be evaluated in any ring.  A generic identity yields its
 family-specific corollary by the ring map φ that puts the roots in
@@ -59,7 +60,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from .._fields import Fields
 from .._scalar import as_rational, is_scalar
 from ..arith import (MAX_EXP, MultiPoly, ProductSum, _SHIFTS, _VAR_KEYS, _bind, _index,
-                     _overflow, _substitute)
+                     _overflow, _power, _substitute)
 from ..quadext import Discriminant, QuadExtElem
 from ..sequences import BIVARIATE_KINDS, bivariate_sequence, number_polynomial
 
@@ -410,9 +411,7 @@ class Context:
         self.zero = self.embed(0)
         self.Prod = self.u * self.v
         self.x, self.y, self.t = (self.embed(MultiPoly.var(name)) for name in ("x", "y", "t"))
-        # the sign of D in each letter, whose powers are closed forms
-        self._letter_sign = {self.u.poly: 1, self.v.poly: -1}
-        self._powers: Dict[MultiPoly, List[Any]] = {}
+        self._powers: Dict[Tuple[MultiPoly, int], LetterElem] = {}
         self._memo: Dict[Tuple[Callable, int], Any] = {}
 
     # -- embedding -------------------------------------------------------
@@ -472,27 +471,19 @@ class Context:
         return self.memo(_closed_phi, j)
 
     def power(self, base, e: int):
-        """base^e, cached per base by value and built up incrementally,
-        so two equal bases built separately share one list of powers.  A
-        base is keyed by its polynomial in the ring's coordinates, which
-        is as canonical as the element and hashes without converting.
-        The powers of a letter are closed forms,
-        u^j = 2^(-j) sum over i of C(j, i) Sig^(j-i) D^i and v^j the same
-        with (-1)^i, built with no product; BINET checks them against
-        the embedded sequence values."""
+        """base^e, cached per base by value, so two equal bases built
+        separately share one element.  A base is keyed by its polynomial
+        in the ring's coordinates, which is as canonical as the element
+        and hashes without converting.  The power is the binomial theorem
+        on the base's leading term, with no product (``arith._power``):
+        u^j = 2^(-j) sum over i of C(j, i) Sig^(j-i) D^i for a letter."""
         if e < 0:
             raise ValueError("negative power")
-        base = self.embed(base)
-        powers = self._powers.setdefault(base.poly, [self.one])
-        sign = self._letter_sign.get(base.poly)
-        while len(powers) <= e:
-            j = len(powers)
-            if sign is None:
-                powers.append(powers[-1] * base)
-            else:
-                powers.append(self._binomial_sum(
-                    j, ((i, math.comb(j, i) * sign ** i) for i in range(j + 1)), 2 ** j))
-        return powers[e]
+        key = (self.embed(base).poly, e)
+        got = self._powers.get(key)
+        if got is None:
+            got = self._powers[key] = LetterElem(_power(*key), self.chart)
+        return got
 
     def memo(self, fn: SideFn, i: int):
         """fn(self, i), computed once per (fn, i) in this ring, for fn a

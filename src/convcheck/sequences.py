@@ -4,9 +4,10 @@ The primary definitions are integer recurrences and Appell sums; the
 EGF realizations in :mod:`convcheck.egf` remain the independent oracle
 the tests compare against.  Each number and Appell polynomial is a
 ``functools.cache`` function of its index, and each bivariate value is
-its closed binomial sum, built term by term with no product and kept
-nowhere; a negative index is refused with a one-line ValueError and
-never cached.
+its closed binomial sum, kept nowhere.  Each polynomial is built term
+by term as integer numerators over one denominator, with no product,
+after its degree is checked; a negative index is refused with a
+one-line ValueError and never cached.
 
 * Tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...) and secant numbers
   S_0, S_1, ... (1, 1, 5, 61, ...) come from the in-place integer
@@ -35,10 +36,11 @@ never cached.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Dict, List
 
 from ._scalar import Rational
-from .arith import MAX_EXP, VARIABLES, MultiPoly, _VAR_KEYS, _overflow, binomial
+from .arith import MAX_EXP, VARIABLES, MultiPoly, _VAR_KEYS, _overflow
 
 __all__ = [
     "BIVARIATE_KINDS",
@@ -121,16 +123,24 @@ def genocchi_number(n: int) -> Rational:
 # the number functions, rebinds the entries of this dict too
 _WEIGHTS: Dict[str, Callable[[int], Rational]] = {
     "bernoulli_poly": bernoulli_number,
-    "euler_poly": lambda k: genocchi_number(k + 1) / (k + 1),
+    "euler_poly": functools.cache(lambda k: genocchi_number(k + 1) / (k + 1)),
     "genocchi_poly": genocchi_number,
 }
+_X_KEY, _Y_KEY, _T_KEY = (_VAR_KEYS[VARIABLES.index(name)] for name in ("x", "y", "t"))
 
 
 @functools.cache
 def _appell(which: str, n: int) -> MultiPoly:
+    # integer numerators over the lcm of the weights' denominators, and
+    # x^(n-k) one packed key
+    if n > MAX_EXP:
+        raise _overflow(n)
     weight = _WEIGHTS[which]
-    # x is the third variable of the ambient ring
-    return MultiPoly({(0, 0, n - k, 0, 0): binomial(n, k) * weight(k) for k in range(n + 1)})
+    weights = [weight(k) for k in range(n + 1)]
+    den = math.lcm(*(w.denominator for w in weights))
+    terms = {(n - k) * _X_KEY: math.comb(n, k) * w.numerator * (den // w.denominator)
+             for k, w in enumerate(weights) if w}
+    return MultiPoly._reduced(terms, den, n)
 
 
 def number_polynomial(kind: str, n: int) -> MultiPoly:
@@ -155,7 +165,6 @@ _BIVARIATE = {
     "lucas_balancing": (True, 6, -1, 2),
 }
 BIVARIATE_KINDS = tuple(_BIVARIATE)
-_Y_KEY, _T_KEY = (_VAR_KEYS[VARIABLES.index(name)] for name in ("y", "t"))
 
 
 def bivariate_sequence(kind: str, n: int) -> MultiPoly:

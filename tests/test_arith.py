@@ -418,8 +418,10 @@ def test_product_sum_rescales_only_to_the_common_denominator():
 
 
 def test_substitution_forms_its_products_in_the_product_sum(monkeypatch):
-    # every coefficient product of a substitution, the powers of a binding
-    # and each term's image times them, is counted in ProductSum.add
+    # every coefficient product of a substitution, each term's image
+    # times its bindings' powers, is counted in ProductSum.add; the
+    # powers are the binomial theorem on the binding's leading term, and
+    # form none
     counted = []
     add = ProductSum.add
 
@@ -432,14 +434,14 @@ def test_substitution_forms_its_products_in_the_product_sum(monkeypatch):
     arith._powers.cache_clear()
     counted.clear()
     got = p.substitute({"x1": x + t, "y": 2})
-    # (x+t)^1 is the binding itself and (x+t)^2 = (x+t)^1·(x+t): 2·2;
-    # then 2·(x+t)^2 and 3t·(x+t): 1·3 and 1·2
-    assert sorted(counted) == [2, 3, 4]
+    # 2·(x+t)^2 and 3t·(x+t): 1·3 and 1·2
+    assert sorted(counted) == [2, 3]
     assert got == 2 * (x + t) ** 2 + 3 * t * (x + t) + Rational(5, 2)
-    # a second substitution by x + t reuses its powers: 1·3 and 1·2 alone
+    # a second substitution by x + t reuses its powers
+    square = arith._powers(x + t)[2]
     counted.clear()
     assert p.substitute({"x1": x + t, "y": 2}) == got
-    assert sorted(counted) == [2, 3]
+    assert sorted(counted) == [2, 3] and arith._powers(x + t)[2] is square
 
 
 def test_a_polynomial_reading_no_bound_variable_is_its_own_image(monkeypatch):
@@ -467,7 +469,9 @@ def test_monomial_at_the_bound():
     assert top.coeff((0, 0, 0, 0, MAX_EXP)) == Rational(1, 2)
     assert top.coeff((0, 0, 0, 1, 0)) == 0
     # a monomial no polynomial can hold has coefficient 0
-    for exp in ((0, 0, 0, 0, MAX_EXP + 1), (0, 0, 0, -1, MAX_EXP + 1), (-1, 0, 0, 0, 0), (0, 0, 0, 0)):
+    # (a negative exponent packs to a negative key, which no term has)
+    for exp in ((0, 0, 0, 0, MAX_EXP + 1), (0, 0, 0, -1, MAX_EXP + 1), (-1, 0, 0, 0, 0), (0, 0, 0, 0),
+                (-1, 2, 0, 0, 0), (70000, -5000, 0, 0, 0)):
         assert top.coeff(exp) == 0 and (top + 3).coeff(exp) == 0
     assert str(x1 ** MAX_EXP) == f"x1^{MAX_EXP}"
     assert (t ** MAX_EXP * 2).terms == {(0, 0, 0, 0, MAX_EXP): 2}
@@ -534,6 +538,32 @@ def test_total_degree_exact_after_cancellation():
     assert p.total_degree() == 1
     assert p * y == y ** 2 and p ** 3 == y ** 3
     assert (p * x1).substitute({"y": t ** (MAX_EXP - 1)}) == x1 * t ** (MAX_EXP - 1)
+
+
+def test_a_one_term_operand_multiplies_as_the_product_sum_does():
+    # zero, a scalar and a rational monomial take __mul__'s one-term
+    # route, a key shift; ProductSum.add is the route of every other
+    rng = random.Random(20261021)
+    ones = [MultiPoly.constant(0), MultiPoly.constant(1), MultiPoly.constant(Rational(-4, 9)),
+            MultiPoly({(1, 0, 2, 0, 0): Rational(3, 10)}), MultiPoly({(0, 0, 0, 0, 5): -7})]
+    others = POLYS + [MultiPoly(_random_terms(rng, max_terms=6, max_deg=7)) for _ in range(10)]
+    for p in others:
+        for m in ones:
+            got = p * m
+            assert got == m * p == _product_sum([(1, m, p)])
+            assert got._deg >= got.total_degree()
+        for scalar in (0, 1, -3, Rational(5, 6)):
+            assert p * scalar == scalar * p == _product_sum([(scalar, p, MultiPoly.constant(1))])
+    # a product past the bound is refused, a monomial's as any other's
+    half = MultiPoly({(0, 0, 0, 0, 30000): Rational(1, 2)})
+    for attempt in (lambda: x ** 40000 * half, lambda: half * x ** 40000,
+                    lambda: t ** MAX_EXP * x):
+        with pytest.raises(OverflowError) as err:
+            attempt()
+        assert str(MAX_EXP) in str(err.value)
+    # the operands' bounds overshoot, their exact degrees do not
+    low = t ** MAX_EXP + y - t ** MAX_EXP
+    assert low * t ** (MAX_EXP - 1) == y * t ** (MAX_EXP - 1)
 
 
 def test_sum_of_products_degree_guard():

@@ -118,6 +118,15 @@ def test_a_bivariate_value_past_the_degree_bound_is_refused():
             bivariate_sequence(kind, n)
 
 
+def test_an_appell_polynomial_past_the_degree_bound_is_refused_first():
+    # no weight is read, so no Bernoulli number up to n is computed
+    before = bernoulli_number.cache_info().currsize
+    for kind in ("bernoulli", "euler", "genocchi"):
+        with pytest.raises(OverflowError, match="exceeds the packed exponent bound"):
+            number_polynomial(kind, MAX_EXP + 1)
+    assert bernoulli_number.cache_info().currsize == before
+
+
 def test_bivariate_frozen_evaluations():
     assert bivariate_sequence("balancing", 3).substitute({"y": 1, "t": 1}).constant_value() == 35
     assert bivariate_sequence("lucas_balancing", 2).substitute({"y": 1, "t": 1}).constant_value() == 17

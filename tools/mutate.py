@@ -55,6 +55,10 @@ TARGETS = (
     "src/convcheck/identities/core.py:_point",
     "src/convcheck/identities/core.py:_check_range",
     "src/convcheck/identities/core.py:_compare_sides",
+    "src/convcheck/identities/core.py:Context.power",
+    "src/convcheck/arith.py:_power",
+    "src/convcheck/sequences.py:_appell",
+    "src/convcheck/arith.py:MultiPoly.__mul__",
 )
 PER_TARGET = 8
 SEED = 3
