@@ -9,15 +9,16 @@ by term as integer numerators over one denominator, with no product,
 after its degree is checked; a negative index is refused with a
 one-line ValueError and never cached.
 
-* Tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...) and secant numbers
-  S_0, S_1, ... (1, 1, 5, 61, ...) come from the in-place integer
-  recurrences of Brent & Harvey, "Fast computation of Bernoulli,
-  Tangent and Secant numbers" (2013, arXiv:1108.0286): O(m^2)
-  additions and small-integer multiplications, no rationals.
+* Tangent numbers T_1, T_2, ... (1, 2, 16, 272, ...) come from the
+  in-place integer recurrence of Brent & Harvey, "Fast computation of
+  Bernoulli, Tangent and Secant numbers" (2013, arXiv:1108.0286):
+  O(m^2) additions and small-integer multiplications, no rationals;
+  its secant recurrence is kept in the tests as a reference for E_n.
 * Bernoulli numbers:  B_0 = 1,  B_1 = -1/2,  B_n = 0 for odd n >= 3,
   B_2m = (-1)^(m-1) 2m T_m / (4^m (4^m - 1)).
-* Euler numbers (the integer sequence 1, 0, -1, 0, 5, ...):
-  E_2m = (-1)^m S_m, and every odd-index value is 0.
+* Euler numbers (the integer sequence 1, 0, -1, 0, 5, ...), from the
+  same list: E_2m = 1 + sum_(j=1..m) (-1)^j C(2m, 2j-1) T_j, odd ones 0
+  (E_n = sum_k C(n, k-1) (2^k - 4^k) B_k / k, with B_2j as above).
 * Genocchi numbers:  G_n = 2 (1 - 2^n) B_n.
 * Bernoulli/Euler/Genocchi polynomials in x as Appell sums
   P_n(x) = sum_k C(n,k) a_k x^(n-k), with a_k = B_k, G_(k+1)/(k+1)
@@ -52,39 +53,32 @@ __all__ = [
 ]
 
 
-def _zigzag_numbers(count: int, shift: int) -> List[int]:
-    """The first ``count`` tangent (shift 2) or secant (shift 1) numbers.
-
-    Brent & Harvey's algorithms TangentNumbers and SecantNumbers, with
-    both lists zero-based (entry i is T_(i+1), resp. S_i).  The list is
-    updated in place; for the secant numbers the j = k step is the
-    identity, so the two algorithms share one loop.
-    """
+def _zigzag_numbers(count: int) -> List[int]:
+    """The first ``count`` tangent numbers, zero-based (entry i is
+    T_(i+1)), by Brent & Harvey's in-place algorithm TangentNumbers."""
     a = [1] * count
     for i in range(1, count):
         a[i] = i * a[i - 1]
     for k in range(1, count):
         for j in range(k, count):
-            a[j] = (j - k) * a[j - 1] + (j - k + shift) * a[j]
+            a[j] = (j - k) * a[j - 1] + (j - k + 2) * a[j]
     return a
 
 
 class _ZigzagList:
-    """Tangent or secant numbers, recomputed to at least twice the
-    current length whenever a larger index is asked for."""
+    """The tangent numbers, recomputed to at least twice the current
+    length whenever a larger index is asked for."""
 
-    def __init__(self, shift: int):
-        self._shift = shift
+    def __init__(self):
         self.values: List[int] = []
 
     def get(self, i: int) -> int:
         if i >= len(self.values):
-            self.values = _zigzag_numbers(max(i + 1, 2 * len(self.values)), self._shift)
+            self.values = _zigzag_numbers(max(i + 1, 2 * len(self.values)))
         return self.values[i]
 
 
-_TANGENT = _ZigzagList(2)  # entry i is T_(i+1)
-_SECANT = _ZigzagList(1)  # entry i is S_i
+_TANGENT = _ZigzagList()  # entry i is T_(i+1)
 
 
 def _check_index(name: str, n: int) -> None:
@@ -109,8 +103,13 @@ def euler_number(n: int) -> Rational:
     _check_index("euler", n)
     if n % 2:
         return Rational(0)
-    m = n // 2
-    return Rational((-1) ** m * _SECANT.get(m))
+    # c = C(n, 2j-1), stepped by C(n, 2j+1) / c = (n-2j+1)(n-2j) / (2j(2j+1))
+    _TANGENT.get(max(n // 2 - 1, 0))
+    total, c = 1, n
+    for j, tangent in enumerate(_TANGENT.values[:n // 2], 1):
+        total += (-1) ** j * c * tangent
+        c = c * (n - 2 * j + 1) * (n - 2 * j) // (2 * j * (2 * j + 1))
+    return Rational(total)
 
 
 @functools.cache

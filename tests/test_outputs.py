@@ -17,7 +17,7 @@ from convcheck.cli import main
 REPORT_MARKDOWN = "4b4c215bd2d1306c53bc0672dc669794137dd4e4de8181c579772d6010b57340"
 
 
-@pytest.mark.parametrize("command, sha256", [
+OUTPUTS = [
     ("verify --all --format json",
      "04db3ddc987293f759fec7cf500e68643ede857f439fcacd789af31442ccd49d"),
     ("verify --all --format json --max-n 2",
@@ -28,12 +28,36 @@ REPORT_MARKDOWN = "4b4c215bd2d1306c53bc0672dc669794137dd4e4de8181c579772d6010b57
      "ab7078ffbe5e7ea3bc6ea8abf20c027d2cf4fef825341f06a59fc50cb35c7f6f"),
     ("report --variant corrected",
      "c3d3269e6b6574648c2533655d785b81626b35658f43aa7f053438c2fe1e85c5"),
-])
+    # the number layer: each value printed whole, 965 to 1,291 characters
+    ("compute bernoulli 600",
+     "3e755967706f8f59db66bbb6b62da5666489aa0b58c880da6b3d5edc3882bb12"),
+    ("compute euler 600",
+     "7eafb61f0f6dc9982c4a1a6657f7be6ff75d03933c0e4ac2cd5bff708eb59dd6"),
+    ("compute genocchi 600",
+     "acaa9452533ccf1623c4e26ad42186ce8644b09b561f981ac2104d313e65c2e5"),
+]
+
+
+@pytest.mark.parametrize("command, sha256", OUTPUTS)
 def test_output_bytes_are_pinned(command, sha256, capsys):
     assert main(command.split()) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     assert hashlib.sha256(captured.out.encode()).hexdigest() == sha256
+
+
+def test_consecutive_in_process_calls_share_no_state(capsys):
+    # the parser is built once per process: an option given to one call
+    # is not a default of the next
+    assert main(["verify", "--id", "T2.1b"]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--all", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == dict(OUTPUTS)["verify --all --format json"]
+    assert main(["compute", "euler_poly", "3", "--at", "x=1/2"]) == 0
+    assert capsys.readouterr().out == "0\n"
+    assert main(["compute", "euler_poly", "3"]) == 0
+    assert capsys.readouterr().out == "x^3 - 3/2*x^2 + 1/4\n"
 
 
 # the failing as-printed records: each failure diff prints a polynomial

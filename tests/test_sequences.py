@@ -210,16 +210,46 @@ def test_appell_polynomials_match_egf_oracle_to_60():
             assert poly.terms == oracle[n].terms, (kind, n)
 
 
+def _reference_secant(count):
+    """S_0 .. S_(count-1), E_2m = (-1)^m S_m, by Brent & Harvey's
+    in-place algorithm SecantNumbers (arXiv:1108.0286)."""
+    a = [1] * count
+    for i in range(1, count):
+        a[i] = i * a[i - 1]
+    for k in range(1, count):
+        for j in range(k, count):
+            a[j] = (j - k) * a[j - 1] + (j - k + 1) * a[j]
+    return a
+
+
 def test_tangent_secant_lists_agree_after_doubling():
-    for shift in (1, 2):
-        numbers = sequences._ZigzagList(shift)
-        numbers.get(39)
-        short = numbers.values
-        assert len(short) == 40
-        numbers.get(40)  # one past the end: the list is recomputed to 80
-        assert len(numbers.values) == 80
-        assert numbers.values[:40] == short
-        assert numbers.values == sequences._zigzag_numbers(80, shift)
-    # T_1..T_4 and S_0..S_3
-    assert sequences._zigzag_numbers(4, 2) == [1, 2, 16, 272]
-    assert sequences._zigzag_numbers(4, 1) == [1, 1, 5, 61]
+    numbers = sequences._ZigzagList()
+    numbers.get(39)
+    short = numbers.values
+    assert len(short) == 40
+    numbers.get(40)  # one past the end: the list is recomputed to 80
+    assert len(numbers.values) == 80
+    assert numbers.values[:40] == short
+    assert numbers.values == sequences._zigzag_numbers(80)
+    # T_1..T_4, and the reference's S_0..S_3
+    assert sequences._zigzag_numbers(4) == [1, 2, 16, 272]
+    assert _reference_secant(4) == [1, 1, 5, 61]
+
+
+@pytest.mark.parametrize("tangents_first", [True, False], ids=["tangents-first", "empty"])
+def test_euler_numbers_match_the_secant_numbers_to_1000(tangents_first, monkeypatch):
+    # E_n reads the tangent list that B_n grows; whether B_1000 grew it
+    # first or E_n grows it from empty, the values are the same
+    monkeypatch.setattr(sequences, "_TANGENT", sequences._ZigzagList())
+    euler_number.cache_clear()
+    bernoulli_number.cache_clear()
+    if tangents_first:
+        bernoulli_number(1000)
+        assert len(sequences._TANGENT.values) == 500
+    else:
+        # E_2 reads T_1 alone, and builds no tangent number past it
+        euler_number(2)
+        assert len(sequences._TANGENT.values) == 1
+    secant = _reference_secant(501)
+    for n in range(1001):
+        assert euler_number(n) == (0 if n % 2 else (-1) ** (n // 2) * secant[n // 2]), n

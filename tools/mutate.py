@@ -59,6 +59,8 @@ TARGETS = (
     "src/convcheck/arith.py:_power",
     "src/convcheck/sequences.py:_appell",
     "src/convcheck/arith.py:MultiPoly.__mul__",
+    "src/convcheck/sequences.py:euler_number",
+    "src/convcheck/sequences.py:_zigzag_numbers",
 )
 PER_TARGET = 8
 SEED = 3
