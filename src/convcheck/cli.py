@@ -79,6 +79,12 @@ def _parse_point(text: str) -> dict:
             bindings[name] = as_rational(value.strip())
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {chunk!r}") from None
+        except ValueError as exc:
+            # Fraction's own text names the literal, not the binding; a
+            # number past the str -> int digit limit keeps Python's message
+            if str(exc).startswith("Invalid literal"):
+                raise ValueError(f"not a rational number in {chunk!r}") from None
+            raise
     return bindings
 
 

@@ -160,6 +160,24 @@ def test_compute_bad_point_exits_2(tmp_path):
         assert len(result.stderr.splitlines()) == 1, (args, result.stderr)
 
 
+@pytest.mark.parametrize("point, line", [
+    ("x=abc", "not a rational number in 'x=abc'"),
+    ("x=", "not a rational number in 'x='"),
+    ("x=1/2/3", "not a rational number in 'x=1/2/3'"),
+    ("x=1/0", "zero denominator in 'x=1/0'"),
+    # past Python's 4,300-digit limit on str -> int, Python's own message
+    ("x=" + "9" * 5000, None),
+], ids=["letters", "empty", "two-slashes", "zero-denominator", "past-the-digit-limit"])
+def test_a_malformed_at_number_names_its_binding(capsys, point, line):
+    if line is None:
+        with pytest.raises(ValueError) as limit:
+            int(point[2:])
+        line = str(limit.value)
+    assert cli.main(["compute", "bernoulli_poly", "3", "--at", point]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("argv, code, line", [
     (["compute", "bernoulli_poly", str(MAX_EXP + 1)], 2,
      f"bernoulli_poly {MAX_EXP + 1} has total degree {MAX_EXP + 1}, past the largest a polynomial "

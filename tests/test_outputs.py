@@ -35,6 +35,12 @@ OUTPUTS = [
      "7eafb61f0f6dc9982c4a1a6657f7be6ff75d03933c0e4ac2cd5bff708eb59dd6"),
     ("compute genocchi 600",
      "acaa9452533ccf1623c4e26ad42186ce8644b09b561f981ac2104d313e65c2e5"),
+    # past the tangent list: pinned by zeta(2000) and beta(2001) from
+    # cold, and equal to what the tangent recurrence printed
+    ("compute bernoulli 2000",
+     "64681a52cd532321459e7e30cdeba7927ac5c1ba3492ed7a23d4c3474a17f8ae"),
+    ("compute euler 2000",
+     "d773e4b1f33393fb7754d45dee1343005e45953ee10395b7f5fbe2a81fb2d7f6"),
 ]
 
 

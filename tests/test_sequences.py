@@ -238,18 +238,108 @@ def test_tangent_secant_lists_agree_after_doubling():
 
 @pytest.mark.parametrize("tangents_first", [True, False], ids=["tangents-first", "empty"])
 def test_euler_numbers_match_the_secant_numbers_to_1000(tangents_first, monkeypatch):
-    # E_n reads the tangent list that B_n grows; whether B_1000 grew it
-    # first or E_n grows it from empty, the values are the same
+    # E_n reads the tangent list when it holds T_(n/2), else pins E_n by
+    # beta(n+1); either way the values are the same, and reading a value
+    # grows no list
     monkeypatch.setattr(sequences, "_TANGENT", sequences._ZigzagList())
     euler_number.cache_clear()
     bernoulli_number.cache_clear()
     if tangents_first:
-        bernoulli_number(1000)
-        assert len(sequences._TANGENT.values) == 500
-    else:
-        # E_2 reads T_1 alone, and builds no tangent number past it
-        euler_number(2)
-        assert len(sequences._TANGENT.values) == 1
+        sequences._TANGENT.get(499)
     secant = _reference_secant(501)
     for n in range(1001):
         assert euler_number(n) == (0 if n % 2 else (-1) ** (n // 2) * secant[n // 2]), n
+    assert len(sequences._TANGENT.values) == (500 if tangents_first else 0)
+
+
+def _numbers_from(monkeypatch, tangents, count):
+    """(B_n, E_n, G_n) for n < count, from fresh caches and the given
+    tangent list."""
+    monkeypatch.setattr(sequences, "_TANGENT", tangents)
+    for fn in (bernoulli_number, euler_number, genocchi_number):
+        fn.cache_clear()
+    return [(bernoulli_number(n), euler_number(n), genocchi_number(n)) for n in range(count)]
+
+
+def test_pinned_numbers_match_the_list_to_1000(monkeypatch):
+    # every even index from an empty list is pinned by zeta(n) or
+    # beta(n+1); the values are those of the tangent list and, for E_n,
+    # of the secant numbers
+    full = sequences._ZigzagList()
+    full.get(500)
+    listed = _numbers_from(monkeypatch, full, 1001)
+    empty = sequences._ZigzagList()
+    assert _numbers_from(monkeypatch, empty, 1001) == listed
+    assert empty.values == []
+    secant = _reference_secant(501)
+    for n, (_, e, _) in enumerate(listed):
+        assert e == (0 if n % 2 else (-1) ** (n // 2) * secant[n // 2]), n
+
+
+def test_an_interval_too_wide_to_pin_an_integer_is_computed_again(monkeypatch):
+    # with no spare bits, and fewer bits than the value has, the first
+    # interval holds more than one integer: the precision doubles until
+    # it holds one, and the value is the list's
+    full = sequences._ZigzagList()
+    full.get(100)
+    listed = _numbers_from(monkeypatch, full, 201)
+    passes = {}
+    for name in ("_zeta_bounds", "_beta_bounds"):
+        real = getattr(sequences, name)
+
+        def counted(s, prec, real=real, name=name):
+            passes.setdefault((name, s), []).append(prec)
+            return real(s, prec)
+
+        monkeypatch.setattr(sequences, name, counted)
+    monkeypatch.setattr(sequences, "_GUARD_BITS", -10 ** 6)
+    assert _numbers_from(monkeypatch, sequences._ZigzagList(), 201) == listed
+    for s in (200, 201):
+        name = "_zeta_bounds" if s % 2 == 0 else "_beta_bounds"
+        precs = passes[name, s]
+        assert precs[0] == 8 and len(precs) > 1, (name, precs)
+        assert precs == [8 * 2 ** i for i in range(len(precs))]
+
+
+def test_appell_polynomials_grow_the_list_and_pin_no_weight(monkeypatch):
+    def refused(*args):
+        raise AssertionError("an Appell polynomial pinned one of its weights")
+
+    want = {kind: number_polynomial(kind, 200) for kind in ("bernoulli", "euler", "genocchi")}
+    monkeypatch.setattr(sequences, "_TANGENT", sequences._ZigzagList())
+    monkeypatch.setattr(sequences, "_pinned", refused)
+    for fn in (bernoulli_number, euler_number, genocchi_number, sequences._appell,
+               sequences._WEIGHTS["euler_poly"]):
+        fn.cache_clear()
+    for kind, poly in want.items():
+        assert number_polynomial(kind, 200) == poly, kind
+    # E_200(x) reads G_201, so the list holds T_100
+    assert len(sequences._TANGENT.values) >= 100
+
+
+def _reference_pi_scaled(prec):
+    """floor(pi 2^prec) from 120 decimal digits of pi by the decimal
+    module's own series (its documentation's recipe), not Machin's."""
+    import decimal
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = 125
+        three = decimal.Decimal(3)
+        lasts, t, s, n, na, d, da = 0, three, 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+        return int(s * 2 ** prec)
+
+
+def test_pi_bounds_hold_pi_and_its_error_bounds_the_sum(monkeypatch):
+    monkeypatch.setattr(sequences, "_PI", [0, 0, 0])
+    for prec in range(1, 361):
+        lo, hi = sequences._pi_bounds(prec)
+        assert lo <= _reference_pi_scaled(prec) < hi <= lo + 4, prec
+        # the kept sum is within its stated error of pi at its own precision
+        wide, value, error = sequences._PI
+        assert abs(value - _reference_pi_scaled(wide)) < error, prec

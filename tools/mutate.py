@@ -61,6 +61,14 @@ TARGETS = (
     "src/convcheck/arith.py:MultiPoly.__mul__",
     "src/convcheck/sequences.py:euler_number",
     "src/convcheck/sequences.py:_zigzag_numbers",
+    "src/convcheck/sequences.py:_arctan_inverse",
+    "src/convcheck/sequences.py:_pi_bounds",
+    "src/convcheck/sequences.py:_rounded_power",
+    "src/convcheck/sequences.py:_zeta_bounds",
+    "src/convcheck/sequences.py:_beta_bounds",
+    "src/convcheck/sequences.py:_pinned",
+    "src/convcheck/sequences.py:_staudt_denominator",
+    "src/convcheck/sequences.py:bernoulli_number",
 )
 PER_TARGET = 8
 SEED = 3
