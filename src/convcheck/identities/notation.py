@@ -40,7 +40,12 @@ Reading
     so ``B_(m-k-2)/(m-k-2)`` is one factor.
   * A ratio of scalars is read by ``printed_ratio``: 0/0 contributes
     nothing, and q/0 makes the printed form non-evaluable at that index
-    (reported as such, never as a failure of the equation).
+    (reported as such, never as a failure of the equation); so does 0
+    to a negative power.
+  * A subscript, an argument of ``C(a,b)`` and an exponent hold an
+    integer: a ring element there is refused where the anchor is read,
+    and a value that is no integer (``S_(n/2)`` at odd n) where it is
+    evaluated.
   * A product whose scalar part is 0 is 0 before its ring factors are
     evaluated: ``2n(1-n) (y^2+4t) x^(n-2)`` is 0 at n = 0 and 1.
 
@@ -106,7 +111,6 @@ import re
 from typing import Any, List, Optional, Tuple
 
 from .._fields import Fields
-from .._scalar import Rational
 from ..arith import binomial
 from ..sequences import bernoulli_number, euler_number, genocchi_number
 from ..symfun import ehp_step
@@ -168,8 +172,8 @@ _NUMBERS = {"B_": bernoulli_number, "E_": euler_number, "G_": genocchi_number}
 _ATOMS = {"n": ("idx", "n"), "m": ("idx", "n"), "k": ("idx", "k")}
 _ATOMS.update((name, ("sym", name)) for name in _SYMBOLS)
 _POLYNOMIALS = {"B_": "bernoulli", "E_": "euler", "G_": "genocchi"}
-_BINOMIAL_NK = ("binom", ("idx", "n"), ("idx", "k"))
-_N_MINUS_K = ("add", (("+", ("idx", "n")), ("-", ("idx", "k"))))
+_BINOMIAL_NK = ("binom", None, ("idx", "n"), ("idx", "k"))
+_N_MINUS_K = ("add", ("+", "-"), ("idx", "n"), ("idx", "k"))
 
 
 def _error(anchor: str, pos: int, message: str) -> ValueError:
@@ -179,10 +183,12 @@ def _error(anchor: str, pos: int, message: str) -> ValueError:
 class _Reader:
     """Recursive-descent parser from an anchor to a tuple tree.
 
-    Nodes: ("num", int), ("idx", "n"|"k"), ("sym", name),
-    ("seq", kind, sub), ("npoly", kind, sub), ("ehp", "h"|"p", sub, a, b),
-    ("binom", a, b), ("pow", base, exp), ("div", num, den),
-    ("mul", factors), ("add", ((sign, term), ...)), ("sum", parity, summand).
+    Every node is ``(tag, payload, *children)``, so its children are
+    ``node[2:]`` and ``node[:2] + kids`` is the node with new children:
+    ("num", int), ("idx", "n"|"k"), ("sym", name), ("seq", kind, sub),
+    ("npoly", kind, sub), ("ehp", "h"|"p", sub, a, b), ("binom", None,
+    a, b), ("pow", None, base, exp), ("div", None, num, den), ("mul",
+    None, *factors), ("add", signs, *terms), ("sum", parity, summand).
     """
 
     def __init__(self, anchor: str):
@@ -256,15 +262,12 @@ class _Reader:
         return ("sum", parity, summand)
 
     def expr(self):
-        sign = self.take("-") if self.texts[self.i] == "-" else "+"
-        terms = [(sign, self.term())]
+        signs = [self.take("-") if self.texts[self.i] == "-" else "+"]
+        terms = [self.term()]
         while self.texts[self.i] in ("+", "-"):
-            sign = self.texts[self.i]
-            self.i += 1
-            terms.append((sign, self.term()))
-        if terms == [("+", terms[0][1])]:
-            return terms[0][1]
-        return ("add", tuple(terms))
+            signs.append(self.take())
+            terms.append(self.term())
+        return terms[0] if signs == ["+"] else ("add", tuple(signs), *terms)
 
     def term(self):
         """Juxtaposed factors; a factor is power ('/' power)* and a power
@@ -278,14 +281,14 @@ class _Reader:
                 part = self.primary()
                 if texts[self.i] == "^":
                     self.i += 1
-                    part = ("pow", part, self.primary())
-                node = part if node is None else ("div", node, part)
+                    part = ("pow", None, part, self.index(self.primary))
+                node = part if node is None else ("div", None, node, part)
                 if texts[self.i] != "/":
                     break
                 self.i += 1
             factors.append(node)
             if texts[self.i] in _STOP or texts[self.i:self.i + 3] == ["(", "n", "positive"]:
-                return factors[0] if len(factors) == 1 else ("mul", tuple(factors))
+                return factors[0] if len(factors) == 1 else ("mul", None, *factors)
 
     def pair(self):
         self.take("(")
@@ -294,6 +297,14 @@ class _Reader:
         b = self.expr()
         self.take(")")
         return a, b
+
+    def index(self, read):
+        """read() at an index slot, refused if it reads a ring element."""
+        at = self.i
+        node = read()
+        if _is_ring(node):
+            raise self.error("an index or exponent must not hold a ring element", at)
+        return node
 
     def primary(self):
         at = self.i
@@ -308,16 +319,21 @@ class _Reader:
             self.take(")")
             return node
         if text == "C":
-            return ("binom", *self.pair())
+            self.take("(")
+            a = self.index(self.expr)
+            self.take(",")
+            b = self.index(self.expr)
+            self.take(")")
+            return ("binom", None, a, b)
         if text in _SEQUENCES or text in _NUMBERS:
-            sub = self.primary()
+            sub = self.index(self.primary)
             glued = self.texts[self.i] == "(" and not self.toks[self.i][0]
             if text in _POLYNOMIALS and glued:
                 self.expect("( x )")
                 return ("npoly", text, sub)
             return ("seq", text, sub)
         if text in ("h_", "p_"):
-            sub = self.primary()
+            sub = self.index(self.primary)
             at = self.i
             a, b = self.pair()
             try:
@@ -350,21 +366,11 @@ class _Reader:
 
 
 def _is_ring(node) -> bool:
-    """Whether node is a ring element (else an exact scalar)."""
-    tag = node[0]
-    if tag in ("sym", "npoly", "ehp", "sum"):
-        return True
-    if tag == "seq":
+    """Whether node is a ring element (else an exact scalar); as no index
+    slot holds a ring element, a node is one when any child is."""
+    if node[0] == "seq":
         return node[1] in _SEQUENCES
-    if tag == "pow":
-        return _is_ring(node[1])
-    if tag == "div":
-        return _is_ring(node[1]) or _is_ring(node[2])
-    if tag == "mul":
-        return any(_is_ring(f) for f in node[1])
-    if tag == "add":
-        return any(_is_ring(t) for _, t in node[1])
-    return False
+    return node[0] in ("sym", "npoly", "ehp", "sum") or any(map(_is_ring, node[2:]))
 
 
 def _linear(node) -> Optional[Tuple[int, int, int]]:
@@ -375,30 +381,26 @@ def _linear(node) -> Optional[Tuple[int, int, int]]:
         return (1, 0, 0) if node[1] == "n" else (0, 1, 0)
     if node[0] != "add":
         return None
-    total = (0, 0, 0)
-    for sign, term in node[1]:
-        lin = _linear(term)
-        if lin is None:
-            return None
-        s = 1 if sign == "+" else -1
-        total = tuple(t + s * x for t, x in zip(total, lin))
-    return total
+    lins = [_linear(term) for term in node[2:]]
+    if None in lins:
+        return None
+    return tuple(sum(x if s == "+" else -x for s, x in zip(node[1], col)) for col in zip(*lins))
 
 
 def _index_reads(node) -> set:
     """The (a, b) of each index expression a n + b k + c in node that
     reads an index; empty for a node that reads none."""
-    lin = _linear(node) if node[0] in ("idx", "add") else None
+    lin = _linear(node)
     if lin is not None:
-        return {lin[:2]} if lin[:2] != (0, 0) else set()
-    return set().union(*(_index_reads(c) for c in node if isinstance(c, tuple)))
+        return {lin[:2]} - {(0, 0)}
+    return set().union(*map(_index_reads, node[2:]))
 
 
 def _factors(node) -> List[Any]:
     """The factors of a product, nested products flattened."""
     if node[0] != "mul":
         return [node]
-    return [f for part in node[1] for f in _factors(part)]
+    return [f for part in node[2:] for f in _factors(part)]
 
 
 def _clear(side):
@@ -407,23 +409,20 @@ def _clear(side):
     if side[0] == "sum":
         factors = _factors(side[2])
         for i, f in enumerate(factors):
-            lin = _linear(f[2]) if f[0] == "pow" else None
-            if lin and lin[:2] == (1, -1) and lin[2] < 0 and not _index_reads(f[1]):
-                factors[i] = ("pow", f[1], _N_MINUS_K)
-                return ("sum", side[1], ("mul", tuple(factors))), ("pow", f[1], ("num", -lin[2]))
+            lin = _linear(f[3]) if f[0] == "pow" else None
+            if lin and lin[:2] == (1, -1) and lin[2] < 0 and not _index_reads(f[2]):
+                factors[i] = f[:3] + (_N_MINUS_K,)
+                return ("sum", side[1], ("mul", None, *factors)), f[:3] + (("num", -lin[2]),)
         return side, None
-    terms = list(side[1]) if side[0] == "add" else [("+", side)]
-    for i, (sign, term) in enumerate(terms):
+    signs, terms = (side[1], side[2:]) if side[0] == "add" else (("+",), (side,))
+    for i, term in enumerate(terms):
         factors = _factors(term)
         for j, f in enumerate(factors):
-            if f[0] == "div" and _is_ring(f[2]):
-                den = f[2]
-                factors[j] = f[1]
-                terms = [
-                    (s, ("mul", tuple(factors)) if m == i else ("mul", (den, t)))
-                    for m, (s, t) in enumerate(terms)
-                ]
-                return ("add", tuple(terms)), den
+            if f[0] == "div" and _is_ring(f[3]):
+                factors[j] = f[2]
+                terms = [("mul", None, *factors) if m == i else ("mul", None, f[3], t)
+                         for m, t in enumerate(terms)]
+                return ("add", signs, *terms), f[3]
     return side, None
 
 
@@ -433,7 +432,8 @@ def _clear(side):
 
 
 def _scalar_power(base, e: int):
-    return base ** e if e >= 0 else Rational(base) ** e
+    """base^e; 0 to a negative power is q/0, as :func:`printed_ratio` reads it."""
+    return base ** e if e >= 0 else printed_ratio(1, base) ** -e
 
 
 def _product(factors) -> SideFn:
@@ -466,7 +466,7 @@ def _operand(factors: tuple) -> SideFn:
     read its index as n, as an element at n = i, for ``Context.memo``.
     Equal products share one callable, so equal factors of different
     records share their memo entries."""
-    ev = _compile(("mul", factors))
+    ev = _compile(("mul", None) + factors)
     return lambda ctx, i: ctx.embed(ev(ctx, i))
 
 
@@ -521,7 +521,7 @@ def _sum(parity: bool, summand) -> SideFn:
     of_j, weights = (tuple(substitute(f, k=("num", 0)) for f in fs) for fs in (of_j, weights))
     low_fn = _operand(tuple(substitute(f, k=("idx", "n")) for f in of_k))
     high_fn = _operand(of_j)
-    weight_fn = _compile(("mul", weights)) if weights else None
+    weight_fn = _compile(("mul", None, *weights)) if weights else None
 
     def ev(ctx, n):
         memo = ctx.memo
@@ -537,6 +537,22 @@ def _sum(parity: bool, summand) -> SideFn:
     return ev
 
 
+def _integer(node) -> SideFn:
+    """The closure of an index slot; one that is not a n + b k + c may
+    take a value that is no integer (``S_(n/2)``), and refuses it."""
+    ev = _compile(node)
+    if _linear(node) is not None:
+        return ev
+
+    def integer(ctx, n):
+        j = ev(ctx, n)
+        if j.denominator != 1:
+            raise ValueError(f"an index or exponent must be an integer, got {j}")
+        return int(j)
+
+    return integer
+
+
 @functools.lru_cache(maxsize=None)
 def _compile(node) -> SideFn:
     """The closure ev(ctx, n) of node; equal nodes share one.  A sum
@@ -549,7 +565,7 @@ def _compile(node) -> SideFn:
     if tag == "sym":
         return _SYMBOLS[node[1]]
     if tag in ("seq", "npoly"):
-        sub = _compile(node[2])
+        sub = _integer(node[2])
         if tag == "npoly":
             kind = _POLYNOMIALS[node[1]]
             return lambda ctx, n: ctx.npoly(kind, sub(ctx, n))
@@ -564,7 +580,7 @@ def _compile(node) -> SideFn:
 
         return ev_number
     if tag == "ehp":
-        sub, state = _compile(node[2]), _ehp(node[1], *_letters(node[3], node[4]))
+        sub, state = _integer(node[2]), _ehp(node[1], *_letters(*node[3:]))
 
         def ev_ehp(ctx, n):
             j = sub(ctx, n)
@@ -578,18 +594,18 @@ def _compile(node) -> SideFn:
 
         return ev_ehp
     if tag == "binom":
-        a, b = _compile(node[1]), _compile(node[2])
+        a, b = map(_integer, node[2:])
         return lambda ctx, n: binomial(a(ctx, n), b(ctx, n))
     if tag == "pow":
-        base, exp = _compile(node[1]), _compile(node[2])
-        if _is_ring(node[1]):
+        base, exp = _compile(node[2]), _integer(node[3])
+        if _is_ring(node[2]):
             return lambda ctx, n: ctx.power(base(ctx, n), exp(ctx, n))
         return lambda ctx, n: _scalar_power(base(ctx, n), exp(ctx, n))
     if tag == "div":
-        if _is_ring(node[2]):
+        if _is_ring(node[3]):
             raise ValueError("a ring denominator must divide a whole term of a side")
-        num, den = _compile(node[1]), _compile(node[2])
-        if _is_ring(node[1]):
+        num, den = map(_compile, node[2:])
+        if _is_ring(node[2]):
             return lambda ctx, n: num(ctx, n) * printed_ratio(1, den(ctx, n))
         return lambda ctx, n: printed_ratio(num(ctx, n), den(ctx, n))
     if tag == "mul":
@@ -601,8 +617,8 @@ def _compile(node) -> SideFn:
             if b:
                 raise ValueError("k is read outside a sum")
             return lambda ctx, n: a * n + c
-        (sign0, first), rest = node[1][0], [(s == "-", _compile(t)) for s, t in node[1][1:]]
-        first, negate = _compile(first), sign0 == "-"
+        first, *rest = map(_compile, node[2:])
+        negate, rest = node[1][0] == "-", [(s == "-", f) for s, f in zip(node[1][1:], rest)]
 
         def ev_add(ctx, n):
             total = first(ctx, n)
@@ -619,16 +635,12 @@ def _compile(node) -> SideFn:
 # symbols whose generic value is not carried to a root ring by the map
 # of Context.from_generic: the variables it does not fix (y and t), and
 # d and the family sequences, which the generic ring does not have
-_ROOT_ONLY_SYMBOLS = core.NOT_FIXED_BY_PHI + ("d",)
-_ROOT_ONLY_SEQUENCES = ("F_", "L_", "B*_", "C_")
+_ROOT_ONLY = {("sym", name) for name in core.NOT_FIXED_BY_PHI + ("d",)}
+_ROOT_ONLY.update(("seq", kind) for kind in ("F_", "L_", "B*_", "C_"))
 
 
 def _reads_root_only(node) -> bool:
-    if node[0] == "sym":
-        return node[1] in _ROOT_ONLY_SYMBOLS
-    if node[0] == "seq" and node[1] in _ROOT_ONLY_SEQUENCES:
-        return True
-    return any(_reads_root_only(c) for c in node if isinstance(c, tuple))
+    return node[:2] in _ROOT_ONLY or any(map(_reads_root_only, node[2:]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -669,9 +681,9 @@ def _cleared(lhs, rhs) -> Statement:
     lhs, by_lhs = _clear(lhs)
     rhs, by_rhs = _clear(rhs)
     if by_lhs is not None:
-        rhs = ("mul", (by_lhs, rhs))
+        rhs = ("mul", None, by_lhs, rhs)
     if by_rhs is not None:
-        lhs = ("mul", (by_rhs, lhs))
+        lhs = ("mul", None, by_rhs, lhs)
     return lhs, rhs
 
 
@@ -786,10 +798,10 @@ class IdentityRecord(Fields):
     @property
     def parity(self) -> bool:
         """Whether the left side sums over k = n (mod 2) only; a cleared
-        right side wraps the left one in ("mul", (by, lhs))."""
+        right side wraps the left one in ("mul", None, by, lhs)."""
         lhs = self.statement[0]
         if lhs[0] == "mul":
-            lhs = lhs[1][-1]
+            lhs = lhs[-1]
         return lhs[0] == "sum" and lhs[1]
 
     @functools.cached_property
@@ -886,7 +898,7 @@ def without(term, *factors: str):
         if factor not in rest:
             raise ValueError(f"the term has no factor {text}")
         rest.remove(factor)
-    return ("mul", tuple(rest))
+    return ("mul", None, *rest)
 
 
 def substitute(node, **indices):
@@ -896,21 +908,21 @@ def substitute(node, **indices):
     def walk(part):
         if part in pieces:
             return pieces[part]
-        return tuple(walk(c) if isinstance(c, tuple) else c for c in part)
+        return part[:2] + tuple(map(walk, part[2:]))
 
     return walk(node)
 
 
 def product(*parts):
     """The product of trees and pieces."""
-    return ("mul", tuple(_piece(p) for p in parts))
+    return ("mul", None, *map(_piece, parts))
 
 
 def difference(first, *rest):
     """``first`` minus each of ``rest``."""
-    return ("add", (("+", _piece(first)),) + tuple(("-", _piece(p)) for p in rest))
+    return ("add", ("+",) + ("-",) * len(rest), _piece(first), *map(_piece, rest))
 
 
 def quotient(num, den):
     """``num`` divided by a scalar ``den``."""
-    return ("div", _piece(num), _piece(den))
+    return ("div", None, _piece(num), _piece(den))

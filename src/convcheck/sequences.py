@@ -178,7 +178,9 @@ def _pinned(factor: int, bounds: Callable[[int], Tuple[int, int]], tau: int, pow
     s 2^prec: an interval for it at a precision picked from its size,
     accepted only when it holds exactly one integer, else computed again
     at twice the precision.  At least 8 bits keep tau pi's lower bound
-    above one."""
+    above one.  Correct bounds always hold the true integer, so an
+    interval that holds none proves a bound or the factor wrong, and
+    raises at once."""
     size = factor.bit_length() - power * math.log2(tau * math.pi)
     prec = max(int(size) + power.bit_length() + _GUARD_BITS, 8)
     while True:
@@ -188,6 +190,8 @@ def _pinned(factor: int, bounds: Callable[[int], Tuple[int, int]], tau: int, pow
         hi = factor * s_hi // _rounded_power(tau * pi_lo, power, prec, False)
         if lo == hi:
             return lo
+        if lo > hi:
+            raise RuntimeError(f"no integer in [{lo}, {hi}] at {prec} bits: a bound or the factor is wrong")
         prec *= 2
 
 

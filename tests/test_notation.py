@@ -9,8 +9,10 @@ reason.  It was written from those hand-written functions before they
 were deleted; the sides read from the anchors must reproduce it exactly.
 """
 
+import collections
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -376,6 +378,92 @@ def test_a_basis_at_a_negative_index_is_refused():
     with pytest.raises(ValueError, match=r"^h_j/p_j: index must be non-negative, got -1$"):
         rec.rhs(ctx, 0)
     assert rec.rhs(ctx, 3) == ctx.S(2)
+
+
+@pytest.mark.parametrize("anchor, slot", [
+    ("2^(S_k+1) = S_n", "(S_k"),
+    ("phi_(2^k L_k) = S_n", "(2^k"),
+    ("C(n,x) = S_n", "x)"),
+    ("x^y = S_n", "y "),
+])
+def test_a_ring_element_in_an_index_slot_is_refused_where_it_stands(anchor, slot):
+    # a subscript, an argument of C(a,b) and an exponent each hold an
+    # integer; a ring element there is refused at the slot's first token
+    with pytest.raises(ValueError) as info:
+        read_anchor(anchor, "indeterminate", 0)
+    assert str(info.value) == (
+        f"anchor {anchor!r} at position {anchor.index(slot)}: "
+        "an index or exponent must not hold a ring element")
+
+
+@pytest.mark.parametrize("anchor, n, got", [
+    ("S_(n/2) = S_n", 1, "1/2"),
+    ("2^(1/2) u = u", 0, "1/2"),
+    ("C(4, 2^(n-3)) = 1", 2, "1/2"),
+])
+def test_an_index_that_is_not_an_integer_is_refused(anchor, n, got):
+    # a slot that is not a n + b k + c may take a fraction at some n
+    rec = read_anchor(anchor, "indeterminate", 0)
+    ctx = Context("indeterminate")
+    with pytest.raises(ValueError, match=rf"^an index or exponent must be an integer, got {got}$"):
+        rec.lhs(ctx, n)
+
+
+def test_an_index_that_is_an_integer_fraction_is_read_as_the_integer():
+    rec = read_anchor("S_(n/2) = S_n", "indeterminate", 0)
+    ctx = Context("indeterminate")
+    assert rec.lhs(ctx, 4) == ctx.S(2)
+
+
+def test_zero_to_a_negative_power_is_undefined_like_a_ratio_over_zero():
+    rec = read_anchor("n^(n-2) n^2 = n^n", "indeterminate", 0)
+    verdicts = run_record(rec, (0, 3), Context("indeterminate"))
+    assert verdicts[0].reason == "undefined: summand coefficient 1/0"
+    assert all(v.passed for v in verdicts[1:])
+
+
+def mutated_anchors(count, seed):
+    """(record, anchor): a catalog anchor with 1-3 random character
+    edits, each an insertion, a deletion or a replacement by a character
+    that some anchor holds."""
+    records = register_catalog()
+    alphabet = sorted(set("".join(rec.anchor for rec in records)))
+    rng = random.Random(seed)
+    for _ in range(count):
+        rec = rng.choice(records)
+        text = rec.anchor
+        for _ in range(rng.randint(1, 3)):
+            i, new = rng.randrange(len(text) + 1), rng.choice(alphabet)
+            text = rng.choice([text[:i] + new + text[i:], text[:i] + text[i + 1:],
+                               text[:i] + new + text[i + 1:]])
+        yield rec, text
+
+
+def test_a_mutated_anchor_is_refused_or_checked_and_never_crashes():
+    # a ValueError is the notation's one refusal: at read, or when a side
+    # is compiled (k outside a sum) or evaluated (a negative power of a
+    # ring element, a family sequence in the generic ring); anything
+    # else is a crash of the reader or the compiler
+    outcomes, crashes = collections.Counter(), []
+    for rec, text in mutated_anchors(2000, seed=1):
+        try:
+            form = read_anchor(text, rec.ring, rec.lo)
+        except ValueError as err:
+            assert "\n" not in str(err)
+            outcomes["refused when read"] += 1
+            continue
+        try:
+            verdicts = run_record(form, (rec.lo, rec.lo + 3), Context(rec.ring))
+        except ValueError:
+            outcomes["refused when run"] += 1
+            continue
+        except Exception as exc:  # a crash: listed, and the test fails
+            crashes.append(f"{text!r}: {type(exc).__name__}: {exc}")
+            continue
+        assert len(verdicts) == 4
+        outcomes["checked"] += 1
+    assert crashes == []
+    assert outcomes["checked"] > 100 and outcomes["refused when read"] > 1000
 
 
 @pytest.mark.parametrize("anchor", [

@@ -41,6 +41,19 @@ OUTPUTS = [
      "64681a52cd532321459e7e30cdeba7927ac5c1ba3492ed7a23d4c3474a17f8ae"),
     ("compute euler 2000",
      "d773e4b1f33393fb7754d45dee1343005e45953ee10395b7f5fbe2a81fb2d7f6"),
+    # the truncated EGF series of each kind, 61 coefficients
+    ("series bernoulli --order 60",
+     "0d00c73a240203d70c2a5ab0b174b18e7271dff125635a97dcf50ff99b9e793b"),
+    ("series euler --order 60",
+     "1f1f644b98d83e3b0a653ec260722d632743d2071814f9a52a26b6e3032161fe"),
+    ("series genocchi --order 60",
+     "7919e43907e8bca38950443242509b498822647f098565408bbd18d91f105583"),
+    ("series bernoulli_poly --order 60",
+     "b492b5d94c3c6817859bfebc8660e86f829aea78bd6a1ab5ad71b7e71567ea43"),
+    ("series euler_poly --order 60",
+     "e76956ec1b202f179ccb34098fe099a7c167593fccae868720680fc1e2207b3e"),
+    ("series genocchi_poly --order 60",
+     "bf0589ad3548e1c92f45ea6aaf4c290965361e2e7ce7125b56b8482b32e4db95"),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 
 import pytest
 
@@ -301,20 +302,35 @@ def test_an_interval_too_wide_to_pin_an_integer_is_computed_again(monkeypatch):
         assert precs == [8 * 2 ** i for i in range(len(precs))]
 
 
+def test_an_interval_that_holds_no_integer_fails_closed(monkeypatch):
+    # D_10 = 66; with the prime 11 dropped, |B_10| 6 = 5/11 is no integer,
+    # so once the interval is narrow it holds none, which correct bounds
+    # never give: the call raises instead of doubling the precision
+    monkeypatch.setattr(sequences, "_TANGENT", sequences._ZigzagList())
+    monkeypatch.setattr(sequences, "_staudt_denominator", lambda n: 6)
+    bernoulli_number.cache_clear()
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match=r"^no integer in \[1, 0\] at \d+ bits"):
+        bernoulli_number(10)
+    assert time.perf_counter() - start < 1
+
+
 def test_appell_polynomials_grow_the_list_and_pin_no_weight(monkeypatch):
     def refused(*args):
         raise AssertionError("an Appell polynomial pinned one of its weights")
 
-    want = {kind: number_polynomial(kind, 200) for kind in ("bernoulli", "euler", "genocchi")}
+    want = {(kind, n): number_polynomial(kind, n)
+            for kind in ("bernoulli", "euler", "genocchi") for n in (200, 201)}
     monkeypatch.setattr(sequences, "_TANGENT", sequences._ZigzagList())
     monkeypatch.setattr(sequences, "_pinned", refused)
     for fn in (bernoulli_number, euler_number, genocchi_number, sequences._appell,
                sequences._WEIGHTS["euler_poly"]):
         fn.cache_clear()
-    for kind, poly in want.items():
-        assert number_polynomial(kind, 200) == poly, kind
-    # E_200(x) reads G_201, so the list holds T_100
-    assert len(sequences._TANGENT.values) >= 100
+    for (kind, n), poly in want.items():
+        assert number_polynomial(kind, n) == poly, (kind, n)
+    # E_201(x) reads G_202, so the list holds T_101; it grew by doubling
+    # from T_100, and no further
+    assert 101 <= len(sequences._TANGENT.values) <= 202
 
 
 def _reference_pi_scaled(prec):

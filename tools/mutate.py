@@ -21,6 +21,10 @@ A target is a file under ``src/`` (every site in it) or
 so every run judges the same mutants of the same source:
 
     python tools/mutate.py
+
+A mutant's oracle run is cut, and the mutant killed as a hang, at
+``TIMEOUT_FACTOR`` times the unmutated run's own time, and never
+before ``TIMEOUT_FLOOR_S``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import tokenize
 from typing import List, NamedTuple, Optional, Tuple
 
@@ -69,10 +74,16 @@ TARGETS = (
     "src/convcheck/sequences.py:_pinned",
     "src/convcheck/sequences.py:_staudt_denominator",
     "src/convcheck/sequences.py:bernoulli_number",
+    "src/convcheck/identities/notation.py:_clear",
+    # the index-slot checks: the reader refuses a slot that _is_ring
+    # finds a ring element, and _integer a value that is no integer
+    "src/convcheck/identities/notation.py:_is_ring",
+    "src/convcheck/identities/notation.py:_integer",
 )
 PER_TARGET = 8
 SEED = 3
-TIMEOUT_S = 300.0  # per oracle run
+TIMEOUT_FACTOR = 4
+TIMEOUT_FLOOR_S = 5.0
 
 _SWAP = {"+": "-", "-": "+", "*": "//", "//": "*",
          "<": ">=", ">=": "<", ">": "<=", "<=": ">", "==": "!=", "!=": "==",
@@ -184,21 +195,43 @@ def _env(tree: str) -> dict:
     return env
 
 
-def digest(tree: str) -> Tuple[int, str]:
+def digest(tree: str, timeout: Optional[float]) -> Tuple[int, str]:
     """(exit status, sha256 of stdout) of verify --all --format json."""
     got = subprocess.run([sys.executable, "-m", "convcheck.cli", "verify", "--all", "--format", "json"],
-                         cwd=tree, env=_env(tree), capture_output=True, timeout=TIMEOUT_S)
+                         cwd=tree, env=_env(tree), capture_output=True, timeout=timeout)
     return got.returncode, hashlib.sha256(got.stdout).hexdigest()
 
 
-def tier1(tree: str) -> bool:
+def tier1(tree: str, timeout: Optional[float]) -> bool:
     """Whether the tier-1 suite passes in tree."""
     got = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-                         cwd=tree, env=_env(tree), capture_output=True, timeout=TIMEOUT_S)
+                         cwd=tree, env=_env(tree), capture_output=True, timeout=timeout)
     return got.returncode == 0
 
 
-def judge(mutant: Mutant, tree: str, want: Tuple[int, str]) -> str:
+class Baseline(NamedTuple):
+    """The unmutated tree's digest, and each oracle's time limit for a mutant."""
+    digest: Tuple[int, str]
+    digest_timeout: float
+    tier1_timeout: float
+
+
+def timeout_for(seconds: float) -> float:
+    """A mutant's limit for an oracle whose unmutated run took seconds."""
+    return max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * seconds)
+
+
+def baseline(tree: str) -> Optional[Baseline]:
+    """The unmutated oracles' results and limits; None if tier-1 fails."""
+    start = time.perf_counter()
+    want = digest(tree, None)
+    middle = time.perf_counter()
+    passed = tier1(tree, None)
+    end = time.perf_counter()
+    return Baseline(want, timeout_for(middle - start), timeout_for(end - middle)) if passed else None
+
+
+def judge(mutant: Mutant, tree: str, base: Baseline) -> str:
     """'digest', 'tier-1', 'timeout' (each a kill) or 'survived'."""
     path = os.path.join(tree, mutant.path)
     with open(path, encoding="utf-8") as fh:
@@ -206,9 +239,9 @@ def judge(mutant: Mutant, tree: str, want: Tuple[int, str]) -> str:
     try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(original[:mutant.start] + mutant.new + original[mutant.end:])
-        if digest(tree) != want:
+        if digest(tree, base.digest_timeout) != base.digest:
             return "digest"
-        return "survived" if tier1(tree) else "tier-1"
+        return "survived" if tier1(tree, base.tier1_timeout) else "tier-1"
     except subprocess.TimeoutExpired:
         return "timeout"
     finally:
@@ -216,24 +249,31 @@ def judge(mutant: Mutant, tree: str, want: Tuple[int, str]) -> str:
             fh.write(original)
 
 
-def main() -> int:
+def draw() -> List[Mutant]:
+    """The mutants of a run: PER_TARGET sites of each target, drawn with SEED."""
     rng = random.Random(SEED)
     mutants: List[Mutant] = []
     for target in TARGETS:
         path, _, qualname = target.partition(":")
         pool = [m for m in sites(path, qualname or None) if m not in mutants]
         mutants.extend(sorted(rng.sample(pool, min(PER_TARGET, len(pool))), key=lambda m: m.start))
+    return mutants
 
+
+def main() -> int:
+    mutants = draw()
     tree = tempfile.mkdtemp(prefix="convcheck-mutate-")
     try:
         _copy(tree)
-        want = digest(tree)
-        if not tier1(tree):
+        base = baseline(tree)
+        if base is None:
             print("the unmutated tier-1 suite fails; no mutant can be judged", file=sys.stderr)
             return 2
+        print(f"time limits: verify {base.digest_timeout:.1f} s, tier-1 {base.tier1_timeout:.1f} s",
+              flush=True)
         verdicts = []
         for m in mutants:
-            verdict = judge(m, tree, want)
+            verdict = judge(m, tree, base)
             verdicts.append(verdict)
             print(f"{verdict:8}  {m.describe()}", flush=True)
     finally:
